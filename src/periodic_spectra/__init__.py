@@ -25,7 +25,6 @@ from .bounds import (
     IndexLatticeReport,
     StructuralConstants,
     adjacency_bounds,
-    adjacency_lower,
     bounds_for_kind,
     normalized_bounds,
     schrodinger_bounds,
@@ -74,6 +73,7 @@ from .walks import (
     count_walks,
     normalized_walk_sums,
     trace_series,
+    walk_classes,
     walk_sums_for_kind,
     weighted_walk_sums,
 )

@@ -5,10 +5,10 @@ number, bridges, lattice rank) plus the classified walk sums.  Lower bounds
 come in two flavors: a closed form depending only on the structural
 constants, and a refinement that scans walk lengths n and keeps the best
     max(B_n1, B_n2) / (n * step_bound^(n-1))
-term.  Upper bounds multiply a bridge-count surrogate: the true minimum over
-all gauges is only bracketed (rank <= minimum <= Betti number), so the
-certified upper bound uses the best bridge count the box search found, which
-is itself an upper bound for the minimum.
+term, with the walk classes read off one eigen-solve of the walk matrix
+(:func:`walks.walk_classes`).  Upper bounds multiply the fewest bridges over
+all gauges, which the spanning-tree search of :func:`graphs.minimize_bridges`
+finds exactly (rank <= minimum <= Betti number).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .graphs import (
     is_bipartite,
     minimize_bridges,
 )
-from .walks import classify, count_walks, normalized_walk_sums, weighted_walk_sums
+from .walks import classify, count_walks, walk_classes, walk_setting
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ class StructuralConstants:
     Schrodinger powers; ``kappa_star`` is its potential-free value
     2*kappa_plus - kappa_minus.  ``bridge_ratio`` sums, over vertices, the
     number of nonzero-index oriented edges leaving the vertex divided by its
-    degree.  ``min_bridges`` comes from the gauge box search and satisfies
-    rank <= min_bridges <= bridges.
+    degree.  ``min_bridges`` is the fewest bridges over all gauges, found
+    exactly by the spanning-tree search; rank <= min_bridges <= bridges.
     """
 
     dim: int
@@ -91,13 +91,13 @@ class BoundsReport:
     terms: tuple[BoundTerm, ...]
 
 
-def structural_constants(graph: FundamentalGraph, radius: int = 1) -> StructuralConstants:
+def structural_constants(graph: FundamentalGraph) -> StructuralConstants:
     deg = graph.degrees
     kappa_minus, kappa_plus = min(deg), max(deg)
     shifted = [graph.potential[x] - deg[x] for x in range(graph.num_vertices)]
     v_plus = max(shifted) - min(shifted)
     d_star = graph.dim if graph.dim % 2 == 0 else graph.dim + 1
-    _, min_bridges = minimize_bridges(graph, radius=radius)
+    _, min_bridges = minimize_bridges(graph)
     per_vertex_bridges = [0] * graph.num_vertices
     for e in graph.edges:
         if any(e.index):
@@ -133,6 +133,15 @@ def _best_term(terms: list[BoundTerm]) -> tuple[float, int | None]:
     return best, best_n
 
 
+def _terms(graph: FundamentalGraph, kind: str, n_max: int | None, step: float) -> list[BoundTerm]:
+    """Refined-bound terms max(B_n1, B_n2) / (n * step^(n-1)) for n <= n_max."""
+    n_max = graph.num_vertices if n_max is None else n_max
+    return [
+        BoundTerm(n, b1, b2, max(b1, b2) / (n * step ** (n - 1)))
+        for n, (b1, b2) in enumerate(walk_classes(graph, kind, n_max), 1)
+    ]
+
+
 def _report(kind, sc, lower_closed, terms, upper, upper_closed) -> BoundsReport:
     refined, refined_n = _best_term(terms)
     lower = max(lower_closed, refined)
@@ -153,18 +162,12 @@ def _report(kind, sc, lower_closed, terms, upper, upper_closed) -> BoundsReport:
 def schrodinger_bounds(
     graph: FundamentalGraph,
     n_max: int | None = None,
-    radius: int = 1,
     kind: str = "schrodinger",
 ) -> BoundsReport:
     """Bracket for the Schrodinger total bandwidth (laplacian when V = 0)."""
-    sc = structural_constants(graph, radius=radius)
-    n_max = graph.num_vertices if n_max is None else n_max
+    sc = structural_constants(graph)
     lower_closed = _closed_form_numerator(sc) / sc.v_star ** (sc.num_vertices - 1)
-    terms = []
-    for n in range(1, n_max + 1):
-        summary = classify(weighted_walk_sums(graph, n))
-        value = max(summary.b1, summary.b2) / (n * sc.v_star ** (n - 1))
-        terms.append(BoundTerm(n, summary.b1, summary.b2, value))
+    terms = _terms(graph, "schrodinger", n_max, sc.v_star)
     upper = 4.0 * min(sc.bridges, sc.min_bridges, sc.betti)
     return _report(kind, sc, lower_closed, terms, upper, upper)
 
@@ -172,69 +175,42 @@ def schrodinger_bounds(
 def normalized_bounds(
     graph: FundamentalGraph,
     n_max: int | None = None,
-    radius: int = 1,
     kind: str = "normalized_laplacian",
 ) -> BoundsReport:
     """Bracket for the normalized-Laplacian (equivalently transition) bandwidth."""
-    sc = structural_constants(graph, radius=radius)
-    n_max = graph.num_vertices if n_max is None else n_max
+    sc = structural_constants(graph)
     lower_closed = _closed_form_numerator(sc) / sc.kappa_plus**sc.num_vertices
-    terms = []
-    for n in range(1, n_max + 1):
-        summary = classify(normalized_walk_sums(graph, n))
-        terms.append(BoundTerm(n, summary.b1, summary.b2, max(summary.b1, summary.b2) / n))
+    terms = _terms(graph, "transition", n_max, 1.0)
     upper_closed = 4.0 * sc.min_bridges / sc.kappa_minus
     upper = min(2.0 * sc.bridge_ratio, upper_closed)
     return _report(kind, sc, lower_closed, terms, upper, upper_closed)
 
 
-def adjacency_bounds(
-    graph: FundamentalGraph, n_max: int | None = None, radius: int = 1
-) -> BoundsReport:
+def adjacency_bounds(graph: FundamentalGraph, n_max: int | None = None) -> BoundsReport:
     """Bracket for the adjacency total bandwidth from pure walk counts."""
-    sc = structural_constants(graph, radius=radius)
-    n_max = graph.num_vertices if n_max is None else n_max
+    sc = structural_constants(graph)
     lower_closed = _closed_form_numerator(sc) / sc.kappa_plus ** (sc.num_vertices - 1)
-    terms = []
-    for n in range(1, n_max + 1):
-        summary = classify(count_walks(graph, n))
-        value = max(summary.b1, summary.b2) / (n * sc.kappa_plus ** (n - 1))
-        terms.append(BoundTerm(n, summary.b1, summary.b2, value))
+    terms = _terms(graph, "adjacency", n_max, sc.kappa_plus)
     upper = 4.0 * min(sc.bridges, sc.min_bridges, sc.betti)
     return _report("adjacency", sc, lower_closed, terms, upper, upper)
-
-
-def adjacency_lower(graph: FundamentalGraph, n_max: int | None = None) -> tuple[float, int | None]:
-    """Best lower bound max(N_n^+, 2 N_n^odd) / (n kappa_plus^(n-1)) over n <= n_max."""
-    deg_max = max(graph.degrees)
-    n_max = graph.num_vertices if n_max is None else n_max
-    best, best_n = 0.0, None
-    for n in range(1, n_max + 1):
-        summary = classify(count_walks(graph, n))
-        value = max(summary.n_plus, 2 * summary.n_odd) / (n * deg_max ** (n - 1))
-        if value > best:
-            best, best_n = value, n
-    return best, best_n
 
 
 def bounds_for_kind(
     graph: FundamentalGraph,
     kind: str,
     n_max: int | None = None,
-    radius: int = 1,
 ) -> BoundsReport:
-    """Dispatch: laplacian bounds are Schrodinger bounds at V = 0; the
-    transition operator shares the normalized-Laplacian bracket."""
-    if kind == "schrodinger":
-        return schrodinger_bounds(graph, n_max, radius)
-    if kind == "laplacian":
-        zeroed = graph.with_potential([0.0] * graph.num_vertices)
-        return schrodinger_bounds(zeroed, n_max, radius, kind="laplacian")
-    if kind == "adjacency":
-        return adjacency_bounds(graph, n_max, radius)
-    if kind in ("normalized_laplacian", "transition"):
-        return normalized_bounds(graph, n_max, radius, kind=kind)
-    raise ValueError(f"unknown operator kind {kind!r}")
+    """Bracket for operator ``kind``, from the walks that stand for it.
+
+    Laplacian bounds are Schrodinger bounds at V = 0; the transition operator
+    shares the normalized-Laplacian bracket.
+    """
+    work, trace_kind = walk_setting(graph, kind)
+    if trace_kind == "schrodinger":
+        return schrodinger_bounds(work, n_max, kind=kind)
+    if trace_kind == "transition":
+        return normalized_bounds(work, n_max, kind=kind)
+    return adjacency_bounds(work, n_max)
 
 
 def trace_gap_lower(graph: FundamentalGraph, kind: str, n: int, k) -> float:

@@ -31,8 +31,15 @@ from .graphs import (
     minimize_bridges,
     vertex_degrees,
 )
-from .operators import OPERATOR_KINDS, symbolic_operator, fiber_eigenvalues_grid
-from .walks import classify, count_walks, trace_series, walk_sums_for_kind
+from .operators import OPERATOR_KINDS, fiber_eigenvalues_grid
+from .walks import (
+    classify,
+    count_walks,
+    trace_series,
+    walk_matrix,
+    walk_setting,
+    walk_sums_for_kind,
+)
 
 TRACE_SAMPLE_POINTS = 20
 TRACE_TOL = 1e-9
@@ -132,13 +139,12 @@ def main():
 @main.command()
 @_graph_options
 @_output_options
-@click.option("--radius", default=1, type=int, help="gauge search radius")
-def info(builtin, graph_file, fmt, out_path, radius):
+def info(builtin, graph_file, fmt, out_path):
     """Structural constants, bipartiteness, and bridge data."""
 
     def body():
         graph = _load(builtin, graph_file)
-        sc = bounds_mod.structural_constants(graph, radius=radius)
+        sc = bounds_mod.structural_constants(graph)
         bip, witness = is_bipartite(graph)
         doc = {
             "dimension": graph.dim,
@@ -260,13 +266,12 @@ def bandwidth(builtin, graph_file, fmt, out_path, kind, grid_n, flat_tol):
 @_output_options
 @_operator_option
 @click.option("--n-max", default=None, type=int, help="largest walk length (default: vertex count)")
-@click.option("--radius", default=1, type=int, help="gauge search radius")
-def bounds(builtin, graph_file, fmt, out_path, kind, n_max, radius):
+def bounds(builtin, graph_file, fmt, out_path, kind, n_max):
     """Certified two-sided bracket for the total bandwidth."""
 
     def body():
         graph = _load(builtin, graph_file)
-        report = bounds_mod.bounds_for_kind(graph, kind, n_max=n_max, radius=radius)
+        report = bounds_mod.bounds_for_kind(graph, kind, n_max=n_max)
         sc = report.constants
         doc = {
             "kind": report.kind,
@@ -335,16 +340,7 @@ def cycles(builtin, graph_file, fmt, out_path, kind, n_max):
     def body():
         graph = _load(builtin, graph_file)
         limit = n_max or graph.num_vertices
-        weight_kind = {
-            "laplacian": "schrodinger",
-            "schrodinger": "schrodinger",
-            "adjacency": "adjacency",
-            "normalized_laplacian": "transition",
-            "transition": "transition",
-        }[kind]
-        weighted_graph = graph
-        if kind == "laplacian":
-            weighted_graph = graph.with_potential([0.0] * graph.num_vertices)
+        weighted_graph, weight_kind = walk_setting(graph, kind)
         rows = []
         for n in range(1, limit + 1):
             units = classify(count_walks(graph, n))
@@ -392,23 +388,11 @@ def traces(builtin, graph_file, fmt, out_path, kind, n_max):
 
     def body():
         graph = _load(builtin, graph_file)
-        trace_kind = {
-            "laplacian": "schrodinger",
-            "schrodinger": "schrodinger",
-            "adjacency": "adjacency",
-            "normalized_laplacian": "transition",
-            "transition": "transition",
-        }[kind]
-        work_graph = graph
-        if kind == "laplacian":
-            work_graph = graph.with_potential([0.0] * graph.num_vertices)
+        work_graph, trace_kind = walk_setting(graph, kind)
         limit = n_max or graph.num_vertices
         rng = np.random.default_rng(0)
         sample = rng.uniform(0.0, 2.0 * np.pi, size=(TRACE_SAMPLE_POINTS, graph.dim))
-        matrix = symbolic_operator(
-            work_graph, trace_kind, normalize_potential=(trace_kind == "schrodinger")
-        )
-        lam = fiber_eigenvalues_grid(matrix, sample)
+        lam = fiber_eigenvalues_grid(walk_matrix(work_graph, trace_kind), sample)
         rows = []
         worst = 0.0
         for n in range(1, limit + 1):
@@ -446,13 +430,12 @@ def traces(builtin, graph_file, fmt, out_path, kind, n_max):
 @main.command()
 @_graph_options
 @_output_options
-@click.option("--radius", default=1, type=int, help="gauge search radius")
-def embed(builtin, graph_file, fmt, out_path, radius):
-    """Search gauges for the fewest bridges; print the gauge and new indices."""
+def embed(builtin, graph_file, fmt, out_path):
+    """Find a gauge with the fewest bridges; print the gauge and new indices."""
 
     def body():
         graph = _load(builtin, graph_file)
-        gauge, count = minimize_bridges(graph, radius=radius)
+        gauge, count = minimize_bridges(graph)
         moved = gauge_transform(graph, gauge)
         doc = {
             "bridges_before": bridge_count(graph),

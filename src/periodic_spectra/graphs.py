@@ -15,7 +15,6 @@ the integer line) with their standard index assignments.
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -32,8 +31,9 @@ IndexVector = tuple[int, ...]
 #: take an integer parameter.
 BUILTIN_NAMES = ("zd(d)", "z_cycle(nu)", "hexagonal", "kagome", "fig4_chain", "square_diag")
 
-# Cap on the number of gauge assignments minimize_bridges will enumerate.
-DEFAULT_GAUGE_CAP = 5_000_000
+# Cap on the work of minimize_bridges, in edge scans (see there); 30-40 s of
+# search on a 2-CPU x86-64 machine.
+DEFAULT_SEARCH_CAP = 20_000_000
 
 
 def _as_index(values: Iterable[int], dim: int, what: str = "index") -> IndexVector:
@@ -362,42 +362,136 @@ def gauge_transform(graph: FundamentalGraph, gauge: Gauge) -> FundamentalGraph:
 
 def minimize_bridges(
     graph: FundamentalGraph,
-    radius: int = 1,
-    cap: int = DEFAULT_GAUGE_CAP,
+    cap: int = DEFAULT_SEARCH_CAP,
 ) -> tuple[Gauge, int]:
-    """Exhaustive gauge search in ``[-radius, radius]^dim`` per free vertex.
+    """Fewest nonzero-index unoriented edges over all gauges, and a gauge attaining it.
 
-    Vertex 0 is pinned at the origin.  Returns the gauge with the fewest
-    nonzero-index unoriented edges and that count.  The count is exact inside
-    the searched box; it always satisfies ``dim <= count <= bridge_count``.
+    In any gauge the zero-index edges form a balanced set (every cycle in it
+    has index zero), and a balanced set extends to a spanning tree T without
+    gaining bridges.  Gauging T to zero leaves as bridges the loops with
+    nonzero index and the non-tree edges whose fundamental cycle has nonzero
+    index, so the minimum of that count over the spanning trees of the
+    loopless multigraph is the minimum over all gauges.
+
+    The trees are grown depth first, edge by edge, and a branch is cut once
+    the bridges it cannot avoid reach the best count so far, which starts at
+    the given gauge's; when nothing beats the given gauge it is returned as
+    the zero gauge.  ``cap`` bounds the work, counted in edge scans: every
+    partial forest the search visits scans each edge once for its bound, and
+    passing ``cap`` scans raises :class:`SearchCapExceeded`.  The count
+    satisfies ``dim <= count <= bridge_count``.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
     nv, d = graph.num_vertices, graph.dim
-    free = nv - 1
-    if free and (2 * radius + 1) ** (d * free) > cap:
-        raise SearchCapExceeded(
-            f"gauge search space (2*{radius}+1)^{d * free} exceeds cap {cap}"
-        )
     und = graph.unoriented()
     # Loop indices are gauge-invariant; count their bridges once.
     loop_bridges = sum(1 for e in und if e.is_loop() and any(e.index))
-    plain = [(e.tail, e.head, e.index) for e in und if not e.is_loop()]
-    box = list(itertools.product(range(-radius, radius + 1), repeat=d))
+    # Zero-index edges first, so the first trees found follow the given gauge.
+    plain = sorted(
+        ((e.tail, e.head, e.index) for e in und if not e.is_loop()),
+        key=lambda edge: any(edge[2]),
+    )
     zero = (0,) * d
-
-    best_count = None
+    best_count = sum(1 for _, _, idx in plain if any(idx))
     best_shifts: tuple[IndexVector, ...] = (zero,) * nv
-    for combo in itertools.product(box, repeat=free):
-        shifts = (zero,) + combo
-        count = loop_bridges
-        for tail, head, idx in plain:
-            if any(t + shifts[head][s] - shifts[tail][s] for s, t in enumerate(idx)):
-                count += 1
-        if best_count is None or count < best_count:
-            best_count, best_shifts = count, shifts
-    assert best_count is not None
-    return Gauge(best_shifts), best_count
+
+    # Partial forest: component label and shift per vertex; its edges have index 0.
+    comp = list(range(nv))
+    shift = [zero] * nv
+    # Edges this branch leaves out of the tree and keeps as bridges (see "skip").
+    forced = [False] * len(plain)
+
+    def offset(j: int) -> IndexVector:
+        """Shift of head's component, relative to tail's, that gives edge j index 0."""
+        tail, head, idx = plain[j]
+        return tuple(shift[tail][s] - t - shift[head][s] for s, t in enumerate(idx))
+
+    def unavoidable() -> int:
+        """Bridges of every spanning tree through the forest, forced edges counted.
+
+        Between two components one relative shift is chosen, so of the edges
+        joining them at most those sharing the most common offset get index 0.
+        """
+        count = sum(forced)
+        between: dict[tuple[int, int], dict[IndexVector, int]] = {}
+        for j, (tail, head, _) in enumerate(plain):
+            if forced[j]:
+                continue
+            a, b, off = comp[tail], comp[head], offset(j)
+            if a == b:
+                count += any(off)
+                continue
+            if a > b:
+                a, b, off = b, a, tuple(-v for v in off)
+            tally = between.setdefault((a, b), {})
+            tally[off] = tally.get(off, 0) + 1
+        for tally in between.values():
+            count += sum(tally.values()) - max(tally.values())
+        return count
+
+    def connectable(start: int) -> bool:
+        """Whether the forest plus edges ``plain[start:]`` still spans the graph."""
+        root = {c: c for c in comp}
+
+        def find(c):
+            while root[c] != c:
+                c = root[c]
+            return c
+
+        pieces = len(root)
+        for tail, head, _ in plain[start:]:
+            a, b = find(comp[tail]), find(comp[head])
+            if a != b:
+                root[a] = b
+                pieces -= 1
+        return pieces == 1
+
+    # Depth-first search over (edge position, forest edges so far), kept on an
+    # explicit stack so the depth is not bounded by Python's recursion limit.
+    # Entries: ("visit", i, joined), ("restore", saved), ("skip", i, joined),
+    # ("unforce", i); a join pushes its restore and the branch without the edge
+    # below the branch with it.
+    stack: list[tuple] = [("visit", 0, 0)] if nv > 1 else []
+    scans = 0
+    while stack:
+        step = stack.pop()
+        if step[0] == "restore":
+            for v, c, vec in step[1]:
+                comp[v], shift[v] = c, vec
+            continue
+        if step[0] == "unforce":
+            forced[step[1]] = False
+            continue
+        _, i, joined = step
+        if step[0] == "skip":
+            # A tree without edge i that gives it index 0 has the gauge of a
+            # tree with it (swap it for a cycle edge outside the forest), so
+            # the branch without it need only reach gauges where it is a bridge.
+            if connectable(i + 1):
+                forced[i] = True
+                stack += [("unforce", i), ("visit", i + 1, joined)]
+            continue
+        scans += len(plain)
+        if scans > cap:
+            raise SearchCapExceeded(f"gauge search passed its cap of {cap} edge scans")
+        if unavoidable() >= best_count:
+            continue
+        if joined == nv - 1:
+            best_count = sum(any(offset(j)) for j in range(len(plain)))
+            best_shifts = tuple(shift)
+            continue
+        tail, head, _ = plain[i]
+        if comp[tail] == comp[head]:
+            stack.append(("visit", i + 1, joined))
+            continue
+        # Join head's component to tail's so that edge i gets index 0.
+        off = offset(i)
+        moved = [v for v in range(nv) if comp[v] == comp[head]]
+        stack += [("skip", i, joined), ("restore", [(v, comp[v], shift[v]) for v in moved])]
+        for v in moved:
+            comp[v] = comp[tail]
+            shift[v] = tuple(a + b for a, b in zip(shift[v], off))
+        stack.append(("visit", i + 1, joined + 1))
+    return Gauge(best_shifts), loop_bridges + best_count
 
 
 # -- bipartiteness of the periodic cover -------------------------------------

@@ -2,8 +2,11 @@
 
 ``numeric_fiber`` assembles fiber matrices directly from the edge list with
 plain numpy, bypassing the symbolic layer entirely, so tests can pit the two
-construction paths against each other.
+construction paths against each other.  ``box_min_bridges`` is the exhaustive
+gauge search over a shift box, the reference for the spanning-tree search.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -46,6 +49,42 @@ def numeric_fiber(graph, kind, k, potential_shift=0.0):
     if kind == "normalized_laplacian":
         return np.eye(nv) - trans
     raise ValueError(kind)
+
+
+def box_min_bridges(graph, radius):
+    """Fewest bridges over gauges with every shift in [-radius, radius]^dim.
+
+    Vertex 0 stays at the origin.  Exact inside the box, so an upper bound
+    for the minimum over all gauges.
+    """
+    und = graph.unoriented()
+    loops = sum(1 for e in und if e.is_loop() and any(e.index))
+    plain = [(e.tail, e.head, e.index) for e in und if not e.is_loop()]
+    box = list(itertools.product(range(-radius, radius + 1), repeat=graph.dim))
+    best = None
+    for combo in itertools.product(box, repeat=graph.num_vertices - 1):
+        shifts = ((0,) * graph.dim,) + combo
+        count = loops + sum(
+            1
+            for tail, head, idx in plain
+            if any(t + shifts[head][s] - shifts[tail][s] for s, t in enumerate(idx))
+        )
+        best = count if best is None else min(best, count)
+    return best
+
+
+def assert_walk_classes_match(graph, n_max):
+    """The spectral walk classes equal the classified enumeration, zeros exactly."""
+    for kind in ps.walks.TRACE_KINDS:
+        spectral = ps.walk_classes(graph, kind, n_max)
+        assert len(spectral) == n_max
+        for n, (b1, b2) in enumerate(spectral, 1):
+            summary = ps.classify(ps.walk_sums_for_kind(graph, kind, n))
+            for value, want in ((b1, summary.b1), (b2, summary.b2)):
+                if want == 0.0:
+                    assert value == 0.0
+                else:
+                    assert value == pytest.approx(want, rel=1e-9)
 
 
 def schrodinger_shift(graph):

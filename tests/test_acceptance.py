@@ -196,12 +196,26 @@ def test_acceptance_10_lattice_and_witnesses():
     _record(10, "index lattices fill Z^d; odd-walk witnesses found on all builtins")
 
 
+def _nine_vertex_quotient(rng):
+    """Rank-2, nu = 9: a random Hamiltonian cycle plus two loops per vertex,
+    unit loops at the first vertex.  Its gauge box of radius 1 has 9^8 points."""
+    labels = [f"v{i}" for i in range(9)]
+    order = [labels[i] for i in rng.permutation(9)]
+    edges = [(order[i], order[(i + 1) % 9], tuple(rng.integers(-1, 2, 2))) for i in range(9)]
+    edges += [("v0", "v0", (1, 0)), ("v0", "v0", (0, 1))]
+    for lab in labels[1:]:
+        edges += [(lab, lab, (1, int(rng.integers(-1, 2)))), (lab, lab, (int(rng.integers(-1, 2)), 1))]
+    return ps.build_graph(2, labels, edges)
+
+
 def test_acceptance_11_sandwich():
     rng = np.random.default_rng(11_11)
     slack = 2e-2
     cases = 0
-    for name in BUILTIN_NAMES:
-        base = ps.builtin_graph(name)
+    # built-ins, plus two graphs whose gauge box searches were out of reach
+    bases = [ps.builtin_graph(name) for name in BUILTIN_NAMES]
+    bases += [ps.builtin_graph("z_cycle(16)"), _nine_vertex_quotient(rng)]
+    for base in bases:
         grid = ps.KGrid(base.dim, 48)
         runs = [
             ("laplacian", base),

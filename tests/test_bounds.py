@@ -99,22 +99,22 @@ def test_single_vertex_normalized_lower():
 
 
 def test_adjacency_lower_kagome(kagome):
-    value, n = ps.adjacency_lower(kagome, 3)
-    assert value == pytest.approx(2.0, abs=1e-12)
-    assert n == 2
+    report = ps.adjacency_bounds(kagome, 3)
+    assert report.lower_refined == pytest.approx(2.0, abs=1e-12)
+    assert report.refined_n == 2
 
 
 def test_adjacency_lower_zd1():
-    value, n = ps.adjacency_lower(ps.builtin_graph("zd(1)"), 1)
-    assert value == pytest.approx(4.0, abs=1e-12)
-    assert n == 1
+    report = ps.adjacency_bounds(ps.builtin_graph("zd(1)"), 1)
+    assert report.lower_refined == pytest.approx(4.0, abs=1e-12)
+    assert report.refined_n == 1
 
 
 def test_adjacency_lower_no_information():
     # length-1 walks on the hexagonal quotient: no loops, nothing to report
-    value, n = ps.adjacency_lower(ps.builtin_graph("hexagonal"), 1)
-    assert value == 0.0
-    assert n is None
+    report = ps.adjacency_bounds(ps.builtin_graph("hexagonal"), 1)
+    assert report.lower_refined == 0.0
+    assert report.refined_n is None
 
 
 def test_bounds_for_kind_dispatch(kagome):

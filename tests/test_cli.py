@@ -71,13 +71,29 @@ def test_traces_ok(runner):
 
 
 def test_embed_reports_gauge(runner):
-    result = invoke(runner, "embed", "--builtin", "kagome", "--radius", "1", "--format", "json")
+    result = invoke(runner, "embed", "--builtin", "kagome", "--format", "json")
     doc = json.loads(result.output)
     assert doc["bridges_before"] == 3
     assert doc["bridges_after"] == 3
     assert set(doc["gauge"]) == {"x1", "x2", "x3"}
     # emitted graph parses back through the file format
     ps.parse_graph(json.dumps(doc["graph"]))
+
+
+def test_info_reports_exact_min_bridges(runner, tmp_path):
+    # no radius-3 gauge box reaches the single-bridge gauge (0, 2, 4)
+    graph = ps.build_graph(1, ["v0", "v1", "v2"], [("v0", "v1", (-2,)), ("v1", "v2", (-2,)), ("v1", "v1", (1,))])
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(ps.graph_to_dict(graph)))
+    result = invoke(runner, "info", "--graph", str(path))
+    assert result.exit_code == 0
+    assert "min_bridges 1\n" in result.output
+
+
+@pytest.mark.parametrize("verb", ["info", "bounds", "embed"])
+def test_radius_option_is_gone(runner, verb):
+    result = runner.invoke(main, [verb, "--builtin", "kagome", "--radius", "1"])
+    assert result.exit_code == 2
 
 
 def test_verify_json(runner):

@@ -1,6 +1,9 @@
 """Graph model: parsing, structural invariants, gauges, cycle space."""
 
+import inspect
+import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 import periodic_spectra as ps
 from periodic_spectra.errors import GraphFormatError, SearchCapExceeded
 
-from conftest import BUILTIN_NAMES
+from conftest import BUILTIN_NAMES, box_min_bridges
 
 HEX_FILE = json.dumps(
     {
@@ -207,7 +210,7 @@ def test_gauge_normalizes_pinned_vertex():
 )
 def test_minimize_bridges_builtins(name, expected):
     g = ps.builtin_graph(name)
-    gauge, count = ps.minimize_bridges(g, radius=1)
+    gauge, count = ps.minimize_bridges(g)
     assert count == expected
     assert g.dim <= count <= ps.bridge_count(g)
     assert count <= ps.betti_number(g)
@@ -215,23 +218,77 @@ def test_minimize_bridges_builtins(name, expected):
     assert ps.bridge_count(ps.gauge_transform(g, gauge)) == count
 
 
-def test_minimize_bridges_radius_zero(kagome):
-    _, count = ps.minimize_bridges(kagome, radius=0)
+def test_minimize_bridges_keeps_minimal_gauge(kagome):
+    # an input that is already minimal comes back with the zero gauge
+    gauge, count = ps.minimize_bridges(kagome)
     assert count == ps.bridge_count(kagome)
+    assert gauge == ps.Gauge.zero(kagome)
 
 
 def test_minimize_bridges_can_undo_bad_gauge(kagome):
     rng = np.random.default_rng(3)
     messed = ps.gauge_transform(kagome, _random_gauge(kagome, rng))
     assert ps.bridge_count(messed) >= 3
-    _, count = ps.minimize_bridges(messed, radius=4)
+    gauge, count = ps.minimize_bridges(messed)
     assert count == 3
+    assert ps.bridge_count(ps.gauge_transform(messed, gauge)) == 3
+
+
+def test_minimize_bridges_beats_any_box():
+    # Two -2 edges and a unit loop: the gauge (0, 2, 4) leaves one bridge,
+    # which no shift box of radius below 4 contains.
+    g = ps.build_graph(1, ["v0", "v1", "v2"], [("v0", "v1", (-2,)), ("v1", "v2", (-2,)), ("v1", "v1", (1,))])
+    assert box_min_bridges(g, 3) == 2
+    gauge, count = ps.minimize_bridges(g)
+    assert count == 1
+    assert ps.bridge_count(ps.gauge_transform(g, gauge)) == 1
+
+
+def _complete_graph(nv, dim, seed):
+    """Rank-``dim`` quotient on the complete graph, indices drawn from {-1, 0, 1}."""
+    rng = np.random.default_rng(seed)
+    labels = [f"v{i}" for i in range(nv)]
+    edges = [
+        (labels[a], labels[b], tuple(int(x) for x in rng.integers(-1, 2, dim)))
+        for a, b in itertools.combinations(range(nv), 2)
+    ]
+    return ps.build_graph(dim, labels, edges)
+
+
+def test_minimize_bridges_dense_k9():
+    # 9^7 spanning trees; the pruned search visits a few thousand forests
+    g = _complete_graph(9, 1, seed=0)
+    gauge, count = ps.minimize_bridges(g)
+    assert g.dim <= count <= box_min_bridges(g, 1) <= ps.bridge_count(g)
+    assert ps.bridge_count(ps.gauge_transform(g, gauge)) == count
+
+
+def test_minimize_bridges_large_dense_graph_refuses():
+    # 1770 edges: the cap is spent before the first spanning tree is reached
+    g = _complete_graph(60, 1, seed=1)
+    with pytest.raises(SearchCapExceeded):
+        ps.minimize_bridges(g, cap=50_000)
+
+
+def test_minimize_bridges_depth_is_not_recursion():
+    # the search keeps its own stack: one frame per edge would overflow here
+    g = ps.builtin_graph("z_cycle(200)")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        _, count = ps.minimize_bridges(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert count == 1
 
 
 def test_minimize_bridges_cap():
+    # the cap counts edge scans: a tree on square_diag's 4 vertices takes 4
+    # visited forests, each scanning its 6 edges
     g = ps.builtin_graph("square_diag")
     with pytest.raises(SearchCapExceeded):
-        ps.minimize_bridges(g, radius=10, cap=100)
+        ps.minimize_bridges(g, cap=10)
+    assert ps.minimize_bridges(g, cap=100)[1] == 2
 
 
 # -- bipartiteness ------------------------------------------------------------

@@ -9,10 +9,17 @@ trace engines, gauge invariance, classification symmetries, bound sandwiches.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import periodic_spectra as ps
 
-from conftest import numeric_fiber, schrodinger_shift
+from conftest import (
+    assert_walk_classes_match,
+    box_min_bridges,
+    numeric_fiber,
+    schrodinger_shift,
+)
 
 SEEDS = list(range(10))
 
@@ -56,6 +63,13 @@ def test_random_graph_dual_engines(seed):
     for kind in ("adjacency", "schrodinger", "transition"):
         for n in (1, 2, 3):
             ps.trace_series(g, kind, n)  # raises EngineMismatchError on drift
+    assert_walk_classes_match(g, 4)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_walk_classes_match_enumeration_hypothesis(seed):
+    assert_walk_classes_match(random_graph(seed), 3)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -121,8 +135,19 @@ def test_random_graph_trace_identity(seed):
             assert abs(series.eval(k) - (lam**n).sum()) < tol
 
 
-@pytest.mark.parametrize("seed", SEEDS[:5])
+@pytest.mark.parametrize("seed", SEEDS)
 def test_random_graph_minimize_bridges_bracket(seed):
-    g = random_graph(seed)
-    _, count = ps.minimize_bridges(g, radius=1)
-    assert g.dim <= count <= ps.bridge_count(g)
+    _check_tree_search(random_graph(seed), radius=2)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_tree_search_beats_box_hypothesis(seed):
+    _check_tree_search(random_graph(seed), radius=1)
+
+
+def _check_tree_search(g, radius):
+    """rank <= tree-search minimum <= box minimum, and the gauge realizes it."""
+    gauge, count = ps.minimize_bridges(g)
+    assert g.dim <= count <= box_min_bridges(g, radius) <= ps.bridge_count(g)
+    assert ps.bridge_count(ps.gauge_transform(g, gauge)) == count

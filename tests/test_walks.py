@@ -7,6 +7,8 @@ import periodic_spectra as ps
 from periodic_spectra.errors import EngineMismatchError, SearchCapExceeded
 from periodic_spectra.walks import WalkClassCounts
 
+from conftest import assert_walk_classes_match
+
 RNG = np.random.default_rng(31)
 
 
@@ -130,6 +132,8 @@ def test_trace_series_dual_engine(builtin):
             keys = set(series.coeffs) | set(sums.by_index)
             for m in keys:
                 assert abs(series.coeff(m) - sums.value(m)) < 1e-9
+    # the spectral walk classes, unit, schrodinger and normalized, n <= 6
+    assert_walk_classes_match(g, 6)
 
 
 def test_trace_series_rejects_other_kinds(kagome):
@@ -167,3 +171,33 @@ def test_torus_average_identity(builtin):
         grid = ps.KGrid(g.dim, npts)
         avg = series.eval_grid(grid.points).mean()
         assert avg.real == pytest.approx(t_n0, abs=1e-9)
+
+
+def test_walk_classes_unit_counts_are_exact(kagome):
+    for n, (b1, b2) in enumerate(ps.walk_classes(kagome, "adjacency", 8), 1):
+        summary = ps.classify(ps.count_walks(kagome, n))
+        assert (b1, b2) == (float(summary.n_plus), float(2 * summary.n_odd))
+
+
+def test_walk_classes_past_enumeration(kagome):
+    # n = 12 would take minutes to enumerate; the symbolic power is the reference
+    b1, b2 = ps.walk_classes(kagome, "adjacency", 12)[-1]
+    series = ps.trace_series(kagome, "adjacency", 12, check=False)
+    assert b1 == round(sum(c.real for m, c in series.coeffs.items() if any(m)))
+    assert b2 == round(2 * sum(c.real for m, c in series.coeffs.items() if sum(m) % 2))
+
+
+def test_walk_classes_kinds(kagome):
+    assert ps.walk_classes(kagome, "adjacency", 0) == ()
+    with pytest.raises(ValueError):
+        ps.walk_classes(kagome, "laplacian", 2)
+
+
+def test_walk_setting():
+    g = ps.builtin_graph("fig4_chain").with_potential([0.5, 1.0, 1.5, 2.0])
+    zeroed, kind = ps.walks.walk_setting(g, "laplacian")
+    assert kind == "schrodinger" and zeroed.potential == (0.0,) * 4
+    assert ps.walks.walk_setting(g, "normalized_laplacian") == (g, "transition")
+    assert ps.walks.walk_setting(g, "adjacency") == (g, "adjacency")
+    with pytest.raises(ValueError):
+        ps.walks.walk_setting(g, "resolvent")
