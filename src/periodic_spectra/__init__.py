@@ -59,13 +59,7 @@ from .graphs import (
     vertex_degrees,
 )
 from .laurent import LaurentMatrix, LaurentPoly
-from .operators import (
-    OPERATOR_KINDS,
-    eigenvalues,
-    evaluate_fiber,
-    fiber_eigenvalues_grid,
-    symbolic_operator,
-)
+from .operators import OPERATOR_KINDS, fiber_eigenvalues_grid, symbolic_operator
 from .walks import (
     CycleClassSummary,
     WalkClassCounts,

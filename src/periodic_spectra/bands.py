@@ -195,30 +195,9 @@ def flat_bands(table: BandTable, tol: float | None = None) -> list[Band]:
 # -- export ------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
+def format_12g(value: float) -> str:
+    """A float at 12 significant digits, the precision of every JSON and CSV export."""
     return format(float(value), ".12g")
-
-
-def band_table_document(table: BandTable) -> dict:
-    return {
-        "kind": table.kind,
-        "grid_n": table.grid_n,
-        "bands": [
-            {"j": j + 1, "lo": b.lo, "hi": b.hi, "flat": b.flat}
-            for j, b in enumerate(table.bands)
-        ],
-        "flat_values": list(table.flat_values),
-        "components": [list(c) for c in spectrum_components(table)],
-        "total_bandwidth": total_bandwidth(table),
-        "spectrum_measure": spectrum_measure(table),
-    }
-
-
-def band_table_csv(table: BandTable) -> str:
-    lines = ["j,lo,hi,flat"]
-    for j, b in enumerate(table.bands):
-        lines.append(f"{j + 1},{_fmt(b.lo)},{_fmt(b.hi)},{str(b.flat).lower()}")
-    return "\n".join(lines) + "\n"
 
 
 def dispersion_csv(points: np.ndarray, lam: np.ndarray) -> str:
@@ -227,5 +206,5 @@ def dispersion_csv(points: np.ndarray, lam: np.ndarray) -> str:
     header = [f"k{s + 1}" for s in range(dim)] + [f"lambda{j + 1}" for j in range(lam.shape[1])]
     lines = [",".join(header)]
     for row_k, row_l in zip(points, lam):
-        lines.append(",".join(_fmt(v) for v in (*row_k, *row_l)))
+        lines.append(",".join(format_12g(v) for v in (*row_k, *row_l)))
     return "\n".join(lines) + "\n"

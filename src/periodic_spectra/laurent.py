@@ -10,7 +10,6 @@ symbolic layer.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -134,21 +133,10 @@ class LaurentPoly:
         """Conjugate coefficients and negate frequencies: the torus conjugate."""
         return LaurentPoly(self.dim, {tuple(-v for v in m): c.conjugate() for m, c in self.coeffs.items()})
 
-    def is_real_on_torus(self, tol: float = 1e-12) -> bool:
-        return self.max_diff(self.conj_reflect()) <= tol
-
     def max_diff(self, other: "LaurentPoly") -> float:
         other = self._coerce(other)
         keys = set(self.coeffs) | set(other.coeffs)
         return max((abs(self.coeffs.get(m, 0) - other.coeffs.get(m, 0)) for m in keys), default=0.0)
-
-    def to_debug_json(self) -> str:
-        """Dump as a JSON map '"m1,m2,...,md" -> [re, im]' for test fixtures."""
-        doc = {
-            ",".join(str(v) for v in m): [c.real, c.imag]
-            for m, c in sorted(self.coeffs.items())
-        }
-        return json.dumps(doc)
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{m}: {c:.6g}" for m, c in sorted(self.coeffs.items()))
@@ -247,15 +235,6 @@ class LaurentMatrix:
                 if self.entries[i][j].coeffs:
                     out[:, i, j] = self.entries[i][j].eval_grid(points)
         return out
-
-    def hermiticity_defect(self) -> float:
-        """Largest coefficient deviation from entry(j,i) == conj-reflect(entry(i,j))."""
-        worst = 0.0
-        for i in range(self.size):
-            for j in range(i, self.size):
-                diff = self.entries[j][i].max_diff(self.entries[i][j].conj_reflect())
-                worst = max(worst, diff)
-        return worst
 
     def max_abs_frequency(self) -> int:
         return max(

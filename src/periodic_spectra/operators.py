@@ -110,24 +110,6 @@ def symbolic_operator(
     return LaurentMatrix.identity(dim, nv) - symbolic_operator(graph, "transition")
 
 
-def evaluate_fiber(matrix: LaurentMatrix, k, herm_tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Pointwise evaluation; aborts if the result is not Hermitian."""
-    out = matrix.eval(k)
-    defect = float(np.abs(out - out.conj().T).max())
-    if defect > herm_tol:
-        raise HermiticityError(f"fiber matrix deviates from Hermitian by {defect:.3e}")
-    return out
-
-
-def eigenvalues(matrix: np.ndarray, herm_tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending."""
-    matrix = np.asarray(matrix, dtype=complex)
-    defect = float(np.abs(matrix - matrix.conj().T).max())
-    if defect > herm_tol:
-        raise HermiticityError(f"matrix deviates from Hermitian by {defect:.3e}")
-    return np.linalg.eigvalsh(matrix)
-
-
 def worker_count(workers: int | None = None) -> int:
     """Worker budget: explicit argument, else PERIODIC_SPECTRA_THREADS, else CPUs."""
     if workers is not None:

@@ -104,15 +104,19 @@ def _steps(graph: FundamentalGraph, mode: str, normalize: bool):
     return table
 
 
-def _enumerate(graph: FundamentalGraph, n: int, mode: str, normalize: bool, cap: int):
-    if n < 1:
-        raise ValueError("walk length must be positive")
-    table = _steps(graph, mode, normalize)
+def _check_cap(graph: FundamentalGraph, table, n: int, cap: int) -> None:
     fanout = max((len(t) for t in table), default=0)
     if graph.num_vertices * fanout**n > cap:
         raise SearchCapExceeded(
             f"walk enumeration would take about {graph.num_vertices * fanout ** n} steps"
         )
+
+
+def _enumerate(graph: FundamentalGraph, n: int, mode: str, normalize: bool, cap: int):
+    if n < 1:
+        raise ValueError("walk length must be positive")
+    table = _steps(graph, mode, normalize)
+    _check_cap(graph, table, n, cap)
     zero = (0,) * graph.dim
     sums: dict[IndexVector, float] = {}
 
@@ -239,6 +243,18 @@ def walk_sums_for_kind(
     if mode == "schrodinger":
         return weighted_walk_sums(graph, n, cap=cap)
     return normalized_walk_sums(graph, n, cap=cap)
+
+
+def check_walk_cap(
+    graph: FundamentalGraph, kind: str, n: int, cap: int = DEFAULT_WALK_CAP
+) -> None:
+    """Raise :class:`SearchCapExceeded` if enumerating the n-walks of ``kind`` would bust ``cap``.
+
+    The step count grows with n, so a check of the largest length refuses a
+    run before any enumeration starts.
+    """
+    mode = _walk_mode(kind)
+    _check_cap(graph, _steps(graph, mode, mode == "schrodinger"), n, cap)
 
 
 def walk_classes(graph: FundamentalGraph, kind: str, n_max: int) -> tuple[tuple[float, float], ...]:

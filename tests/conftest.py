@@ -4,6 +4,8 @@
 plain numpy, bypassing the symbolic layer entirely, so tests can pit the two
 construction paths against each other.  ``box_min_bridges`` is the exhaustive
 gauge search over a shift box, the reference for the spanning-tree search.
+``evaluate_fiber``, ``eigenvalues``, ``hermiticity_defect`` and
+``is_real_on_torus`` evaluate and check single fibers and symbolic entries.
 """
 
 import itertools
@@ -12,6 +14,8 @@ import numpy as np
 import pytest
 
 import periodic_spectra as ps
+from periodic_spectra.errors import HermiticityError
+from periodic_spectra.operators import HERMITICITY_TOL
 
 BUILTIN_NAMES = [
     "kagome",
@@ -49,6 +53,38 @@ def numeric_fiber(graph, kind, k, potential_shift=0.0):
     if kind == "normalized_laplacian":
         return np.eye(nv) - trans
     raise ValueError(kind)
+
+
+def _hermitian(matrix, herm_tol):
+    matrix = np.asarray(matrix, dtype=complex)
+    defect = float(np.abs(matrix - matrix.conj().T).max())
+    if defect > herm_tol:
+        raise HermiticityError(f"matrix deviates from Hermitian by {defect:.3e}")
+    return matrix
+
+
+def eigenvalues(matrix, herm_tol=HERMITICITY_TOL):
+    """All eigenvalues of a dense Hermitian matrix, ascending; aborts if not Hermitian."""
+    return np.linalg.eigvalsh(_hermitian(matrix, herm_tol))
+
+
+def evaluate_fiber(matrix, k, herm_tol=HERMITICITY_TOL):
+    """A symbolic fiber evaluated at one quasimomentum; aborts if not Hermitian."""
+    return _hermitian(matrix.eval(k), herm_tol)
+
+
+def hermiticity_defect(matrix):
+    """Largest coefficient deviation from entry(j,i) == conj-reflect(entry(i,j))."""
+    return max(
+        matrix.entries[j][i].max_diff(matrix.entries[i][j].conj_reflect())
+        for i in range(matrix.size)
+        for j in range(i, matrix.size)
+    )
+
+
+def is_real_on_torus(poly, tol=1e-12):
+    """True when the polynomial equals its torus conjugate, so it is real at every k."""
+    return poly.max_diff(poly.conj_reflect()) <= tol
 
 
 def box_min_bridges(graph, radius):

@@ -1,0 +1,132 @@
+"""Record the CLI golden cases: ``python tests/record_cli_golden.py``.
+
+Every case runs one command line in-process through click's test runner and
+keeps its exit code, standard output, standard error and the bytes of the
+files it wrote (``--out`` and ``--dispersion-out``).  The matrix covers every
+verb in every format, every operator kind, three graphs (kagome, fig4_chain
+and ``golden/loop_potential.json``, a graph file with a loop and a nonzero
+potential) at small ``--grid``/``--n-max``, the defaults, ``--help`` and the
+usage and input errors.  ``test_cli_golden.py`` reruns each recorded case
+and requires the same bytes.
+
+Placeholders in the recorded arguments are filled in per run: ``{graph}``
+with the graph file above, ``{broken}`` with a file that is not JSON,
+``{out}``/``{disp}`` with output files in a scratch directory and
+``{missing}`` with a path in a directory that does not exist.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from click.testing import CliRunner
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden"
+CASES_FILE = GOLDEN / "cli_cases.json"
+GRAPH_FILE = GOLDEN / "loop_potential.json"
+
+KINDS = ("adjacency", "laplacian", "schrodinger", "normalized_laplacian", "transition")
+FORMATS = ("text", "json", "csv")
+SOURCES = (["--builtin", "kagome"], ["--builtin", "fig4_chain"], ["--graph", "{graph}"])
+EXTRA = {
+    "bands": ["--grid", "4", "--dispersion-out", "{disp}"],
+    "bandwidth": ["--grid", "4"],
+    "bounds": ["--n-max", "3"],
+    "cycles": ["--n-max", "3"],
+    "traces": ["--n-max", "3"],
+}
+PLAIN_VERBS = ("info", "embed", "verify")
+VERBS = (*EXTRA, *PLAIN_VERBS)
+
+
+def case_args() -> list[list[str]]:
+    cases = []
+    for source in SOURCES:
+        for verb, extra in EXTRA.items():
+            for kind in KINDS:
+                for fmt in FORMATS:
+                    cases.append([verb, *source, "--operator", kind, "--format", fmt, *extra])
+        for verb in PLAIN_VERBS:
+            for fmt in FORMATS:
+                cases.append([verb, *source, "--format", fmt])
+    for verb in VERBS:
+        cases.append([verb, "--builtin", "kagome"])
+        for fmt in FORMATS:
+            cases.append([verb, "--builtin", "kagome", "--format", fmt, "--out", "{out}", *EXTRA.get(verb, [])])
+        cases.append([verb, "--help"])
+    cases += [
+        ["--help"],
+        ["bandwidth", "--builtin", "fig4_chain", "--operator", "normalized_laplacian", "--grid", "8", "--flat-tol", "1e-3"],
+        ["bounds", "--builtin", "fig4_chain", "--operator", "normalized_laplacian", "--n-max", "4"],
+        ["cycles", "--builtin", "z_cycle(3)", "--n-max", "5", "--format", "csv"],
+        ["verify", "--builtin", "hexagonal"],
+        # usage errors (exit 2) and input errors (exit 1)
+        ["info"],
+        ["info", "--builtin", "kagome", "--graph", "{graph}"],
+        ["info", "--builtin", "kagome", "--format", "xml"],
+        ["info", "--builtin", "kagome", "--radius", "1"],
+        ["bands", "--builtin", "kagome", "--operator", "bogus"],
+        ["info", "--graph", "{missing}"],
+        ["info", "--builtin", "nope"],
+        ["info", "--graph", "{broken}"],
+        ["bands", "--builtin", "kagome", "--grid", "31"],
+        ["bandwidth", "--builtin", "kagome", "--grid", "8", "--flat-tol", "0"],
+        ["verify", "--builtin", "kagome", "--out", "{missing}"],
+        ["bands", "--builtin", "zd(1)", "--grid", "4", "--dispersion-out", "{missing}"],
+    ]
+    return cases
+
+
+def run_case(args: list[str], scratch: Path) -> dict:
+    """Run one recorded command line; return what it printed and wrote."""
+    from periodic_spectra.cli import main
+
+    broken = scratch / "broken.json"
+    broken.write_text("{broken", encoding="utf-8")
+    paths = {
+        "graph": str(GRAPH_FILE),
+        "broken": str(broken),
+        "out": str(scratch / "out.txt"),
+        "disp": str(scratch / "disp.csv"),
+        "missing": str(scratch / "no_such_dir" / "file.txt"),
+    }
+    for name in ("out", "disp"):
+        Path(paths[name]).unlink(missing_ok=True)
+    # A fixed help width keeps `--help` output independent of the terminal.
+    result = CliRunner().invoke(
+        main, [a.format(**paths) for a in args], prog_name="periodic-spectra", terminal_width=80
+    )
+    if result.exception is not None and not isinstance(result.exception, SystemExit):
+        raise result.exception
+    files = {
+        name: Path(paths[name]).read_bytes().decode("utf-8")
+        for name in ("out", "disp")
+        if Path(paths[name]).exists()
+    }
+
+    def portable(text: str) -> str:
+        return text.replace(str(scratch), "{scratch}")
+
+    return {
+        "args": args,
+        "exit_code": result.exit_code,
+        "stdout": portable(result.stdout),
+        "stderr": portable(result.stderr),
+        "files": {name: portable(text) for name, text in files.items()},
+    }
+
+
+def main() -> None:
+    sys.path.insert(0, str(HERE.parent / "src"))
+    with tempfile.TemporaryDirectory() as scratch:
+        cases = [run_case(args, Path(scratch)) for args in case_args()]
+    CASES_FILE.write_text(json.dumps(cases, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    print(f"wrote {len(cases)} cases to {CASES_FILE}")
+
+
+if __name__ == "__main__":
+    main()

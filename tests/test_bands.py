@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 import periodic_spectra as ps
-from periodic_spectra.bands import (
-    band_table_csv,
-    band_table_document,
-    dispersion_csv,
-    merge_intervals,
-)
+from periodic_spectra.bands import dispersion_csv, merge_intervals
 
 RNG = np.random.default_rng(99)
 
@@ -123,19 +118,6 @@ def test_flat_level_inside_dispersive_band_is_found(fig4):
     table = ps.band_structure(fig4, "normalized_laplacian", ps.KGrid(1, 64))
     assert all(b.hi - b.lo > 1e-3 for b in table.bands)
     assert table.flat_values == pytest.approx((1.0,), abs=1e-9)
-
-
-def test_band_table_document_and_csv(kagome):
-    table = ps.band_structure(kagome, "laplacian", ps.KGrid(2, 16))
-    doc = band_table_document(table)
-    assert doc["kind"] == "laplacian"
-    assert doc["grid_n"] == 16
-    assert [entry["j"] for entry in doc["bands"]] == [1, 2, 3]
-    csv = band_table_csv(table)
-    lines = csv.strip().split("\n")
-    assert lines[0] == "j,lo,hi,flat"
-    assert len(lines) == 4
-    assert csv.endswith("\n")
 
 
 def test_dispersion_csv_shape(fig4):

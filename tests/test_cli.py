@@ -1,6 +1,9 @@
 """CLI: verb coverage, deterministic output, exit codes."""
 
+import csv
+import io
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -192,3 +195,64 @@ def test_engine_mismatch_exits_2(runner, monkeypatch):
     result = runner.invoke(main, ["traces", "--builtin", "kagome", "--operator", "adjacency"])
     assert result.exit_code == 2
     assert "error:" in result.output
+
+
+def test_bands_table_json_and_csv(runner):
+    args = ["bands", "--builtin", "kagome", "--operator", "laplacian", "--grid", "16"]
+    doc = json.loads(invoke(runner, *args, "--format", "json").output)
+    assert doc["kind"] == "laplacian"
+    assert doc["grid_n"] == 16
+    assert [entry["j"] for entry in doc["bands"]] == [1, 2, 3]
+    text = invoke(runner, *args, "--format", "csv").output
+    lines = text.strip().split("\n")
+    assert lines[0] == "j,lo,hi,flat"
+    assert len(lines) == 4
+    assert lines[3].endswith(",true")
+    assert text.endswith("\n")
+
+
+@pytest.mark.parametrize("verb", ["info", "embed"])
+def test_json_and_csv_escape_any_label(runner, tmp_path, verb):
+    labels = ["a,b", 'q"x', "tab\there", "bell\x07"]
+    edges = [(labels[i], labels[(i + 1) % 4], (0,)) for i in range(4)] + [(labels[0], labels[0], (1,))]
+    graph = ps.build_graph(1, labels, edges)
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(ps.graph_to_dict(graph)))
+    doc = json.loads(invoke(runner, verb, "--graph", str(path), "--format", "json").output)
+    keyed = doc["degrees"] if verb == "info" else doc["gauge"]
+    assert list(keyed) == labels
+    rows = list(csv.reader(io.StringIO(invoke(runner, verb, "--graph", str(path), "--format", "csv").output)))
+    assert len({len(row) for row in rows}) == 1
+    if verb == "info":
+        assert dict(rows)["degrees"] == ";".join(f"{lab}={d}" for lab, d in ps.vertex_degrees(graph).items())
+    else:
+        assert {(row[0], row[1]) for row in rows[1:]} >= {(labels[0], labels[1]), (labels[0], labels[0])}
+
+
+@pytest.mark.parametrize("n_max", ["0", "-1"])
+@pytest.mark.parametrize("verb", ["bounds", "cycles", "traces"])
+def test_n_max_below_one_is_usage_error(runner, verb, n_max):
+    result = runner.invoke(main, [verb, "--builtin", "kagome", "--n-max", n_max, "--format", "json"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "--n-max" in result.stderr
+
+
+@pytest.mark.parametrize("verb", ["cycles", "traces"])
+def test_walk_cap_refuses_before_enumerating(runner, verb):
+    start = time.perf_counter()
+    result = runner.invoke(main, [verb, "--builtin", "kagome", "--operator", "adjacency", "--n-max", "13"])
+    assert time.perf_counter() - start < 10.0
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert "walk enumeration would take about" in result.stderr
+
+
+def test_trace_residual_failure_exits_2_after_output(runner, monkeypatch):
+    from periodic_spectra import cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "TRACE_TOL", -1.0)
+    result = runner.invoke(main, ["traces", "--builtin", "hexagonal", "--operator", "adjacency", "--n-max", "2"])
+    assert result.exit_code == 2
+    assert result.stdout.startswith("n=1 coeff_residual=")
+    assert "trace residual" in result.stderr

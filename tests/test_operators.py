@@ -6,7 +6,7 @@ import pytest
 import periodic_spectra as ps
 from periodic_spectra.errors import GraphFormatError, HermiticityError
 
-from conftest import BUILTIN_NAMES, numeric_fiber, schrodinger_shift
+from conftest import BUILTIN_NAMES, eigenvalues, evaluate_fiber, numeric_fiber, schrodinger_shift
 
 RNG = np.random.default_rng(2024)
 
@@ -19,7 +19,7 @@ def test_z_lattice_schrodinger_entries():
     assert entry.coeff((-1,)) == pytest.approx(1.0)
     assert entry.coeff((0,)) == pytest.approx(-2.0)
     # annihilates constants at k = 0
-    assert ps.evaluate_fiber(ham, [0.0])[0, 0] == pytest.approx(0.0)
+    assert evaluate_fiber(ham, [0.0])[0, 0] == pytest.approx(0.0)
 
 
 @pytest.mark.parametrize("kind", ps.OPERATOR_KINDS)
@@ -35,13 +35,13 @@ def test_symbolic_matches_direct_assembly(name, kind):
 
 
 def test_fiber_real_symmetric_at_zero(kagome):
-    mat = ps.evaluate_fiber(ps.symbolic_operator(kagome, "adjacency"), [0.0, 0.0])
+    mat = evaluate_fiber(ps.symbolic_operator(kagome, "adjacency"), [0.0, 0.0])
     assert np.abs(mat.imag).max() < 1e-14
     assert np.abs(mat - mat.T).max() < 1e-14
 
 
 def test_fiber_hermitian_at_pi(kagome):
-    mat = ps.evaluate_fiber(ps.symbolic_operator(kagome, "adjacency"), [np.pi, np.pi])
+    mat = evaluate_fiber(ps.symbolic_operator(kagome, "adjacency"), [np.pi, np.pi])
     assert np.abs(mat - mat.conj().T).max() < 1e-12
 
 
@@ -49,24 +49,26 @@ def test_evaluate_fiber_rejects_nonhermitian():
     bad = ps.LaurentMatrix.zeros(1, 2)
     bad.entries[0][1] = ps.LaurentPoly(1, {(1,): 1.0})
     with pytest.raises(HermiticityError):
-        ps.evaluate_fiber(bad, [0.3])
+        evaluate_fiber(bad, [0.3])
+    with pytest.raises(HermiticityError):
+        ps.fiber_eigenvalues_grid(bad, [[0.3]])
 
 
 def test_eigenvalues_diagonal():
-    lam = ps.eigenvalues(np.diag([3.0, 1.0, 2.0]))
+    lam = eigenvalues(np.diag([3.0, 1.0, 2.0]))
     assert lam.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_eigenvalues_phase_invariance():
     for theta in (0.0, 0.4, 2.2):
         mat = np.array([[0, np.exp(1j * theta)], [np.exp(-1j * theta), 0]])
-        lam = ps.eigenvalues(mat)
+        lam = eigenvalues(mat)
         assert lam == pytest.approx([-1.0, 1.0])
 
 
 def test_eigenvalues_rejects_nonhermitian():
     with pytest.raises(HermiticityError):
-        ps.eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_gauge_conjugation_preserves_spectra(builtin):
@@ -78,13 +80,13 @@ def test_gauge_conjugation_preserves_spectra(builtin):
     sym_b = ps.symbolic_operator(moved, "schrodinger")
     for _ in range(5):
         k = RNG.uniform(0, 2 * np.pi, g.dim)
-        lam_a = ps.eigenvalues(ps.evaluate_fiber(sym_a, k))
-        lam_b = ps.eigenvalues(ps.evaluate_fiber(sym_b, k))
+        lam_a = eigenvalues(evaluate_fiber(sym_a, k))
+        lam_b = eigenvalues(evaluate_fiber(sym_b, k))
         assert np.abs(lam_a - lam_b).max() < 1e-10
 
 
 def test_laplacian_kernel_at_zero(builtin):
-    lam = ps.eigenvalues(ps.evaluate_fiber(ps.symbolic_operator(builtin, "laplacian"), np.zeros(builtin.dim)))
+    lam = eigenvalues(evaluate_fiber(ps.symbolic_operator(builtin, "laplacian"), np.zeros(builtin.dim)))
     assert abs(lam[0]) < 1e-10
 
 
@@ -112,8 +114,8 @@ def test_regular_graph_laplacian_scaling(name):
     nor = ps.symbolic_operator(g, "normalized_laplacian")
     for _ in range(4):
         k = RNG.uniform(0, 2 * np.pi, g.dim)
-        lam_l = ps.eigenvalues(ps.evaluate_fiber(lap, k))
-        lam_n = ps.eigenvalues(ps.evaluate_fiber(nor, k))
+        lam_l = eigenvalues(evaluate_fiber(lap, k))
+        lam_n = eigenvalues(evaluate_fiber(nor, k))
         assert np.abs(lam_l - deg * lam_n).max() < 1e-10
 
 
