@@ -10,7 +10,6 @@ sorted bands, whose widths are both nonzero).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,10 +41,9 @@ class KGrid:
     @cached_property
     def points(self) -> np.ndarray:
         n = self.points_per_dim
-        mesh = np.array(
-            list(itertools.product(range(n), repeat=self.dim)), dtype=float
-        )
-        return 2.0 * np.pi * mesh / n
+        # Row-major over the axes, the last axis fastest.
+        mesh = np.indices((n,) * self.dim).reshape(self.dim, -1).T
+        return 2.0 * np.pi * np.ascontiguousarray(mesh, dtype=float) / n
 
 
 @dataclass(frozen=True)
@@ -104,9 +102,11 @@ def _flat_candidates(lam: np.ndarray) -> tuple[tuple[float, float], ...]:
             continue
         candidates.append(float(value))
     out = []
+    # One scratch array for every candidate: the eigenvalue table is the sweep's largest array.
+    distance = np.empty_like(lam)
     for value in candidates:
-        residual = float(np.abs(lam - value).min(axis=1).max())
-        out.append((value, residual))
+        np.abs(np.subtract(lam, value, out=distance), out=distance)
+        out.append((value, float(distance.min(axis=1).max())))
     return tuple(out)
 
 
@@ -195,16 +195,20 @@ def flat_bands(table: BandTable, tol: float | None = None) -> list[Band]:
 # -- export ------------------------------------------------------------------
 
 
+# A float at 12 significant digits, the precision of every JSON and CSV export.
+FLOAT_12G = "%.12g"
+
+
 def format_12g(value: float) -> str:
-    """A float at 12 significant digits, the precision of every JSON and CSV export."""
-    return format(float(value), ".12g")
+    """``value`` formatted by :data:`FLOAT_12G`."""
+    return FLOAT_12G % float(value)
 
 
 def dispersion_csv(points: np.ndarray, lam: np.ndarray) -> str:
     """One row per grid point: quasimomentum components then the eigenvalues."""
     dim = points.shape[1]
     header = [f"k{s + 1}" for s in range(dim)] + [f"lambda{j + 1}" for j in range(lam.shape[1])]
+    row = ",".join([FLOAT_12G] * len(header))
     lines = [",".join(header)]
-    for row_k, row_l in zip(points, lam):
-        lines.append(",".join(format_12g(v) for v in (*row_k, *row_l)))
+    lines += [row % tuple(values) for values in np.hstack([points, lam]).tolist()]
     return "\n".join(lines) + "\n"

@@ -300,7 +300,11 @@ def cycles(graph: FundamentalGraph, kind: str, n_max: int | None) -> _Output:
     doc = []
     for n in range(1, limit + 1):
         units = classify(count_walks(graph, n))
-        weighted = classify(walk_sums_for_kind(weighted_graph, weight_kind, n))
+        # Adjacency weighs every step 1: its weighted sums are the unit counts.
+        if weight_kind == "adjacency":
+            weighted = units
+        else:
+            weighted = classify(walk_sums_for_kind(weighted_graph, weight_kind, n))
         doc.append({"n": n, "N0": units.n_zero, "Nplus": units.n_plus, "Nodd": units.n_odd,
                     "Bn1": weighted.b1, "Bn2": weighted.b2, "Tn0": weighted.t0})
     rows = [["n", "N0", "Nplus", "Nodd", "Bn1", "Bn2", "Tn0"]] + [list(r.values()) for r in doc]
@@ -324,7 +328,8 @@ def traces(graph: FundamentalGraph, kind: str, n_max: int | None) -> _Output:
     doc = []
     worst = 0.0
     for n in range(1, limit + 1):
-        series = trace_series(work_graph, trace_kind, n)
+        # The residual column below is the engine check: a mismatch is a row and exit 2.
+        series = trace_series(work_graph, trace_kind, n, check=False)
         sums = walk_sums_for_kind(work_graph, trace_kind, n)
         keys = set(series.coeffs) | set(sums.by_index)
         coeff_residual = max((abs(series.coeff(m) - sums.value(m)) for m in keys), default=0.0)

@@ -227,13 +227,35 @@ class LaurentMatrix:
         return out
 
     def eval_grid(self, points: np.ndarray) -> np.ndarray:
-        """Stack of fiber matrices, shape (npts, size, size)."""
+        """Stack of fiber matrices, shape (npts, size, size).
+
+        ``exp(i<m, k>)`` is computed once for each distinct frequency m of the
+        whole matrix, and every entry sums its columns of that phase table.
+        ``<m, k>`` is summed term by term in axis order, so its bits do not
+        depend on the BLAS kernel.  Where every product ``m_s k_s`` is exact
+        (all ``|m_s| <= 2``, as in every graph with unit edge indices) the
+        stack equals :meth:`LaurentPoly.eval_grid` of each entry bit for bit;
+        otherwise the two can differ in the last bits of ``<m, k>``.
+        """
         points = np.asarray(points, dtype=float)
         out = np.zeros((points.shape[0], self.size, self.size), dtype=complex)
-        for i in range(self.size):
-            for j in range(self.size):
-                if self.entries[i][j].coeffs:
-                    out[:, i, j] = self.entries[i][j].eval_grid(points)
+        terms = [
+            (i, j, sorted(p.coeffs.items()))
+            for i, row in enumerate(self.entries)
+            for j, p in enumerate(row)
+            if p.coeffs
+        ]
+        freqs = sorted({m for _, _, items in terms for m, _ in items})
+        column = {m: c for c, m in enumerate(freqs)}
+        table = np.array(freqs, dtype=float).reshape(len(freqs), self.dim)
+        angles = points[:, 0, None] * table[:, 0]
+        for s in range(1, self.dim):
+            angles += points[:, s, None] * table[:, s]
+        phases = np.exp(1j * angles)
+        for i, j, items in terms:
+            # Fancy indexing returns Fortran-ordered columns, on which @ rounds differently.
+            cols = np.ascontiguousarray(phases[:, [column[m] for m, _ in items]])
+            out[:, i, j] = cols @ np.array([c for _, c in items], dtype=complex)
         return out
 
     def max_abs_frequency(self) -> int:

@@ -28,6 +28,9 @@ OPERATOR_KINDS = ("adjacency", "laplacian", "schrodinger", "normalized_laplacian
 
 HERMITICITY_TOL = 1e-12
 
+# Bytes of complex fiber matrices that a sweep evaluates and solves at once.
+CHUNK_BYTES = 1 << 20
+
 
 def check_kind(kind: str) -> str:
     if kind not in OPERATOR_KINDS:
@@ -123,6 +126,11 @@ def worker_count(workers: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
+def chunk_points(size: int) -> int:
+    """Grid points per chunk of a sweep over ``size`` x ``size`` fibers."""
+    return max(1, CHUNK_BYTES // (16 * size * size))
+
+
 def fiber_eigenvalues_grid(
     matrix: LaurentMatrix,
     points: np.ndarray,
@@ -131,23 +139,33 @@ def fiber_eigenvalues_grid(
 ) -> np.ndarray:
     """Sorted fiber eigenvalues at every grid point, shape (npts, size).
 
-    The grid is split into contiguous chunks handled by a thread pool; the
-    reduction is a plain concatenation, so results do not depend on the
-    worker count.
+    The grid is streamed in chunks of :func:`chunk_points` points, about
+    ``CHUNK_BYTES`` of complex fiber matrices each.  A chunk is evaluated,
+    checked for Hermiticity (a defect above ``herm_tol`` raises
+    :class:`HermiticityError`) and solved while it is still in cache; only
+    its eigenvalues are kept.  Memory is therefore the (npts, size) result,
+    2*size times smaller than the stack of fibers, plus a few chunks per
+    worker.  Chunks go to a pool of :func:`worker_count` threads; their
+    boundaries do not depend on the worker count, and neither do the results.
     """
     points = np.asarray(points, dtype=float)
+    out = np.empty((points.shape[0], matrix.size))
+    step = chunk_points(matrix.size)
+    starts = range(0, points.shape[0], step)
 
-    def solve(chunk: np.ndarray) -> np.ndarray:
-        stack = matrix.eval_grid(chunk)
+    def solve(start: int) -> None:
+        stack = matrix.eval_grid(points[start : start + step])
         defect = float(np.abs(stack - stack.conj().transpose(0, 2, 1)).max())
         if defect > herm_tol:
             raise HermiticityError(f"fiber matrix deviates from Hermitian by {defect:.3e}")
-        return np.linalg.eigvalsh(stack)
+        out[start : start + step] = np.linalg.eigvalsh(stack)
 
-    nworkers = min(worker_count(workers), max(1, points.shape[0]))
-    if nworkers == 1:
-        return solve(points)
-    chunks = np.array_split(points, nworkers)
-    with ThreadPoolExecutor(max_workers=nworkers) as pool:
-        parts = list(pool.map(solve, chunks))
-    return np.vstack(parts)
+    nworkers = min(worker_count(workers), len(starts))
+    if nworkers <= 1:
+        for start in starts:
+            solve(start)
+    else:
+        # map cancels the chunks not yet started once one of them raises.
+        with ThreadPoolExecutor(max_workers=nworkers) as pool:
+            list(pool.map(solve, starts))
+    return out

@@ -47,9 +47,6 @@ INTEGER_TOL = 1e-6
 # Constant C of the spectral engine's error bound C * n * nu^2 * eps * rho^n.
 ENGINE_ERROR_FACTOR = 64.0
 
-# Bytes of fiber matrices one eigen-solve of the spectral engine may hold.
-WALK_STACK_BYTES = 1 << 25
-
 
 @dataclass(frozen=True)
 class WalkClassCounts:
@@ -265,7 +262,9 @@ def walk_classes(graph: FundamentalGraph, kind: str, n_max: int) -> tuple[tuple[
     ``T_n`` over a grid of ``n_max * R + 1`` points per axis (R the largest
     index frequency of M), exact because it resolves every frequency of
     ``T_n``.  The values equal :func:`classify` of the enumerated walk sums.
-    Grids whose fibers exceed ``WALK_STACK_BYTES`` are solved in chunks.
+    The sweep streams the grid in chunks (see :func:`fiber_eigenvalues_grid`),
+    so memory is the grid points, the eigenvalues, one power of them and the
+    (n_max, npts) traces, never the stack of fibers.
 
     The error of each value is of order ``n * nu^2 * eps * rho^n``, rho the
     largest absolute row sum of M (which bounds its norm): eigenvalue
@@ -286,11 +285,8 @@ def walk_classes(graph: FundamentalGraph, kind: str, n_max: int) -> tuple[tuple[
     grid = np.stack(np.meshgrid(*[axis] * graph.dim, indexing="ij"), axis=-1).reshape(-1, graph.dim)
     special = np.array([[0.0] * graph.dim, [np.pi] * graph.dim])
     points = np.vstack([special, grid])
-    step = max(1, WALK_STACK_BYTES // (16 * matrix.size**2))
     # T_n at every point, one row per n; columns: k = 0, k = pi*(1,..,1), the grid.
-    traces = np.hstack(
-        [_power_traces(matrix, points[s : s + step], n_max) for s in range(0, len(points), step)]
-    )
+    traces = _power_traces(matrix, points, n_max)
     t_zero, t_pi, mean = traces[:, 0], traces[:, 1], traces[:, 2:].mean(axis=1)
     n = np.arange(1, n_max + 1)
     errs = ENGINE_ERROR_FACTOR * n * matrix.size**2 * np.finfo(float).eps * rho**n
@@ -304,7 +300,13 @@ def _power_traces(matrix: LaurentMatrix, points: np.ndarray, n_max: int) -> np.n
     """Tr M(k)^n for n = 1..n_max at each point, shape (n_max, npts)."""
     # The grids are small: a single worker beats starting a thread pool.
     lam = fiber_eigenvalues_grid(matrix, points, workers=1)
-    return np.cumprod(np.broadcast_to(lam, (n_max, *lam.shape)), axis=0).sum(axis=2)
+    # One power of the eigenvalues at a time: memory stays at two (npts, nu) arrays.
+    traces = np.empty((n_max, lam.shape[0]))
+    power = lam.copy()
+    for row in traces:
+        row[:] = power.sum(axis=1)
+        power *= lam
+    return traces
 
 
 def _snap(value: float, err: float, integral: bool) -> float:

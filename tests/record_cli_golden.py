@@ -6,13 +6,15 @@ files it wrote (``--out`` and ``--dispersion-out``).  The matrix covers every
 verb in every format, every operator kind, three graphs (kagome, fig4_chain
 and ``golden/loop_potential.json``, a graph file with a loop and a nonzero
 potential) at small ``--grid``/``--n-max``, the defaults, ``--help`` and the
-usage and input errors.  ``test_cli_golden.py`` reruns each recorded case
-and requires the same bytes.
+usage and input errors.  Two band sweeps are large enough that the torus
+sweep solves them in several chunks: kagome at ``--grid 160`` and a
+dispersion dump of a 96-vertex ring (see :func:`ring_graph_text`).
+``test_cli_golden.py`` reruns each recorded case and requires the same bytes.
 
 Placeholders in the recorded arguments are filled in per run: ``{graph}``
-with the graph file above, ``{broken}`` with a file that is not JSON,
-``{out}``/``{disp}`` with output files in a scratch directory and
-``{missing}`` with a path in a directory that does not exist.
+with the graph file above, ``{ring}`` with the ring graph, ``{broken}`` with
+a file that is not JSON, ``{out}``/``{disp}`` with output files in a scratch
+directory and ``{missing}`` with a path in a directory that does not exist.
 """
 
 from __future__ import annotations
@@ -77,8 +79,29 @@ def case_args() -> list[list[str]]:
         ["bandwidth", "--builtin", "kagome", "--grid", "8", "--flat-tol", "0"],
         ["verify", "--builtin", "kagome", "--out", "{missing}"],
         ["bands", "--builtin", "zd(1)", "--grid", "4", "--dispersion-out", "{missing}"],
+        # sweeps that span several chunks of the torus sweep
+        ["bands", "--builtin", "kagome", "--grid", "160", "--format", "json"],
+        ["bands", "--graph", "{ring}", "--operator", "schrodinger", "--grid", "16",
+         "--dispersion-out", "{disp}"],
     ]
     return cases
+
+
+def ring_graph_text(nu: int = 96) -> str:
+    """A rank-1 graph file: a ring of ``nu`` vertices with chords and potentials.
+
+    Its fiber matrices are large (``nu`` x ``nu``) and complex, so a sweep of
+    a few points already spans several chunks.
+    """
+    labels = [f"r{i}" for i in range(nu)]
+    vertices = [{"id": lab, "potential": (i * 37 % 11) / 4 - 1} for i, lab in enumerate(labels)]
+    edges = [
+        {"from": labels[i], "to": labels[(i + 1) % nu], "index": [int(i == nu - 1)]} for i in range(nu)
+    ]
+    edges += [
+        {"from": labels[i], "to": labels[(5 * i + 3) % nu], "index": [i % 3 - 1]} for i in range(0, nu, 4)
+    ]
+    return json.dumps({"dimension": 1, "vertices": vertices, "edges": edges})
 
 
 def run_case(args: list[str], scratch: Path) -> dict:
@@ -87,8 +110,11 @@ def run_case(args: list[str], scratch: Path) -> dict:
 
     broken = scratch / "broken.json"
     broken.write_text("{broken", encoding="utf-8")
+    ring = scratch / "ring.json"
+    ring.write_text(ring_graph_text(), encoding="utf-8")
     paths = {
         "graph": str(GRAPH_FILE),
+        "ring": str(ring),
         "broken": str(broken),
         "out": str(scratch / "out.txt"),
         "disp": str(scratch / "disp.csv"),

@@ -256,3 +256,41 @@ def test_trace_residual_failure_exits_2_after_output(runner, monkeypatch):
     assert result.exit_code == 2
     assert result.stdout.startswith("n=1 coeff_residual=")
     assert "trace residual" in result.stderr
+
+
+def test_trace_coefficient_mismatch_is_a_row_and_exit_2(runner, monkeypatch):
+    from periodic_spectra import cli as cli_mod
+
+    def off_by_one(graph, kind, n, **kwargs):
+        sums = ps.walk_sums_for_kind(graph, kind, n, **kwargs)
+        return ps.WalkClassCounts(n, sums.mode, sums.dim, {**sums.by_index, (7, 7): 1.0})
+
+    # Both engines' callers see the wrong sums: the verb reports them, it does not abort first.
+    monkeypatch.setattr(cli_mod, "walk_sums_for_kind", off_by_one)
+    monkeypatch.setattr(ps.walks, "walk_sums_for_kind", off_by_one)
+    result = runner.invoke(main, ["traces", "--builtin", "kagome", "--operator", "adjacency", "--n-max", "2"])
+    assert result.exit_code == 2
+    assert result.stdout.startswith("n=1 coeff_residual=1.000e+00 ")
+    assert result.stdout.count("\n") == 2
+    assert result.stderr == "error: trace residual 1.000e+00 exceeds 1e-09\n"
+
+
+@pytest.mark.parametrize(
+    "verb, kind, per_n",
+    [("cycles", "adjacency", 1), ("cycles", "laplacian", 2), ("traces", "adjacency", 1), ("traces", "schrodinger", 1)],
+)
+def test_walks_enumerated_once_per_length(runner, monkeypatch, verb, kind, per_n):
+    from periodic_spectra import walks
+
+    calls = []
+    enumerate_walks = walks._enumerate
+
+    def counted(graph, n, mode, normalize, cap):
+        calls.append((n, mode))
+        return enumerate_walks(graph, n, mode, normalize, cap)
+
+    monkeypatch.setattr(walks, "_enumerate", counted)
+    result = invoke(runner, verb, "--builtin", "kagome", "--operator", kind, "--n-max", "3")
+    assert result.exit_code == 0
+    assert len(calls) == 3 * per_n
+    assert len(set(calls)) == len(calls)

@@ -1,5 +1,10 @@
 """Fiber operator assembly and the Hermitian eigensolver contract."""
 
+import os
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -174,3 +179,114 @@ def test_worker_env_variable(monkeypatch, kagome):
     monkeypatch.setenv("PERIODIC_SPECTRA_THREADS", "3")
     multi = ps.fiber_eigenvalues_grid(sym, points)
     assert np.array_equal(base, multi)
+
+
+def ring_quotient(nu: int, dim: int, seed: int) -> ps.FundamentalGraph:
+    """A ring of ``nu`` vertices with ``dim`` random loops each, unit indices and a potential."""
+    rng = np.random.default_rng(seed)
+    labels = [f"v{i}" for i in range(nu)]
+
+    def index():
+        return tuple(int(x) for x in rng.integers(-1, 2, dim))
+
+    edges = [(labels[i], labels[(i + 1) % nu], index()) for i in range(nu)]
+    edges += [(labels[0], labels[0], tuple(int(s == t) for t in range(dim))) for s in range(dim)]
+    edges += [(labels[v], labels[v], index()) for v in range(1, nu) for _ in range(dim)]
+    edges = [e for e in edges if e[0] != e[1] or any(e[2])]
+    return ps.build_graph(dim, labels, edges, dict(zip(labels, rng.uniform(-1, 1, nu))))
+
+
+def entrywise_eigenvalues(matrix, points):
+    """Each entry evaluated on its own by LaurentPoly.eval_grid, then one eigvalsh."""
+    stack = np.zeros((len(points), matrix.size, matrix.size), dtype=complex)
+    for i, row in enumerate(matrix.entries):
+        for j, poly in enumerate(row):
+            if poly.coeffs:
+                stack[:, i, j] = poly.eval_grid(points)
+    return np.linalg.eigvalsh(stack)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "graph, kind, grid_n",
+    [
+        (ps.builtin_graph("kagome").with_potential([0.3, -0.7, 0.1]), "schrodinger", 100),
+        (ring_quotient(10, 2, 5), "schrodinger", 36),
+        (ring_quotient(12, 3, 6), "normalized_laplacian", 10),
+    ],
+    ids=["kagome", "ring10", "ring12"],
+)
+def test_streamed_sweep_is_bitwise_entrywise(graph, kind, grid_n, workers):
+    matrix = ps.symbolic_operator(graph, kind)
+    points = ps.KGrid(graph.dim, grid_n).points
+    step = ps.operators.chunk_points(matrix.size)
+    # several chunks, the last one partial
+    assert len(points) > step and len(points) % step
+    lam = ps.fiber_eigenvalues_grid(matrix, points, workers=workers)
+    assert lam.shape == (len(points), matrix.size)
+    assert lam.tobytes() == entrywise_eigenvalues(matrix, points).tobytes()
+
+
+def within(seconds, fn, *args, **kwargs):
+    """Run ``fn`` in a daemon thread; fail if it has not returned after ``seconds``."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn(*args, **kwargs)
+        except Exception as exc:
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def test_streamed_sweep_with_more_workers_than_cores(monkeypatch):
+    graph = ring_quotient(10, 2, 5)
+    matrix = ps.symbolic_operator(graph, "schrodinger")
+    points = ps.KGrid(2, 48).points
+    workers = 2 * (os.cpu_count() or 1) + 1
+    # chunks of 7 points, so every worker gets several
+    monkeypatch.setattr(ps.operators, "CHUNK_BYTES", 7 * 16 * matrix.size**2)
+    assert len(points) > 4 * workers * ps.operators.chunk_points(matrix.size)
+    base = ps.fiber_eigenvalues_grid(matrix, points, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = within(60, ps.fiber_eigenvalues_grid, matrix, points, workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert many.tobytes() == base.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_nonhermitian_chunk_past_the_first_raises(workers):
+    bad = ps.LaurentMatrix.zeros(1, 2)
+    # M01 = 1 - exp(ik) with M10 = 0: Hermitian at k = 0 only.
+    bad.entries[0][1] = ps.LaurentPoly(1, {(0,): 1.0, (1,): -1.0})
+    step = ps.operators.chunk_points(2)
+    points = np.zeros((5 * step + 3, 1))
+    points[-1] = 0.3
+    with pytest.raises(HermiticityError, match=r"deviates from Hermitian by 2\.989e-01"):
+        within(60, ps.fiber_eigenvalues_grid, bad, points, workers=workers)
+    assert ps.fiber_eigenvalues_grid(bad, points[:-1], workers=workers).shape == (5 * step + 2, 2)
+
+
+def test_sweep_memory_is_bounded_by_chunks():
+    graph = ring_quotient(16, 3, 7)
+    grid = ps.KGrid(3, 24)
+    stack_bytes = len(grid.points) * 16 * 16 * 16
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        table = ps.band_structure(graph, "laplacian", grid, workers=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.bands) == 16
+    assert peak < stack_bytes / 4
