@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from .graphs import (
     CycleRecord,
     FundamentalGraph,
+    _generates_lattice,
     betti_number,
     bridge_count,
     cycle_basis,
-    index_lattice_check,
     is_bipartite,
     minimize_bridges,
 )
@@ -236,9 +236,11 @@ def trace_gap_lower(graph: FundamentalGraph, kind: str, n: int, k) -> float:
 class IndexLatticeReport:
     """Structural facts about the cycle-index lattice.
 
-    ``basis_subset`` lists rank-many basis cycles whose indices form a
-    unimodular matrix, when such a subset exists (a generating set need not
-    contain one; its absence is reported, not fatal).  ``witness_n`` is the
+    ``lattice_ok`` says whether the cycle-basis indices generate Z^dim (every
+    graph the builders return passes).  ``basis_subset`` lists the first
+    rank-many basis cycles, in basis order, whose indices form a unimodular
+    matrix, when such a subset exists (a generating set need not contain one;
+    its absence is reported, not fatal).  ``witness_n`` is the
     smallest walk length n <= num_vertices with N_n^odd >= n * d_star, and
     ``bipartite_witness_n`` the smallest with N_n^odd >= 2 n dim (bipartite
     covers only).
@@ -253,16 +255,15 @@ class IndexLatticeReport:
 
 
 def verify_index_lattice(graph: FundamentalGraph) -> IndexLatticeReport:
-    lattice_ok = index_lattice_check(graph)
-    cycles, matrix = cycle_basis(graph)
-
+    """Fill an :class:`IndexLatticeReport`; one cycle basis and one exact
+    span test (:func:`graphs._generates_lattice`) answer both lattice questions."""
+    cycles, _ = cycle_basis(graph)
+    indices = [c.index for c in cycles]
+    lattice_ok = _generates_lattice(indices, graph.dim)
     basis_subset = None
-    if len(cycles) >= graph.dim:
-        from sympy import Matrix
-
+    if lattice_ok:
         for combo in itertools.combinations(range(len(cycles)), graph.dim):
-            sub = Matrix(matrix[:, combo].tolist())
-            if abs(sub.det()) == 1:
+            if _generates_lattice([indices[j] for j in combo], graph.dim):
                 basis_subset = tuple(cycles[j] for j in combo)
                 break
 

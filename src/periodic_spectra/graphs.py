@@ -16,6 +16,7 @@ the integer line) with their standard index assignments.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,6 +38,8 @@ DEFAULT_SEARCH_CAP = 20_000_000
 
 
 def _as_index(values: Iterable[int], dim: int, what: str = "index") -> IndexVector:
+    if not isinstance(values, Iterable):
+        raise GraphFormatError(f"{what} must be a list of {dim} integers, got {values!r}")
     vec = []
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
@@ -45,6 +48,15 @@ def _as_index(values: Iterable[int], dim: int, what: str = "index") -> IndexVect
     if len(vec) != dim:
         raise GraphFormatError(f"{what} has length {len(vec)}, expected {dim}")
     return tuple(vec)
+
+
+def _as_potential(value, label: str) -> float:
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise GraphFormatError(f"potential of {label!r} must be a number, got {value!r}")
 
 
 def _neg(vec: IndexVector) -> IndexVector:
@@ -111,6 +123,8 @@ class FundamentalGraph:
             raise GraphFormatError("duplicate vertex label")
         if len(self.potential) != len(self.labels):
             raise GraphFormatError("potential must list one value per vertex")
+        if not all(math.isfinite(v) for v in self.potential):
+            raise GraphFormatError("potential values must be finite")
         nv = len(self.labels)
         if len(self.edges) % 2:
             raise GraphFormatError("oriented edges must come in inverse pairs")
@@ -184,11 +198,11 @@ class FundamentalGraph:
         if isinstance(values, Mapping):
             pot = list(self.potential)
             for lab, v in values.items():
-                pot[self.ordinal(lab)] = float(v)
+                pot[self.ordinal(lab)] = _as_potential(v, lab)
         else:
             if len(values) != self.num_vertices:
                 raise GraphFormatError("potential must list one value per vertex")
-            pot = [float(v) for v in values]
+            pot = [_as_potential(v, lab) for v, lab in zip(values, self.labels)]
         return FundamentalGraph(self.dim, self.labels, tuple(pot), self.edges)
 
 
@@ -197,14 +211,12 @@ def build_graph(
     vertices: Sequence[str],
     edges: Iterable[tuple[str, str, Iterable[int]]],
     potential: Mapping[str, float] | None = None,
-    validate_lattice: bool = True,
 ) -> FundamentalGraph:
     """Assemble a graph from one (tail, head, index) triple per unoriented edge.
 
     The inverse orientation with negated index is materialized automatically.
-    Unless ``validate_lattice`` is switched off, graphs whose cycle indices do
-    not generate all of Z^dim are rejected: they do not describe a rank-``dim``
-    periodic graph.
+    Graphs whose cycle indices do not generate all of Z^dim are rejected: they
+    do not describe a rank-``dim`` periodic graph.
     """
     labels = tuple(str(v) for v in vertices)
     if len(set(labels)) != len(labels):
@@ -214,7 +226,7 @@ def build_graph(
     for lab, v in (potential or {}).items():
         if lab not in ordinals:
             raise GraphFormatError(f"unknown vertex label {lab!r}")
-        pot[ordinals[lab]] = float(v)
+        pot[ordinals[lab]] = _as_potential(v, lab)
     oriented: list[OrientedEdge] = []
     for pair_id, (a, b, idx) in enumerate(edges):
         if a not in ordinals or b not in ordinals:
@@ -222,7 +234,7 @@ def build_graph(
         e = OrientedEdge(ordinals[a], ordinals[b], _as_index(idx, dim), pair_id)
         oriented += [e, e.reversed()]
     graph = FundamentalGraph(dim, labels, tuple(pot), tuple(oriented))
-    if validate_lattice and not index_lattice_check(graph):
+    if not index_lattice_check(graph):
         raise GraphFormatError(
             "cycle indices do not generate Z^%d; not a rank-%d periodic graph"
             % (dim, dim)
@@ -233,7 +245,7 @@ def build_graph(
 # -- file format -----------------------------------------------------------
 
 
-def parse_graph(text: str, validate_lattice: bool = True) -> FundamentalGraph:
+def parse_graph(text: str) -> FundamentalGraph:
     """Parse the JSON graph format.
 
     Schema::
@@ -251,19 +263,23 @@ def parse_graph(text: str, validate_lattice: bool = True) -> FundamentalGraph:
     if not isinstance(doc, dict):
         raise GraphFormatError("graph document must be a JSON object")
     try:
-        dim = int(doc["dimension"])
+        dim = doc["dimension"]
         raw_vertices = doc["vertices"]
         raw_edges = doc["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise GraphFormatError(f"missing or invalid top-level field: {exc}") from None
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise GraphFormatError(f"dimension must be an integer, got {dim!r}")
+    if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
+        raise GraphFormatError("vertices and edges must be lists")
     labels: list[str] = []
-    potential: dict[str, float] = {}
+    potential = {}
     for entry in raw_vertices:
         if not isinstance(entry, dict) or "id" not in entry:
             raise GraphFormatError("vertex entries need an 'id' field")
         lab = str(entry["id"])
         labels.append(lab)
-        potential[lab] = float(entry.get("potential", 0.0))
+        potential[lab] = entry.get("potential", 0.0)
     edges = []
     for entry in raw_edges:
         if not isinstance(entry, dict):
@@ -272,12 +288,12 @@ def parse_graph(text: str, validate_lattice: bool = True) -> FundamentalGraph:
             edges.append((str(entry["from"]), str(entry["to"]), entry["index"]))
         except KeyError as exc:
             raise GraphFormatError(f"edge entry missing field {exc}") from None
-    return build_graph(dim, labels, edges, potential, validate_lattice=validate_lattice)
+    return build_graph(dim, labels, edges, potential)
 
 
-def load_graph(path: str, validate_lattice: bool = True) -> FundamentalGraph:
+def load_graph(path: str) -> FundamentalGraph:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_graph(handle.read(), validate_lattice=validate_lattice)
+        return parse_graph(handle.read())
 
 
 def graph_to_dict(graph: FundamentalGraph) -> dict:
@@ -603,23 +619,36 @@ def cycle_basis(graph: FundamentalGraph) -> tuple[list[CycleRecord], np.ndarray]
     return cycles, matrix
 
 
+def _generates_lattice(columns: Iterable[Sequence[int]], dim: int) -> bool:
+    """True iff the integer vectors ``columns`` (length ``dim`` each) generate Z^dim.
+
+    Exact column reduction in Python ints: row by row, Euclid's algorithm
+    folds the columns that are nonzero there into one pivot, which leaves.
+    The span is Z^dim iff every pivot is +-1 (for ``dim`` columns, |det| = 1).
+    """
+    live = [[int(v) for v in col] for col in columns]
+    for row in range(dim):
+        hits = [col for col in live if col[row]]
+        while len(hits) > 1:
+            pivot = min(hits, key=lambda col: abs(col[row]))
+            for col in hits:
+                if col is not pivot:
+                    q = col[row] // pivot[row]
+                    col[:] = [a - q * b for a, b in zip(col, pivot)]
+            hits = [col for col in hits if col[row]]
+        if not hits or abs(hits[0][row]) != 1:
+            return False
+        live.remove(hits[0])
+    return True
+
+
 def index_lattice_check(graph: FundamentalGraph) -> bool:
     """True iff the basis-cycle indices generate the full lattice Z^dim.
 
-    Decided through the Smith normal form of the index matrix: the lattice is
-    everything exactly when there are ``dim`` invariant factors, all equal 1.
-    Every valid rank-``dim`` periodic graph passes.
+    Decided exactly by :func:`_generates_lattice`; every valid rank-``dim``
+    periodic graph passes, and the graph builders reject all others.
     """
-    _, matrix = cycle_basis(graph)
-    if matrix.size == 0 or not matrix.any():
-        return False
-    from sympy import Matrix
-    from sympy.matrices.normalforms import smith_normal_form
-
-    snf = smith_normal_form(Matrix(matrix.tolist()))
-    diag = [abs(snf[i, i]) for i in range(min(snf.shape))]
-    factors = [v for v in diag if v != 0]
-    return len(factors) == graph.dim and all(v == 1 for v in factors)
+    return _generates_lattice((c.index for c in cycle_basis(graph)[0]), graph.dim)
 
 
 # -- builtin lattices --------------------------------------------------------

@@ -141,7 +141,7 @@ def fiber_eigenvalues_grid(
 
     The grid is streamed in chunks of :func:`chunk_points` points, about
     ``CHUNK_BYTES`` of complex fiber matrices each.  A chunk is evaluated,
-    checked for Hermiticity (a defect above ``herm_tol`` raises
+    checked for Hermiticity (a defect above ``herm_tol``, or NaN, raises
     :class:`HermiticityError`) and solved while it is still in cache; only
     its eigenvalues are kept.  Memory is therefore the (npts, size) result,
     2*size times smaller than the stack of fibers, plus a few chunks per
@@ -156,7 +156,7 @@ def fiber_eigenvalues_grid(
     def solve(start: int) -> None:
         stack = matrix.eval_grid(points[start : start + step])
         defect = float(np.abs(stack - stack.conj().transpose(0, 2, 1)).max())
-        if defect > herm_tol:
+        if not defect <= herm_tol:  # a NaN defect fails too
             raise HermiticityError(f"fiber matrix deviates from Hermitian by {defect:.3e}")
         out[start : start + step] = np.linalg.eigvalsh(stack)
 

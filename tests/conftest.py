@@ -4,6 +4,7 @@
 plain numpy, bypassing the symbolic layer entirely, so tests can pit the two
 construction paths against each other.  ``box_min_bridges`` is the exhaustive
 gauge search over a shift box, the reference for the spanning-tree search.
+``unchecked_graph`` builds quotients the parsers reject (sublattice indices).
 ``evaluate_fiber``, ``eigenvalues``, ``hermiticity_defect`` and
 ``is_real_on_torus`` evaluate and check single fibers and symbolic entries.
 """
@@ -107,6 +108,17 @@ def box_min_bridges(graph, radius):
         )
         best = count if best is None else min(best, count)
     return best
+
+
+def unchecked_graph(dim, labels, edges):
+    """A FundamentalGraph from (tail, head, index) triples, skipping the lattice
+    check, so quotients whose cycle indices span a proper sublattice can be built."""
+    ordinals = {lab: i for i, lab in enumerate(labels)}
+    oriented = []
+    for pair_id, (a, b, idx) in enumerate(edges):
+        e = ps.OrientedEdge(ordinals[a], ordinals[b], tuple(idx), pair_id)
+        oriented += [e, e.reversed()]
+    return ps.FundamentalGraph(dim, tuple(labels), (0.0,) * len(labels), tuple(oriented))
 
 
 def assert_walk_classes_match(graph, n_max):

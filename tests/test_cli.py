@@ -156,6 +156,36 @@ def test_bad_graph_file_is_input_error(runner, tmp_path):
     assert result.exit_code == 1
 
 
+RING2 = {
+    "dimension": 1,
+    "vertices": [{"id": "a", "potential": 0.0}, {"id": "b", "potential": 0.0}],
+    "edges": [{"from": "a", "to": "b", "index": [0]}, {"from": "b", "to": "a", "index": [1]}],
+}
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("dimension", 1.9, "dimension must be an integer"),
+        ("dimension", True, "dimension must be an integer"),
+        ("index", 5, "index must be a list of 1 integers"),
+        ("potential", [1], "must be a number"),
+        ("potential", float("nan"), "finite"),
+    ],
+)
+def test_bad_graph_field_is_one_line_input_error(runner, tmp_path, field, value, message):
+    doc = json.loads(json.dumps(RING2))
+    target = doc if field == "dimension" else doc["edges"][0] if field == "index" else doc["vertices"][0]
+    target[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["bandwidth", "--graph", str(path), "--operator", "schrodinger"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert message in result.stderr
+
+
 def test_requires_exactly_one_source(runner, tmp_path):
     result = runner.invoke(main, ["info"])
     assert result.exit_code != 0

@@ -3,17 +3,19 @@
 import inspect
 import itertools
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import periodic_spectra as ps
 from periodic_spectra.errors import GraphFormatError, SearchCapExceeded
 
-from conftest import BUILTIN_NAMES, box_min_bridges
+from conftest import BUILTIN_NAMES, box_min_bridges, unchecked_graph
 
 HEX_FILE = json.dumps(
     {
@@ -67,6 +69,12 @@ def test_parse_kagome_like_roundtrip(kagome):
         (lambda d: d["edges"].append({"from": "v1", "to": "nope", "index": [0, 0]}), "unknown"),
         (lambda d: d["edges"].append({"from": "v1", "to": "v2", "index": [0]}), "length"),
         (lambda d: d["edges"].append({"from": "v1", "to": "v2", "index": [0.5, 0]}), "integer"),
+        (lambda d: d["edges"][0].update(index=5), "list of 2 integers"),
+        (lambda d: d["vertices"][0].update(potential=[1]), "must be a number"),
+        (lambda d: d["vertices"][0].update(potential=True), "must be a number"),
+        (lambda d: d["vertices"][0].update(potential=float("nan")), "finite"),
+        (lambda d: d["vertices"][0].update(potential=float("-inf")), "finite"),
+        (lambda d: d.update(edges=5), "lists"),
     ],
 )
 def test_parse_errors(mutate, message):
@@ -74,6 +82,30 @@ def test_parse_errors(mutate, message):
     mutate(doc)
     with pytest.raises(GraphFormatError, match=message):
         ps.parse_graph(json.dumps(doc))
+
+
+@pytest.mark.parametrize("dimension", [1.9, True, 1.0, "1", None])
+def test_parse_rejects_non_integer_dimension(dimension):
+    # int() would read all of these as rank 1, the rank the edges have.
+    doc = {
+        "dimension": dimension,
+        "vertices": [{"id": "o"}],
+        "edges": [{"from": "o", "to": "o", "index": [1]}],
+    }
+    with pytest.raises(GraphFormatError, match="dimension must be an integer"):
+        ps.parse_graph(json.dumps(doc))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "nan"])
+def test_builders_reject_non_finite_potential(fig4, value):
+    with pytest.raises(GraphFormatError, match="finite"):
+        ps.build_graph(1, ["o"], [("o", "o", (1,))], {"o": value})
+    with pytest.raises(GraphFormatError, match="finite"):
+        fig4.with_potential({"x2": value})
+    with pytest.raises(GraphFormatError, match="finite"):
+        fig4.with_potential([0.0, value, 0.0, 0.0])
+    with pytest.raises(GraphFormatError, match="finite"):
+        ps.FundamentalGraph(fig4.dim, fig4.labels, (0.0, float(value), 0.0, 0.0), fig4.edges)
 
 
 def test_parse_rejects_malformed_text():
@@ -103,7 +135,7 @@ def test_parse_rejects_sublattice_indices():
     }
     with pytest.raises(GraphFormatError, match="Z\\^2"):
         ps.parse_graph(json.dumps(doc))
-    g = ps.parse_graph(json.dumps(doc), validate_lattice=False)
+    g = unchecked_graph(2, ["a"], [("a", "a", (2, 0))])
     assert not ps.index_lattice_check(g)
 
 
@@ -378,30 +410,87 @@ def test_index_lattice_check_against_enumeration(name):
 
 
 def test_index_lattice_check_false_for_tree_plus_null_loop():
-    doc = {
-        "dimension": 1,
-        "vertices": [{"id": "a"}, {"id": "b"}],
-        "edges": [
-            {"from": "a", "to": "b", "index": [0]},
-            {"from": "a", "to": "a", "index": [0]},
-        ],
-    }
-    g = ps.parse_graph(json.dumps(doc), validate_lattice=False)
+    g = unchecked_graph(1, ["a", "b"], [("a", "b", (0,)), ("a", "a", (0,))])
     _, matrix = ps.cycle_basis(g)
     assert not matrix.any()
     assert not ps.index_lattice_check(g)
 
 
+def _snf_generates(columns, dim):
+    """Oracle: the Smith normal form has ``dim`` invariant factors, all 1."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    if not columns:
+        return False
+    snf = smith_normal_form(sympy.Matrix(dim, len(columns), lambda i, j: columns[j][i]))
+    factors = [abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i] != 0]
+    return len(factors) == dim and all(v == 1 for v in factors)
+
+
+@st.composite
+def _integer_columns(draw):
+    dim = draw(st.integers(1, 4))
+    column = st.lists(st.integers(-6, 6), min_size=dim, max_size=dim)
+    return dim, draw(st.lists(column, max_size=8))
+
+
+@given(_integer_columns())
+@settings(max_examples=300, deadline=None)
+@example((2, [[2, 0], [0, 1]]))
+@example((2, [[2, 3], [3, 5], [0, 0]]))
+@example((3, [[6, 0, 0], [0, 1, 0], [0, 0, 1], [3, 0, 0], [4, 0, 0]]))
+@example((1, [[0], [0]]))
+def test_generates_lattice_matches_smith_normal_form(case):
+    dim, columns = case
+    expected = _snf_generates(columns, dim)
+    assert ps.graphs._generates_lattice(columns, dim) == expected
+
+
+@st.composite
+def _square_matrices(draw):
+    dim = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        entries = st.integers(-6, 6)
+        return [[draw(entries) for _ in range(dim)] for _ in range(dim)]
+    # Unit lower times unit upper triangular, one column negated: |det| == 1.
+    small = st.integers(-2, 2)
+    lower = np.array([[1 if i == j else draw(small) if i > j else 0 for j in range(dim)] for i in range(dim)])
+    upper = np.array([[1 if i == j else draw(small) if i < j else 0 for j in range(dim)] for i in range(dim)])
+    product = lower @ upper
+    product[:, draw(st.integers(0, dim - 1))] *= draw(st.sampled_from([1, -1]))
+    return product.tolist()
+
+
+@given(_square_matrices())
+@settings(max_examples=200, deadline=None)
+def test_generates_lattice_on_square_matrices_is_unit_determinant(rows):
+    sympy = pytest.importorskip("sympy")
+    columns = [list(col) for col in zip(*rows)]
+    expected = abs(sympy.Matrix(rows).det()) == 1
+    assert ps.graphs._generates_lattice(columns, len(rows)) == expected
+
+
+def test_runtime_does_not_import_sympy(tmp_path):
+    path = tmp_path / "hex.json"
+    path.write_text(HEX_FILE)
+    code = (
+        "import sys\n"
+        "import periodic_spectra as ps\n"
+        "report = ps.verify_index_lattice(ps.load_graph(sys.argv[1]))\n"
+        "assert report.lattice_ok and report.basis_subset is not None\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))\n"
+    )
+    src = str(Path(ps.__file__).resolve().parents[1])
+    env = {"PYTHONPATH": src, "PATH": ""}
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout == "[]\n"
+
+
 def test_bridge_count_zero_when_indices_vanish():
-    doc = {
-        "dimension": 1,
-        "vertices": [{"id": "a"}, {"id": "b"}],
-        "edges": [
-            {"from": "a", "to": "b", "index": [0]},
-            {"from": "b", "to": "a", "index": [0]},
-        ],
-    }
-    g = ps.parse_graph(json.dumps(doc), validate_lattice=False)
+    g = unchecked_graph(1, ["a", "b"], [("a", "b", (0,)), ("b", "a", (0,))])
     assert ps.bridge_count(g) == 0
 
 

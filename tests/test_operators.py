@@ -59,6 +59,15 @@ def test_evaluate_fiber_rejects_nonhermitian():
         ps.fiber_eigenvalues_grid(bad, [[0.3]])
 
 
+def test_nan_coefficient_fails_hermiticity_check():
+    # NaN compares false against any tolerance; the check must not let it through.
+    bad = ps.LaurentMatrix.zeros(1, 2)
+    bad.entries[0][1] = ps.LaurentPoly(1, {(1,): float("nan")})
+    bad.entries[1][0] = ps.LaurentPoly(1, {(-1,): float("nan")})
+    with pytest.raises(HermiticityError, match="nan"):
+        ps.fiber_eigenvalues_grid(bad, [[0.3], [0.0]])
+
+
 def test_eigenvalues_diagonal():
     lam = eigenvalues(np.diag([3.0, 1.0, 2.0]))
     assert lam.tolist() == [1.0, 2.0, 3.0]
