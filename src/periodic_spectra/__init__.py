@@ -4,7 +4,7 @@ The library works on the finite quotient of a periodic graph: oriented edges
 carry integer index vectors recording which lattice translate they cross.
 From that data it assembles fiber operators (adjacency, Laplacians,
 Schrodinger, transition), sweeps the quasimomentum torus for band structures,
-enumerates closed walks to evaluate trace formulas combinatorially, and
+counts closed walks to evaluate trace formulas combinatorially, and
 reports certified lower/upper brackets for the total bandwidth.
 """
 
@@ -29,7 +29,6 @@ from .bounds import (
     normalized_bounds,
     schrodinger_bounds,
     structural_constants,
-    trace_gap_lower,
     verify_index_lattice,
 )
 from .errors import (

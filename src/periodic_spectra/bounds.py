@@ -213,22 +213,6 @@ def bounds_for_kind(
     return adjacency_bounds(work, n_max)
 
 
-def trace_gap_lower(graph: FundamentalGraph, kind: str, n: int, k) -> float:
-    """Experimental: the bandwidth of the n-th power is at least T_n(0) - T_n(k).
-
-    Valid for every quasimomentum k, because the power bandwidth dominates the
-    difference of eigenvalue sums between any two fiber points and k = 0
-    maximizes the trace.  The two terms the reports use are special cases:
-    B_n1 is the gap against the torus average and B_n2 the gap at pi*(1,..,1).
-    Scanning other k may or may not tighten the bound; the reports do not.
-    """
-    from .walks import trace_series
-
-    series = trace_series(graph, kind, n, check=False)
-    gap = series.eval((0.0,) * graph.dim) - series.eval(k)
-    return float(gap.real)
-
-
 # -- lattice / witness report -------------------------------------------------
 
 

@@ -10,7 +10,7 @@ class GraphFormatError(PeriodicGraphError):
 
 
 class SearchCapExceeded(PeriodicGraphError):
-    """An exhaustive search (gauge search, walk enumeration) would exceed its cap."""
+    """The exact gauge search (:func:`graphs.minimize_bridges`) would exceed its cap."""
 
 
 class HermiticityError(PeriodicGraphError):

@@ -1,4 +1,4 @@
-"""Closed-walk enumeration and the weighted sums behind the trace formulas.
+"""Closed-walk counts and the weighted sums behind the trace formulas.
 
 Counting convention: a "cycle" here is a closed walk of n oriented edge
 steps with a distinguished base point and direction.  Cyclic shifts and the
@@ -19,43 +19,48 @@ Three step-weight modes:
 The self-steps added in schrodinger mode are single steps, not edge pairs:
 the diagonal of the fiber matrix carries v_x exactly once.
 
-Enumeration gives the sums index by index and is exponential in n.  The
-bounds need only the classified totals, which :func:`walk_classes` reads off
-one eigen-solve of the fiber over a small torus grid; enumeration stays as
-the independent engine behind :func:`trace_series`, the CLI's exact integer
-columns and the lattice witnesses.
+One exact transfer recursion gives the sums index by index.  Its work is
+polynomial in n: from each of the nu base vertices it carries at most
+nu * (2nR + 1)^d (vertex, index) states through n steps, R the largest index
+component.  The bounds need only the classified totals, which
+:func:`walk_classes` reads off one eigen-solve of the fiber over a small
+torus grid; the recursion is the independent engine behind
+:func:`trace_series`, the CLI's exact integer columns and the lattice
+witnesses.
 """
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import add
 
 import numpy as np
 
-from .errors import EngineMismatchError, GraphFormatError, SearchCapExceeded
+from .errors import EngineMismatchError, GraphFormatError
 from .graphs import FundamentalGraph, IndexVector
 from .laurent import LaurentMatrix, LaurentPoly
 from .operators import fiber_eigenvalues_grid, shifted_loop_weights, symbolic_operator
 
-MODES = ("unit", "schrodinger", "normalized")
-
-# Upper bound on enumerated walk steps before the combinatorial engine refuses.
-DEFAULT_WALK_CAP = 100_000_000
-
 INTEGER_TOL = 1e-6
 
-# Constant C of the spectral engine's error bound C * n * nu^2 * eps * rho^n.
+# Trace-engine residuals may reach this fraction of the trace scale (at least 1).
+TRACE_TOL = 1e-9
+
+# Constant C of the spectral engine's error bound C * n * nu * eps * (nu * rho^n).
 ENGINE_ERROR_FACTOR = 64.0
 
 
 @dataclass(frozen=True)
 class WalkClassCounts:
-    """Per-index tallies of closed n-walks: count (unit) or weighted sum."""
+    """Per-index tallies of closed n-walks: exact int count (unit) or weighted sum."""
 
     n: int
     mode: str
     dim: int
-    by_index: dict[IndexVector, float]
+    by_index: dict[IndexVector, int | float]
 
     def value(self, m: IndexVector) -> float:
         return self.by_index.get(tuple(m), 0.0)
@@ -80,91 +85,70 @@ class CycleClassSummary:
     t0: float
 
 
-def _steps(graph: FundamentalGraph, mode: str, normalize: bool):
-    """Per-vertex step table: list of (head, index, weight)."""
-    table: list[list[tuple[int, IndexVector, float]]] = [
-        [] for _ in range(graph.num_vertices)
-    ]
-    if mode == "normalized":
-        if min(graph.degrees) < 1:
-            raise GraphFormatError("normalized walks need every vertex degree >= 1")
-        for e in graph.edges:
-            table[e.tail].append((e.head, e.index, 1.0 / graph.degrees[e.tail]))
-        return table
-    for e in graph.edges:
-        table[e.tail].append((e.head, e.index, 1.0))
-    if mode == "schrodinger":
-        zero = (0,) * graph.dim
-        for x, w in enumerate(shifted_loop_weights(graph, normalize=normalize)):
-            if w != 0.0:
-                table[x].append((x, zero, float(w)))
-    return table
+def _walk_sums(graph: FundamentalGraph, n: int, mode: str, normalize: bool):
+    """Sums over the closed n-walks by index: ints in unit mode, else floats.
 
-
-def _check_cap(graph: FundamentalGraph, table, n: int, cap: int) -> None:
-    fanout = max((len(t) for t in table), default=0)
-    if graph.num_vertices * fanout**n > cap:
-        raise SearchCapExceeded(
-            f"walk enumeration would take about {graph.num_vertices * fanout ** n} steps"
-        )
-
-
-def _enumerate(graph: FundamentalGraph, n: int, mode: str, normalize: bool, cap: int):
+    A transfer recursion: from each base vertex, carry the summed weight of
+    every (vertex, index) state reachable in k steps, then keep the states
+    back at the base after n.  The step weights are scaled to integers over
+    one common denominator, so the arithmetic is exact and each sum is
+    rounded to a float once, at the end.
+    """
     if n < 1:
         raise ValueError("walk length must be positive")
-    table = _steps(graph, mode, normalize)
-    _check_cap(graph, table, n, cap)
-    zero = (0,) * graph.dim
-    sums: dict[IndexVector, float] = {}
-
-    def extend(base: int, vertex: int, depth: int, index: IndexVector, weight: float):
-        if depth == n:
+    if mode == "normalized" and min(graph.degrees) < 1:
+        raise GraphFormatError("normalized walks need every vertex degree >= 1")
+    # (tail, head, index, exact weight); every float is a dyadic rational, so Fraction(v_x) is v_x.
+    steps = [
+        (e.tail, e.head, e.index, Fraction(1, graph.degrees[e.tail]) if mode == "normalized" else 1)
+        for e in graph.edges
+    ]
+    if mode == "schrodinger":
+        loops = enumerate(shifted_loop_weights(graph, normalize=normalize))
+        steps += [(x, x, (0,) * graph.dim, Fraction(w)) for x, w in loops if w != 0.0]
+    den = math.lcm(*(Fraction(w).denominator for *_, w in steps))
+    table: list[list[tuple[int, IndexVector, int]]] = [[] for _ in range(graph.num_vertices)]
+    for tail, head, slope, w in steps:
+        table[tail].append((head, slope, int(w * den)))
+    sums: dict[IndexVector, int] = defaultdict(int)
+    for base in range(graph.num_vertices):
+        front = {(base, (0,) * graph.dim): 1}
+        for _ in range(n):
+            ahead: dict[tuple[int, IndexVector], int] = defaultdict(int)
+            for (vertex, index), weight in front.items():
+                for head, slope, w in table[vertex]:
+                    ahead[head, tuple(map(add, index, slope))] += weight * w
+            front = ahead
+        for (vertex, index), weight in front.items():
             if vertex == base:
-                sums[index] = sums.get(index, 0.0) + weight
-            return
-        for head, slope, w in table[vertex]:
-            extend(
-                base,
-                head,
-                depth + 1,
-                tuple(a + b for a, b in zip(index, slope)),
-                weight * w,
-            )
-
-    for v in range(graph.num_vertices):
-        extend(v, v, 0, zero, 1.0)
-    return {m: s for m, s in sums.items() if s != 0.0}
+                sums[index] += weight
+    if mode == "unit":
+        return {m: s for m, s in sums.items() if s}
+    try:
+        # int / int rounds correctly, and raises OverflowError past the float range.
+        return {m: s / den**n for m, s in sums.items() if s}
+    except OverflowError:
+        raise ValueError(f"walk sums of length n={n} leave the float range") from None
 
 
-def count_walks(graph: FundamentalGraph, n: int, cap: int = DEFAULT_WALK_CAP) -> WalkClassCounts:
-    """Count all closed n-walks by index (backtracking ones included)."""
-    return WalkClassCounts(n, "unit", graph.dim, _enumerate(graph, n, "unit", False, cap))
+def count_walks(graph: FundamentalGraph, n: int) -> WalkClassCounts:
+    """Count all closed n-walks by index (backtracking ones included), exactly."""
+    return WalkClassCounts(n, "unit", graph.dim, _walk_sums(graph, n, "unit", False))
 
 
-def weighted_walk_sums(
-    graph: FundamentalGraph,
-    n: int,
-    normalize: bool = True,
-    cap: int = DEFAULT_WALK_CAP,
-) -> WalkClassCounts:
+def weighted_walk_sums(graph: FundamentalGraph, n: int, normalize: bool = True) -> WalkClassCounts:
     """Weighted sums over the self-step-augmented graph (Schrodinger powers).
 
     With ``normalize`` (the default) the self-step weights are shifted so the
     smallest is zero; the user's graph is never mutated, and bandwidths do
     not feel the shift.
     """
-    return WalkClassCounts(
-        n, "schrodinger", graph.dim, _enumerate(graph, n, "schrodinger", normalize, cap)
-    )
+    return WalkClassCounts(n, "schrodinger", graph.dim, _walk_sums(graph, n, "schrodinger", normalize))
 
 
-def normalized_walk_sums(
-    graph: FundamentalGraph, n: int, cap: int = DEFAULT_WALK_CAP
-) -> WalkClassCounts:
+def normalized_walk_sums(graph: FundamentalGraph, n: int) -> WalkClassCounts:
     """Degree-weighted sums: each walk weighs the product of 1/deg over its steps."""
-    return WalkClassCounts(
-        n, "normalized", graph.dim, _enumerate(graph, n, "normalized", False, cap)
-    )
+    return WalkClassCounts(n, "normalized", graph.dim, _walk_sums(graph, n, "normalized", False))
 
 
 def _round_count(value: float) -> int:
@@ -178,18 +162,9 @@ def classify(counts: WalkClassCounts) -> CycleClassSummary:
     """Collapse per-index tallies into the zero/nonzero/odd classes."""
     t0 = counts.by_index.get((0,) * counts.dim, 0.0)
     b1 = sum(v for m, v in counts.by_index.items() if any(m))
-    b2 = 2.0 * sum(v for m, v in counts.by_index.items() if sum(m) % 2)
-    if counts.mode == "unit":
-        return CycleClassSummary(
-            counts.n,
-            _round_count(t0),
-            _round_count(b1),
-            _round_count(b2 / 2.0),
-            float(b1),
-            float(b2),
-            float(t0),
-        )
-    return CycleClassSummary(counts.n, None, None, None, float(b1), float(b2), float(t0))
+    odd = sum(v for m, v in counts.by_index.items() if sum(m) % 2)
+    exact = map(_round_count, (t0, b1, odd)) if counts.mode == "unit" else (None, None, None)
+    return CycleClassSummary(counts.n, *exact, float(b1), 2.0 * odd, float(t0))
 
 
 #: Operator kind -> (trace kind whose walks stand for it, walk mode).  The
@@ -231,27 +206,32 @@ def walk_matrix(graph: FundamentalGraph, kind: str) -> LaurentMatrix:
     return symbolic_operator(graph, kind, normalize_potential=(kind == "schrodinger"))
 
 
-def walk_sums_for_kind(
-    graph: FundamentalGraph, kind: str, n: int, cap: int = DEFAULT_WALK_CAP
-) -> WalkClassCounts:
+def walk_sums_for_kind(graph: FundamentalGraph, kind: str, n: int) -> WalkClassCounts:
     mode = _walk_mode(kind)
     if mode == "unit":
-        return count_walks(graph, n, cap=cap)
+        return count_walks(graph, n)
     if mode == "schrodinger":
-        return weighted_walk_sums(graph, n, cap=cap)
-    return normalized_walk_sums(graph, n, cap=cap)
+        return weighted_walk_sums(graph, n)
+    return normalized_walk_sums(graph, n)
 
 
-def check_walk_cap(
-    graph: FundamentalGraph, kind: str, n: int, cap: int = DEFAULT_WALK_CAP
-) -> None:
-    """Raise :class:`SearchCapExceeded` if enumerating the n-walks of ``kind`` would bust ``cap``.
+def trace_scales(matrix: LaurentMatrix, n_max: int) -> np.ndarray:
+    """``nu * rho^n`` for n = 1..n_max, rho the largest absolute row sum of M.
 
-    The step count grows with n, so a check of the largest length refuses a
-    run before any enumeration starts.
+    rho bounds the norm of every fiber M(k), so ``nu * rho^n`` bounds
+    ``|Tr M(k)^n|`` at every k, and also the sum of the absolute
+    coefficients of the series ``Tr M^n``.  Residuals of the trace engines
+    are judged relative to it.  Raises ``ValueError`` at the first n whose
+    scale leaves the float range, before any engine overflows.
     """
-    mode = _walk_mode(kind)
-    _check_cap(graph, _steps(graph, mode, mode == "schrodinger"), n, cap)
+    rho = max(sum(abs(c) for p in row for c in p.coeffs.values()) for row in matrix.entries)
+    scales, scale = [], float(matrix.size)
+    for n in range(1, n_max + 1):
+        scale *= rho
+        if not math.isfinite(scale):
+            raise ValueError(f"walk weights leave the float range at n={n} (nu * rho^n with rho = {rho:.6g})")
+        scales.append(scale)
+    return np.array(scales)
 
 
 def walk_classes(graph: FundamentalGraph, kind: str, n_max: int) -> tuple[tuple[float, float], ...]:
@@ -261,14 +241,14 @@ def walk_classes(graph: FundamentalGraph, kind: str, n_max: int) -> tuple[tuple[
     ``B_n1 = T_n(0) - T_n0``, where the zero-index sum ``T_n0`` is the mean of
     ``T_n`` over a grid of ``n_max * R + 1`` points per axis (R the largest
     index frequency of M), exact because it resolves every frequency of
-    ``T_n``.  The values equal :func:`classify` of the enumerated walk sums.
+    ``T_n``.  The values equal :func:`classify` of the exact walk sums.
     The sweep streams the grid in chunks (see :func:`fiber_eigenvalues_grid`),
     so memory is the grid points, the eigenvalues, one power of them and the
     (n_max, npts) traces, never the stack of fibers.
 
-    The error of each value is of order ``n * nu^2 * eps * rho^n``, rho the
-    largest absolute row sum of M (which bounds its norm): eigenvalue
-    rounding, raised to the n-th power and summed over the spectrum.  The
+    The error of each value is of order ``n * nu * eps`` times the trace
+    scale ``nu * rho^n`` of :func:`trace_scales`: eigenvalue rounding,
+    raised to the n-th power and summed over the spectrum.  The
     engine takes ``ENGINE_ERROR_FACTOR`` times that as its bound, against at
     most 3.5 times seen on the built-ins and random test graphs.  When every
     step weight is an integer and the bound is below 1/2, values are rounded
@@ -279,7 +259,7 @@ def walk_classes(graph: FundamentalGraph, kind: str, n_max: int) -> tuple[tuple[
     matrix = walk_matrix(graph, kind)
     coeffs = [c for row in matrix.entries for p in row for c in p.coeffs.values()]
     integral = all(c.imag == 0.0 and c.real == round(c.real) for c in coeffs)
-    rho = max(sum(abs(c) for p in row for c in p.coeffs.values()) for row in matrix.entries)
+    scales = trace_scales(matrix, n_max)
     per_axis = n_max * matrix.max_abs_frequency() + 1
     axis = 2.0 * np.pi * np.arange(per_axis) / per_axis
     grid = np.stack(np.meshgrid(*[axis] * graph.dim, indexing="ij"), axis=-1).reshape(-1, graph.dim)
@@ -289,7 +269,7 @@ def walk_classes(graph: FundamentalGraph, kind: str, n_max: int) -> tuple[tuple[
     traces = _power_traces(matrix, points, n_max)
     t_zero, t_pi, mean = traces[:, 0], traces[:, 1], traces[:, 2:].mean(axis=1)
     n = np.arange(1, n_max + 1)
-    errs = ENGINE_ERROR_FACTOR * n * matrix.size**2 * np.finfo(float).eps * rho**n
+    errs = ENGINE_ERROR_FACTOR * n * matrix.size * np.finfo(float).eps * scales
     return tuple(
         (_snap(zero - avg, err, integral), _snap(zero - pi, err, integral))
         for zero, avg, pi, err in zip(t_zero, mean, t_pi, errs)
@@ -315,34 +295,27 @@ def _snap(value: float, err: float, integral: bool) -> float:
     return 0.0 if abs(value) <= err else float(value)
 
 
-def trace_series(
-    graph: FundamentalGraph,
-    kind: str,
-    n: int,
-    check: bool = True,
-    tol: float = 1e-9,
-    cap: int = DEFAULT_WALK_CAP,
-) -> LaurentPoly:
+def coefficient_residual(series: LaurentPoly, sums: WalkClassCounts) -> float:
+    """Largest difference between the coefficients of a trace series and walk sums."""
+    keys = set(series.coeffs) | set(sums.by_index)
+    return max((abs(series.coeff(m) - sums.value(m)) for m in keys), default=0.0)
+
+
+def trace_series(graph: FundamentalGraph, kind: str, n: int, check: bool = True) -> LaurentPoly:
     """Trace of the n-th symbolic power, cross-checked against walk sums.
 
     Supported kinds: ``adjacency``, ``schrodinger`` (potential shifted so
     min(V - deg) = 0, matching :func:`weighted_walk_sums`), ``transition``.
-    The coefficient map must agree with the independent walk enumeration to
-    ``tol`` per coefficient; a mismatch raises, since it can only mean one of
-    the engines is wrong.  The check is skipped when enumeration would bust
-    ``cap``.
+    The coefficient map must agree with the independent exact walk sums to
+    ``TRACE_TOL`` times the trace scale (:func:`trace_scales`, at least 1)
+    per coefficient; a mismatch raises, since it can only mean one of the
+    engines is wrong.
     """
-    series = walk_matrix(graph, kind).power(n).trace()
+    matrix = walk_matrix(graph, kind)
+    series = matrix.power(n).trace()
     if check:
-        try:
-            sums = walk_sums_for_kind(graph, kind, n, cap=cap)
-        except SearchCapExceeded:
-            return series
-        keys = set(series.coeffs) | set(sums.by_index)
-        worst = max(
-            (abs(series.coeff(m) - sums.value(m)) for m in keys), default=0.0
-        )
-        if worst > tol:
+        worst = coefficient_residual(series, walk_sums_for_kind(graph, kind, n))
+        if worst > TRACE_TOL * max(1.0, trace_scales(matrix, n)[-1]):
             raise EngineMismatchError(
                 f"trace-series coefficients deviate from walk sums by {worst:.3e} "
                 f"(kind={kind}, n={n})"

@@ -4,6 +4,8 @@
 plain numpy, bypassing the symbolic layer entirely, so tests can pit the two
 construction paths against each other.  ``box_min_bridges`` is the exhaustive
 gauge search over a shift box, the reference for the spanning-tree search.
+``enumerate_walk_sums`` is the depth-first search over every closed walk,
+the reference for the package's transfer recursion.
 ``unchecked_graph`` builds quotients the parsers reject (sublattice indices).
 ``evaluate_fiber``, ``eigenvalues``, ``hermiticity_defect`` and
 ``is_real_on_torus`` evaluate and check single fibers and symbolic entries.
@@ -110,6 +112,40 @@ def box_min_bridges(graph, radius):
     return best
 
 
+def enumerate_walk_sums(graph, n, mode, normalize=True):
+    """Closed n-walk sums by index from a depth-first search over every walk.
+
+    Its step table comes straight from the edge list, with float weights
+    multiplied along each walk: 1 per edge step in ``unit`` and
+    ``schrodinger`` mode plus one zero-index self-step of weight
+    V_x - deg_x (shifted so the smallest is 0 when ``normalize``), and
+    1/deg_x per step from x in ``normalized`` mode.  Costs nu * fanout^n.
+    """
+    deg = graph.degrees
+    table = [[] for _ in range(graph.num_vertices)]
+    for e in graph.edges:
+        table[e.tail].append((e.head, e.index, 1.0 / deg[e.tail] if mode == "normalized" else 1.0))
+    if mode == "schrodinger":
+        shift = schrodinger_shift(graph) if normalize else 0.0
+        for x in range(graph.num_vertices):
+            w = graph.potential[x] - deg[x] - shift
+            if w != 0.0:
+                table[x].append((x, (0,) * graph.dim, w))
+    sums = {}
+
+    def extend(base, vertex, depth, index, weight):
+        if depth == n:
+            if vertex == base:
+                sums[index] = sums.get(index, 0.0) + weight
+            return
+        for head, slope, w in table[vertex]:
+            extend(base, head, depth + 1, tuple(a + b for a, b in zip(index, slope)), weight * w)
+
+    for v in range(graph.num_vertices):
+        extend(v, v, 0, (0,) * graph.dim, 1.0)
+    return {m: s for m, s in sums.items() if s != 0.0}
+
+
 def unchecked_graph(dim, labels, edges):
     """A FundamentalGraph from (tail, head, index) triples, skipping the lattice
     check, so quotients whose cycle indices span a proper sublattice can be built."""
@@ -122,7 +158,7 @@ def unchecked_graph(dim, labels, edges):
 
 
 def assert_walk_classes_match(graph, n_max):
-    """The spectral walk classes equal the classified enumeration, zeros exactly."""
+    """The spectral walk classes equal the classified exact walk sums, zeros exactly."""
     for kind in ps.walks.TRACE_KINDS:
         spectral = ps.walk_classes(graph, kind, n_max)
         assert len(spectral) == n_max

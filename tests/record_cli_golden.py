@@ -10,6 +10,8 @@ usage and input errors.  Two band sweeps are large enough that the torus
 sweep solves them in several chunks: kagome at ``--grid 160`` and a
 dispersion dump of a 96-vertex ring (see :func:`ring_graph_text`).
 ``test_cli_golden.py`` reruns each recorded case and requires the same bytes.
+The recorder prints the arguments of every case whose recorded bytes change
+(new cases included), and their count.
 
 Placeholders in the recorded arguments are filled in per run: ``{graph}``
 with the graph file above, ``{ring}`` with the ring graph, ``{broken}`` with
@@ -150,8 +152,13 @@ def main() -> None:
     sys.path.insert(0, str(HERE.parent / "src"))
     with tempfile.TemporaryDirectory() as scratch:
         cases = [run_case(args, Path(scratch)) for args in case_args()]
+    old = json.loads(CASES_FILE.read_text(encoding="utf-8")) if CASES_FILE.exists() else []
+    recorded = {json.dumps(case["args"]): case for case in old}
+    changed = [case["args"] for case in cases if recorded.get(json.dumps(case["args"])) != case]
+    for args in changed:
+        print("changed:", " ".join(args))
     CASES_FILE.write_text(json.dumps(cases, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
-    print(f"wrote {len(cases)} cases to {CASES_FILE}")
+    print(f"wrote {len(cases)} cases to {CASES_FILE}; {len(changed)} changed")
 
 
 if __name__ == "__main__":

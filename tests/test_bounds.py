@@ -200,18 +200,3 @@ def test_one_dimensional_chain_bandwidth_equals_measure():
     report = ps.bounds_for_kind(g, "schrodinger")
     assert report.lower - 1e-9 <= sigma <= 4.0 + 1e-9
 
-
-def test_trace_gap_lower_bounds_power_bandwidth(kagome):
-    grid = ps.KGrid(2, 32)
-    for n in (2, 3):
-        table = ps.power_band_structure(kagome, "adjacency", n, grid)
-        sigma_n = ps.total_bandwidth(table)
-        for k in ([np.pi, np.pi], [0.9, 2.1], [2 * np.pi / 3, 4 * np.pi / 3]):
-            assert ps.trace_gap_lower(kagome, "adjacency", n, k) <= sigma_n + 2e-2
-
-
-def test_trace_gap_recovers_reported_terms(kagome):
-    # the gap at pi*(1,1) is exactly the doubled odd-class sum
-    summary = ps.classify(ps.count_walks(kagome, 2))
-    gap = ps.trace_gap_lower(kagome, "adjacency", 2, [np.pi, np.pi])
-    assert gap == pytest.approx(summary.b2, abs=1e-9)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import time
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -268,14 +269,45 @@ def test_n_max_below_one_is_usage_error(runner, verb, n_max):
     assert "--n-max" in result.stderr
 
 
-@pytest.mark.parametrize("verb", ["cycles", "traces"])
-def test_walk_cap_refuses_before_enumerating(runner, verb):
+@pytest.mark.parametrize(
+    "verb, builtin", [("cycles", "kagome"), ("traces", "kagome"), ("traces", "hexagonal"), ("traces", "square_diag")]
+)
+def test_walk_verbs_reach_long_walks(runner, verb, builtin):
+    # The traces at n = 13 are about 10^8: residuals are judged relative to that scale.
+    args = [verb, "--builtin", builtin, "--operator", "adjacency", "--n-max", "13", "--format", "json"]
     start = time.perf_counter()
-    result = runner.invoke(main, [verb, "--builtin", "kagome", "--operator", "adjacency", "--n-max", "13"])
+    result = runner.invoke(main, args)
     assert time.perf_counter() - start < 10.0
+    assert result.exit_code == 0, result.stderr
+    rows = json.loads(result.stdout)
+    assert [row["n"] for row in rows] == list(range(1, 14))
+    if verb == "cycles":
+        b1, b2 = ps.walk_classes(ps.builtin_graph(builtin), "adjacency", 13)[-1]
+        assert (rows[-1]["Nplus"], 2 * rows[-1]["Nodd"]) == (b1, b2)
+
+
+def test_verify_finds_long_witnesses(runner):
+    start = time.perf_counter()
+    result = runner.invoke(main, ["verify", "--builtin", "z_cycle(24)", "--format", "json"])
+    assert time.perf_counter() - start < 10.0
+    assert result.exit_code == 0, result.stderr
+    doc = json.loads(result.stdout)
+    assert (doc["witness_n"], doc["witness_odd_count"]) == (24, 48)
+
+
+@pytest.mark.parametrize("verb", ["bounds", "cycles", "traces"])
+def test_weights_past_the_float_range_are_input_errors(runner, tmp_path, verb):
+    graph = ps.build_graph(1, ["a", "b"], [("a", "b", (0,)), ("b", "a", (1,))], {"a": 1e308, "b": 0.0})
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(ps.graph_to_dict(graph)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, [verb, "--graph", str(path), "--operator", "schrodinger"])
+    assert [str(w.message) for w in caught] == []
     assert result.exit_code == 1
     assert result.stdout == ""
-    assert "walk enumeration would take about" in result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "n=" in result.stderr
 
 
 def test_trace_residual_failure_exits_2_after_output(runner, monkeypatch):
@@ -313,13 +345,13 @@ def test_walks_enumerated_once_per_length(runner, monkeypatch, verb, kind, per_n
     from periodic_spectra import walks
 
     calls = []
-    enumerate_walks = walks._enumerate
+    walk_sums = walks._walk_sums
 
-    def counted(graph, n, mode, normalize, cap):
+    def counted(graph, n, mode, normalize):
         calls.append((n, mode))
-        return enumerate_walks(graph, n, mode, normalize, cap)
+        return walk_sums(graph, n, mode, normalize)
 
-    monkeypatch.setattr(walks, "_enumerate", counted)
+    monkeypatch.setattr(walks, "_walk_sums", counted)
     result = invoke(runner, verb, "--builtin", "kagome", "--operator", kind, "--n-max", "3")
     assert result.exit_code == 0
     assert len(calls) == 3 * per_n

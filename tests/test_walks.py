@@ -1,13 +1,15 @@
-"""Closed-walk enumeration, weighted sums, and the dual-engine cross-check."""
+"""Closed-walk counts, weighted sums, and the dual-engine cross-check."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import periodic_spectra as ps
-from periodic_spectra.errors import EngineMismatchError, SearchCapExceeded
+from periodic_spectra.errors import EngineMismatchError
 from periodic_spectra.walks import WalkClassCounts
 
-from conftest import assert_walk_classes_match
+from conftest import assert_walk_classes_match, enumerate_walk_sums, unchecked_graph
 
 RNG = np.random.default_rng(31)
 
@@ -118,9 +120,90 @@ def test_classify_rejects_non_integers():
         ps.classify(WalkClassCounts(1, "unit", 1, {(0,): 1.5}))
 
 
-def test_walk_cap():
-    with pytest.raises(SearchCapExceeded):
-        ps.count_walks(ps.builtin_graph("kagome"), 6, cap=10)
+@st.composite
+def _quotients(draw):
+    """A connected quotient: a random spanning tree plus extra edges (loops
+    and multi-edges allowed), indices in {-1, 0, 1}^d, a random potential."""
+    dim = draw(st.integers(1, 2))
+    nv = draw(st.integers(1, 5))
+    labels = [f"v{i}" for i in range(nv)]
+    index = st.tuples(*[st.integers(-1, 1)] * dim)
+    edges = [(labels[draw(st.integers(0, child - 1))], labels[child], draw(index)) for child in range(1, nv)]
+    vertex = st.integers(0, nv - 1)
+    edges += [(labels[a], labels[b], m) for a, b, m in draw(st.lists(st.tuples(vertex, vertex, index), min_size=1, max_size=3))]
+    potential = draw(st.lists(st.floats(-3, 3), min_size=nv, max_size=nv))
+    return unchecked_graph(dim, labels, edges).with_potential(potential)
+
+
+@given(_quotients(), st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
+def test_transfer_recursion_equals_enumeration(graph, n):
+    counts = ps.count_walks(graph, n)
+    assert counts.by_index == enumerate_walk_sums(graph, n, "unit")
+    assert all(type(c) is int for c in counts.by_index.values())
+    for mode, sums in (
+        ("schrodinger", ps.weighted_walk_sums(graph, n)),
+        ("normalized", ps.normalized_walk_sums(graph, n)),
+    ):
+        oracle = enumerate_walk_sums(graph, n, mode)
+        assert set(sums.by_index) == set(oracle)
+        for m, value in oracle.items():
+            assert sums.value(m) == pytest.approx(value, rel=1e-12, abs=0)
+
+
+def _int_matrix_power_trace(matrix, n):
+    power = [[int(i == j) for j in range(len(matrix))] for i in range(len(matrix))]
+    for _ in range(n):
+        power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*matrix)] for row in power]
+    return sum(power[i][i] for i in range(len(matrix)))
+
+
+def test_counts_exact_past_float_precision(kagome):
+    # every class passes 2^53, where a float count would lose its last digits
+    summary = ps.classify(ps.count_walks(kagome, 30))
+    assert summary.n_zero == 41922673214714112 and type(summary.n_zero) is int
+    # A(k) has integer entries at k = 0 and k = (pi, pi): sums of (+-1)^(m1 + m2)
+    fiber = {k: [[0] * 3 for _ in range(3)] for k in ("zero", "pi")}
+    for e in kagome.edges:
+        fiber["zero"][e.tail][e.head] += 1
+        fiber["pi"][e.tail][e.head] += (-1) ** sum(e.index)
+    trace_zero = _int_matrix_power_trace(fiber["zero"], 30)
+    assert summary.n_zero + summary.n_plus == trace_zero
+    assert 2 * summary.n_odd == trace_zero - _int_matrix_power_trace(fiber["pi"], 30)
+
+
+def test_trace_scales(kagome):
+    matrix = ps.walks.walk_matrix(kagome, "adjacency")
+    assert list(ps.walks.trace_scales(matrix, 4)) == [3.0 * 4**n for n in range(1, 5)]
+    huge = kagome.with_potential([1e300, 0.0, 0.0])
+    with pytest.raises(ValueError, match="n=2"):
+        ps.walks.trace_scales(ps.walks.walk_matrix(huge, "schrodinger"), 3)
+
+
+def test_walk_sums_past_float_range_raise_value_error():
+    g = ps.builtin_graph("fig4_chain").with_potential([1e200, 0.0, 0.0, 0.0])
+    assert ps.weighted_walk_sums(g, 1).value((0,)) == pytest.approx(1e200)
+    with pytest.raises(ValueError, match="n=2"):
+        ps.weighted_walk_sums(g, 2)
+
+
+def test_trace_series_check_is_relative_to_trace_scale(kagome, monkeypatch):
+    # n = 3: the trace scale is 3 * 4^3 = 192, so the limit is 1.92e-7
+    exact = ps.walks.walk_sums_for_kind
+
+    def shifted(offset):
+        def sums(graph, kind, n):
+            counts = exact(graph, kind, n)
+            by_index = {**counts.by_index, (0, 0): counts.value((0, 0)) + offset}
+            return WalkClassCounts(n, counts.mode, counts.dim, by_index)
+
+        return sums
+
+    monkeypatch.setattr(ps.walks, "walk_sums_for_kind", shifted(1.5e-7))
+    ps.trace_series(kagome, "adjacency", 3)
+    monkeypatch.setattr(ps.walks, "walk_sums_for_kind", shifted(2.5e-7))
+    with pytest.raises(EngineMismatchError):
+        ps.trace_series(kagome, "adjacency", 3)
 
 
 def test_trace_series_dual_engine(builtin):
@@ -180,7 +263,7 @@ def test_walk_classes_unit_counts_are_exact(kagome):
 
 
 def test_walk_classes_past_enumeration(kagome):
-    # n = 12 would take minutes to enumerate; the symbolic power is the reference
+    # the symbolic power is a reference independent of the eigen-solve
     b1, b2 = ps.walk_classes(kagome, "adjacency", 12)[-1]
     series = ps.trace_series(kagome, "adjacency", 12, check=False)
     assert b1 == round(sum(c.real for m, c in series.coeffs.items() if any(m)))
