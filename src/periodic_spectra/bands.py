@@ -6,6 +6,12 @@ operator level instead: a value that some eigenvalue attains at *every* grid
 point is flat even when band crossings hide it from the sorted labeling (a
 flat level running through the middle of a dispersive band splits across two
 sorted bands, whose widths are both nonzero).
+
+Every fiber operator has real coefficients, so M(-k) = conj M(k) and the
+eigenvalues at -k equal those at k.  A sweep therefore solves one point of
+each pair {k, -k mod 2*pi} (:attr:`KGrid.half`); :func:`dispersion` copies
+each solved row to its mirror, so its rows at k and -k are equal bit for bit,
+and the band tables reduce the solved half alone.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import EngineMismatchError
 from .graphs import FundamentalGraph
 from .operators import check_kind, fiber_eigenvalues_grid, symbolic_operator
 
@@ -27,7 +34,12 @@ def default_flat_tol(value: float) -> float:
 
 @dataclass(frozen=True)
 class KGrid:
-    """Uniform grid 2*pi*m/n on the torus; n even so both 0 and pi*(1,..,1) appear."""
+    """Uniform grid 2*pi*m/n on the torus; n even so both 0 and pi*(1,..,1) appear.
+
+    The grid is closed under k -> -k mod 2*pi.  Sweeps solve only
+    :attr:`half`, one point of each such pair; :func:`dispersion` fills the
+    row of -k with a copy of the eigenvalues solved at k.
+    """
 
     dim: int
     points_per_dim: int = DEFAULT_GRID_N
@@ -40,10 +52,32 @@ class KGrid:
 
     @cached_property
     def points(self) -> np.ndarray:
-        n = self.points_per_dim
         # Row-major over the axes, the last axis fastest.
-        mesh = np.indices((n,) * self.dim).reshape(self.dim, -1).T
-        return 2.0 * np.pi * np.ascontiguousarray(mesh, dtype=float) / n
+        return self._angles(self._mesh())
+
+    @cached_property
+    def half(self) -> tuple[np.ndarray, np.ndarray]:
+        """Time-reversal pairing: ``(points to solve, partner row of every grid point)``.
+
+        The grid is closed under m -> -m mod n.  Of each pair {m, -m mod n} the
+        first in grid order is solved, so (n^d + 2^d)/2 points remain, in grid
+        order and starting with k = 0; each is bitwise equal to its row of
+        :attr:`points`.  ``partner[i]`` is the row, among the solved points, of
+        grid point i or of its mirror.
+        """
+        n = self.points_per_dim
+        mesh = self._mesh()
+        rows = np.arange(mesh.shape[1])
+        first = np.minimum(rows, np.ravel_multi_index(-mesh % n, (n,) * self.dim))
+        solved = first == rows
+        return self._angles(mesh[:, solved]), (np.cumsum(solved) - 1)[first]
+
+    def _mesh(self) -> np.ndarray:
+        """Integer grid coordinates m, shape (dim, npts), in grid order."""
+        return np.indices((self.points_per_dim,) * self.dim).reshape(self.dim, -1)
+
+    def _angles(self, mesh: np.ndarray) -> np.ndarray:
+        return 2.0 * np.pi * np.ascontiguousarray(mesh.T, dtype=float) / self.points_per_dim
 
 
 @dataclass(frozen=True)
@@ -82,15 +116,36 @@ def dispersion(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grid points and sorted fiber eigenvalues, shapes (npts, d) and (npts, nu).
 
-    ``normalize_potential`` (Schrodinger kind only) shifts energies so that
-    min(V - deg) = 0; bandwidths are unaffected.
+    Only one point of each pair {k, -k} is solved; the rows at k and -k mod
+    2*pi are copies of the same eigenvalues.  ``normalize_potential``
+    (Schrodinger kind only) shifts energies so that min(V - deg) = 0;
+    bandwidths are unaffected.
+    """
+    grid = grid or KGrid(graph.dim)
+    lam = _solve_half(graph, kind, grid, workers, normalize_potential)
+    return grid.points, lam[grid.half[1]]
+
+
+def _solve_half(
+    graph: FundamentalGraph,
+    kind: str,
+    grid: KGrid,
+    workers: int | None,
+    normalize_potential: bool = False,
+) -> np.ndarray:
+    """Sorted fiber eigenvalues at the points of ``grid.half``, shape (npts_half, nu).
+
+    The pairing holds only for real coefficients, where M(-k) = conj M(k) has
+    the spectrum of M(k) (and is Hermitian when M(k) is); a complex
+    coefficient raises :class:`EngineMismatchError` instead of being mirrored.
     """
     check_kind(kind)
-    grid = grid or KGrid(graph.dim)
     if grid.dim != graph.dim:
         raise ValueError("grid dimension does not match the graph")
     matrix = symbolic_operator(graph, kind, normalize_potential=normalize_potential)
-    return grid.points, fiber_eigenvalues_grid(matrix, grid.points, workers=workers)
+    if any(c.imag != 0 for row in matrix.entries for p in row for c in p.coeffs.values()):
+        raise EngineMismatchError("fiber operator has complex coefficients; eigenvalues at k and -k may differ")
+    return fiber_eigenvalues_grid(matrix, grid.half[0], workers=workers)
 
 
 def _flat_candidates(lam: np.ndarray) -> tuple[tuple[float, float], ...]:
@@ -128,8 +183,7 @@ def band_structure(
 ) -> BandTable:
     """Sweep the torus and return min/max of each sorted eigenvalue curve."""
     grid = grid or KGrid(graph.dim)
-    _, lam = dispersion(graph, kind, grid, workers=workers)
-    return table_from_eigenvalues(kind, grid, lam)
+    return table_from_eigenvalues(kind, grid, _solve_half(graph, kind, grid, workers))
 
 
 def power_band_structure(
@@ -144,9 +198,7 @@ def power_band_structure(
     if n < 1:
         raise ValueError("power must be positive")
     grid = grid or KGrid(graph.dim)
-    _, lam = dispersion(
-        graph, kind, grid, workers=workers, normalize_potential=normalize_potential
-    )
+    lam = _solve_half(graph, kind, grid, workers, normalize_potential)
     powered = np.sort(lam**n, axis=1)
     return table_from_eigenvalues(kind, grid, powered)
 

@@ -36,6 +36,10 @@ BUILTIN_NAMES = ("zd(d)", "z_cycle(nu)", "hexagonal", "kagome", "fig4_chain", "s
 # search on a 2-CPU x86-64 machine.
 DEFAULT_SEARCH_CAP = 20_000_000
 
+# Largest |m_s| of an edge index component.  A cycle index sums at most nu of
+# them, which stays exact in the int64 arrays of :func:`cycle_basis`.
+MAX_INDEX_COMPONENT = 2**31 - 1
+
 
 def _as_index(values: Iterable[int], dim: int, what: str = "index") -> IndexVector:
     if not isinstance(values, Iterable):
@@ -44,6 +48,8 @@ def _as_index(values: Iterable[int], dim: int, what: str = "index") -> IndexVect
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
             raise GraphFormatError(f"{what} components must be integers, got {v!r}")
+        if abs(int(v)) > MAX_INDEX_COMPONENT:
+            raise GraphFormatError(f"{what} component {int(v)} exceeds {MAX_INDEX_COMPONENT} in magnitude")
         vec.append(int(v))
     if len(vec) != dim:
         raise GraphFormatError(f"{what} has length {len(vec)}, expected {dim}")

@@ -6,7 +6,8 @@ construction paths against each other.  ``box_min_bridges`` is the exhaustive
 gauge search over a shift box, the reference for the spanning-tree search.
 ``enumerate_walk_sums`` is the depth-first search over every closed walk,
 the reference for the package's transfer recursion.
-``unchecked_graph`` builds quotients the parsers reject (sublattice indices).
+``unchecked_graph`` builds quotients the parsers reject (sublattice indices);
+``random_graph`` builds seeded random connected quotients.
 ``evaluate_fiber``, ``eigenvalues``, ``hermiticity_defect`` and
 ``is_real_on_torus`` evaluate and check single fibers and symbolic entries.
 """
@@ -169,6 +170,37 @@ def assert_walk_classes_match(graph, n_max):
                     assert value == 0.0
                 else:
                     assert value == pytest.approx(want, rel=1e-9)
+
+
+def random_graph(seed: int, dim: int | None = None) -> ps.FundamentalGraph:
+    """A random connected quotient of rank ``dim`` (1 or 2, drawn from the seed, by default).
+
+    A random spanning tree on 2-4 vertices, one to three extra edges (loops and
+    multi-edges allowed) with indices in [-1, 1]^d, one unit-index loop per
+    lattice direction so the cycle indices span Z^d, and a random potential.
+    """
+    rng = np.random.default_rng(1000 + seed)
+    dim = dim or int(rng.integers(1, 3))
+    nv = int(rng.integers(2, 5))
+    labels = [f"v{i}" for i in range(nv)]
+
+    def rand_index():
+        return tuple(int(v) for v in rng.integers(-1, 2, dim))
+
+    edges = []
+    for child in range(1, nv):
+        parent = int(rng.integers(0, child))
+        edges.append((labels[parent], labels[child], rand_index()))
+    for _ in range(int(rng.integers(1, 4))):
+        a, b = int(rng.integers(0, nv)), int(rng.integers(0, nv))
+        edges.append((labels[a], labels[b], rand_index()))
+    # guarantee the cycle indices span the whole lattice
+    for s in range(dim):
+        host = int(rng.integers(0, nv))
+        unit = tuple(1 if j == s else 0 for j in range(dim))
+        edges.append((labels[host], labels[host], unit))
+    potential = {lab: float(v) for lab, v in zip(labels, rng.uniform(-2, 2, nv))}
+    return ps.build_graph(dim, labels, edges, potential)
 
 
 def schrodinger_shift(graph):

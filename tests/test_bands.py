@@ -1,10 +1,16 @@
 """Torus sweeps: band tables, bandwidth, measure, flat levels, exports."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import periodic_spectra as ps
 from periodic_spectra.bands import dispersion_csv, merge_intervals
+from periodic_spectra.errors import EngineMismatchError
+
+from conftest import BUILTIN_NAMES, random_graph
 
 RNG = np.random.default_rng(99)
 
@@ -132,3 +138,105 @@ def test_dispersion_csv_shape(fig4):
 def test_dispersion_grid_mismatch(fig4):
     with pytest.raises(ValueError):
         ps.dispersion(fig4, "adjacency", ps.KGrid(2, 8))
+
+
+# -- time-reversal pairing -----------------------------------------------------
+
+
+@pytest.mark.parametrize("dim, n", [(1, 2), (1, 10), (2, 2), (2, 6), (3, 4)])
+def test_kgrid_half_keeps_one_point_of_each_pair(dim, n):
+    grid = ps.KGrid(dim, n)
+    solved, partner = grid.half
+    coords = list(itertools.product(range(n), repeat=dim))
+    row = {m: i for i, m in enumerate(coords)}
+    first = [min(i, row[tuple(-v % n for v in m)]) for i, m in enumerate(coords)]
+    kept = sorted(set(first))
+    assert len(kept) == (n**dim + 2**dim) // 2
+    assert kept[0] == 0
+    assert solved.tobytes() == grid.points[kept].tobytes()
+    assert partner.tolist() == [kept.index(i) for i in first]
+
+
+PAIRING_CASES = [
+    pytest.param(random_graph(seed, dim=dim), n, id=f"random_d{dim}_s{seed}_n{n}")
+    for dim, sizes in ((1, (2, 8, 30)), (2, (4, 10)), (3, (2, 6)))
+    for seed in range(3)
+    for n in sizes
+] + [pytest.param(ps.builtin_graph(name), 8, id=f"{name}_n8") for name in BUILTIN_NAMES]
+
+
+@pytest.mark.parametrize("graph, n", PAIRING_CASES)
+def test_paired_sweep_matches_direct_sweep(graph, n):
+    grid = ps.KGrid(graph.dim, n)
+    mirror = [np.ravel_multi_index(tuple(-v % n for v in m), (n,) * graph.dim)
+              for m in itertools.product(range(n), repeat=graph.dim)]
+    for kind in ps.OPERATOR_KINDS:
+        direct = ps.fiber_eigenvalues_grid(ps.symbolic_operator(graph, kind), grid.points)
+        tol = 1e-12 * (1.0 + np.abs(direct).max())
+        points, lam = ps.dispersion(graph, kind, grid)
+        assert points.tobytes() == grid.points.tobytes()
+        assert np.abs(lam - direct).max() <= tol
+        assert lam.tobytes() == lam[mirror].tobytes()
+        table = ps.band_structure(graph, kind, grid)
+        expected = ps.bands.table_from_eigenvalues(kind, grid, direct)
+        for got, want in zip(table.bands, expected.bands, strict=True):
+            assert abs(got.lo - want.lo) <= tol and abs(got.hi - want.hi) <= tol
+            assert got.flat == want.flat
+        assert np.allclose(table.flat_values, expected.flat_values, rtol=0, atol=tol)
+        assert len(table.flat_values) == len(expected.flat_values)
+
+
+def test_power_band_structure_matches_direct_sweep(kagome):
+    grid = ps.KGrid(2, 12)
+    direct = ps.fiber_eigenvalues_grid(ps.symbolic_operator(kagome, "schrodinger"), grid.points)
+    table = ps.power_band_structure(kagome, "schrodinger", 3, grid)
+    expected = ps.bands.table_from_eigenvalues("schrodinger", grid, np.sort(direct**3, axis=1))
+    for got, want in zip(table.bands, expected.bands, strict=True):
+        assert got.lo == pytest.approx(want.lo, abs=1e-11) and got.hi == pytest.approx(want.hi, abs=1e-11)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 10), (3, 4)])
+def test_sweeps_solve_one_point_of_each_pair(monkeypatch, kagome, dim, n):
+    graph = kagome if dim == 2 else ps.builtin_graph("zd(3)")
+    solved = []
+    original = ps.bands.fiber_eigenvalues_grid
+
+    def spy(matrix, points, **kwargs):
+        solved.append(len(points))
+        return original(matrix, points, **kwargs)
+
+    monkeypatch.setattr(ps.bands, "fiber_eigenvalues_grid", spy)
+    grid = ps.KGrid(dim, n)
+    ps.band_structure(graph, "laplacian", grid)
+    ps.dispersion(graph, "laplacian", grid)
+    ps.power_band_structure(graph, "laplacian", 2, grid)
+    assert solved == [(n**dim + 2**dim) // 2] * 3
+
+
+@pytest.mark.parametrize("sweep", [ps.band_structure, ps.dispersion])
+def test_complex_coefficients_are_not_mirrored(monkeypatch, sweep):
+    # -2 sin k: Hermitian, but its eigenvalue at -k is minus the one at k.
+    matrix = ps.LaurentMatrix(1, [[ps.LaurentPoly(1, {(1,): 1j, (-1,): -1j})]])
+    assert ps.fiber_eigenvalues_grid(matrix, ps.KGrid(1, 8).points).shape == (8, 1)
+    monkeypatch.setattr(ps.bands, "symbolic_operator", lambda *args, **kwargs: matrix)
+    with pytest.raises(EngineMismatchError, match="complex coefficients"):
+        sweep(ps.builtin_graph("zd(1)"), "adjacency", ps.KGrid(1, 8))
+
+
+def test_band_structure_memory_is_half_the_table():
+    # An 8-vertex ring with loops: the full (npts, nu) table would take 10 MB, and
+    # the table plus a scratch array of its size in _flat_candidates would be 2x.
+    labels = [f"v{i}" for i in range(8)]
+    edges = [(labels[i], labels[(i + 1) % 8], (0, int(i == 0))) for i in range(8)]
+    edges += [(labels[i], labels[i], (1, i % 3 - 1)) for i in range(0, 8, 2)]
+    graph = ps.build_graph(2, labels, edges, {lab: 0.1 * i for i, lab in enumerate(labels)})
+    table_bytes = 400**2 * 8 * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        table = ps.band_structure(graph, "schrodinger", ps.KGrid(2, 400), workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.bands) == 8
+    assert peak < 1.5 * table_bytes

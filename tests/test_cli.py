@@ -187,6 +187,24 @@ def test_bad_graph_field_is_one_line_input_error(runner, tmp_path, field, value,
     assert message in result.stderr
 
 
+@pytest.mark.parametrize("verb", ["bandwidth", "info", "verify"])
+@pytest.mark.parametrize("component", [10**23, 2**62])
+def test_index_components_past_int32_are_input_errors(runner, tmp_path, verb, component):
+    # 10**23 overflowed the int64 cycle matrix; a cycle through two 2**62 edges wrapped to -2**63.
+    doc = json.loads(json.dumps(RING2))
+    doc["edges"] = [
+        {"from": "a", "to": "b", "index": [component]},
+        {"from": "b", "to": "a", "index": [component]},
+        {"from": "a", "to": "a", "index": [1]},
+    ]
+    path = tmp_path / "huge_index.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, [verb, "--graph", str(path)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: index component {component} exceeds 2147483647 in magnitude\n"
+
+
 def test_requires_exactly_one_source(runner, tmp_path):
     result = runner.invoke(main, ["info"])
     assert result.exit_code != 0

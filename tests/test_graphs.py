@@ -500,3 +500,11 @@ def test_with_potential(fig4):
     assert fig4.potential == (0.0, 0.0, 0.0, 0.0)
     g2 = fig4.with_potential([1, 2, 3, 4])
     assert g2.potential == (1.0, 2.0, 3.0, 4.0)
+
+
+def test_index_components_up_to_int32_are_accepted():
+    top = ps.graphs.MAX_INDEX_COMPONENT
+    graph = ps.build_graph(1, ["a", "b"], [("a", "b", (top,)), ("b", "a", (top,)), ("a", "a", (1,))])
+    assert sorted(abs(c.index[0]) for c in ps.cycle_basis(graph)[0]) == [1, 2 * top]
+    with pytest.raises(GraphFormatError):
+        ps.build_graph(1, ["a", "b"], [("a", "b", (top + 1,)), ("b", "a", (0,)), ("a", "a", (1,))])

@@ -1,10 +1,8 @@
-"""Property checks on randomly generated quotient graphs.
+"""Property checks on randomly generated quotient graphs (``conftest.random_graph``).
 
-The generator grows a random spanning tree, sprinkles extra edges (loops and
-multi-edges allowed) with random indices, and pins the index lattice to Z^d
-by attaching one unit-index loop per lattice direction.  Everything the
-builtins exercise structurally should survive arbitrary such graphs: the two
-trace engines, gauge invariance, classification symmetries, bound sandwiches.
+Everything the builtins exercise structurally should survive arbitrary such
+graphs: the two trace engines, gauge invariance, classification symmetries,
+bound sandwiches.
 """
 
 import numpy as np
@@ -18,35 +16,11 @@ from conftest import (
     assert_walk_classes_match,
     box_min_bridges,
     numeric_fiber,
+    random_graph,
     schrodinger_shift,
 )
 
 SEEDS = list(range(10))
-
-
-def random_graph(seed: int) -> ps.FundamentalGraph:
-    rng = np.random.default_rng(1000 + seed)
-    dim = int(rng.integers(1, 3))
-    nv = int(rng.integers(2, 5))
-    labels = [f"v{i}" for i in range(nv)]
-
-    def rand_index():
-        return tuple(int(v) for v in rng.integers(-1, 2, dim))
-
-    edges = []
-    for child in range(1, nv):
-        parent = int(rng.integers(0, child))
-        edges.append((labels[parent], labels[child], rand_index()))
-    for _ in range(int(rng.integers(1, 4))):
-        a, b = int(rng.integers(0, nv)), int(rng.integers(0, nv))
-        edges.append((labels[a], labels[b], rand_index()))
-    # guarantee the cycle indices span the whole lattice
-    for s in range(dim):
-        host = int(rng.integers(0, nv))
-        unit = tuple(1 if j == s else 0 for j in range(dim))
-        edges.append((labels[host], labels[host], unit))
-    potential = {lab: float(v) for lab, v in zip(labels, rng.uniform(-2, 2, nv))}
-    return ps.build_graph(dim, labels, edges, potential)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
