@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import EngineMismatchError
 from .graphs import FundamentalGraph
-from .operators import check_kind, fiber_eigenvalues_grid, symbolic_operator
+from .operators import fiber_eigenvalues_grid, symbolic_operator
 
 DEFAULT_GRID_N = 64
 
@@ -107,45 +107,31 @@ class BandTable:
         return tuple(b.lo for b in flat_bands(self))
 
 
-def dispersion(
-    graph: FundamentalGraph,
-    kind: str,
-    grid: KGrid | None = None,
-    workers: int | None = None,
-    normalize_potential: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
+def dispersion(graph: FundamentalGraph, kind: str, grid: KGrid | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Grid points and sorted fiber eigenvalues, shapes (npts, d) and (npts, nu).
 
     Only one point of each pair {k, -k} is solved; the rows at k and -k mod
-    2*pi are copies of the same eigenvalues.  ``normalize_potential``
-    (Schrodinger kind only) shifts energies so that min(V - deg) = 0;
-    bandwidths are unaffected.
+    2*pi are copies of the same eigenvalues.  The full table is twice the
+    memory of the solved half that :func:`band_structure` reduces, so call
+    this only when every row is needed (a dispersion dump).
     """
     grid = grid or KGrid(graph.dim)
-    lam = _solve_half(graph, kind, grid, workers, normalize_potential)
-    return grid.points, lam[grid.half[1]]
+    return grid.points, _solve_half(graph, kind, grid)[grid.half[1]]
 
 
-def _solve_half(
-    graph: FundamentalGraph,
-    kind: str,
-    grid: KGrid,
-    workers: int | None,
-    normalize_potential: bool = False,
-) -> np.ndarray:
+def _solve_half(graph: FundamentalGraph, kind: str, grid: KGrid) -> np.ndarray:
     """Sorted fiber eigenvalues at the points of ``grid.half``, shape (npts_half, nu).
 
     The pairing holds only for real coefficients, where M(-k) = conj M(k) has
     the spectrum of M(k) (and is Hermitian when M(k) is); a complex
     coefficient raises :class:`EngineMismatchError` instead of being mirrored.
     """
-    check_kind(kind)
     if grid.dim != graph.dim:
         raise ValueError("grid dimension does not match the graph")
-    matrix = symbolic_operator(graph, kind, normalize_potential=normalize_potential)
+    matrix = symbolic_operator(graph, kind)
     if any(c.imag != 0 for row in matrix.entries for p in row for c in p.coeffs.values()):
         raise EngineMismatchError("fiber operator has complex coefficients; eigenvalues at k and -k may differ")
-    return fiber_eigenvalues_grid(matrix, grid.half[0], workers=workers)
+    return fiber_eigenvalues_grid(matrix, grid.half[0])
 
 
 def _flat_candidates(lam: np.ndarray) -> tuple[tuple[float, float], ...]:
@@ -175,31 +161,18 @@ def table_from_eigenvalues(kind: str, grid: KGrid, lam: np.ndarray) -> BandTable
     return BandTable(kind, grid.points_per_dim, bands, _flat_candidates(lam))
 
 
-def band_structure(
-    graph: FundamentalGraph,
-    kind: str,
-    grid: KGrid | None = None,
-    workers: int | None = None,
-) -> BandTable:
-    """Sweep the torus and return min/max of each sorted eigenvalue curve."""
+def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None) -> BandTable:
+    """Min/max of each sorted eigenvalue curve over the solved half of the grid."""
     grid = grid or KGrid(graph.dim)
-    return table_from_eigenvalues(kind, grid, _solve_half(graph, kind, grid, workers))
+    return table_from_eigenvalues(kind, grid, _solve_half(graph, kind, grid))
 
 
-def power_band_structure(
-    graph: FundamentalGraph,
-    kind: str,
-    n: int,
-    grid: KGrid | None = None,
-    workers: int | None = None,
-    normalize_potential: bool = False,
-) -> BandTable:
+def power_band_structure(graph: FundamentalGraph, kind: str, n: int, grid: KGrid | None = None) -> BandTable:
     """Band table of the n-th power: sweep eigenvalues, raise to n, re-sort."""
     if n < 1:
         raise ValueError("power must be positive")
     grid = grid or KGrid(graph.dim)
-    lam = _solve_half(graph, kind, grid, workers, normalize_potential)
-    powered = np.sort(lam**n, axis=1)
+    powered = np.sort(_solve_half(graph, kind, grid) ** n, axis=1)
     return table_from_eigenvalues(kind, grid, powered)
 
 
@@ -208,23 +181,21 @@ def total_bandwidth(table: BandTable) -> float:
     return float(sum(b.hi - b.lo for b in table.bands))
 
 
-def merge_intervals(
-    intervals: list[tuple[float, float]], gap_tol: float = 0.0
-) -> list[tuple[float, float]]:
+def merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
     if not intervals:
         return []
     merged = []
     for lo, hi in sorted(intervals):
-        if merged and lo <= merged[-1][1] + gap_tol:
+        if merged and lo <= merged[-1][1]:
             merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
         else:
             merged.append((lo, hi))
     return merged
 
 
-def spectrum_components(table: BandTable, gap_tol: float = 0.0) -> list[tuple[float, float]]:
+def spectrum_components(table: BandTable) -> list[tuple[float, float]]:
     """Connected components of the union of all bands."""
-    return merge_intervals([(b.lo, b.hi) for b in table.bands], gap_tol=gap_tol)
+    return merge_intervals([(b.lo, b.hi) for b in table.bands])
 
 
 def spectrum_measure(table: BandTable) -> float:
@@ -256,11 +227,22 @@ def format_12g(value: float) -> str:
     return FLOAT_12G % float(value)
 
 
+# Rows that dispersion_csv formats at a time.
+CSV_BLOCK_ROWS = 1 << 14
+
+
 def dispersion_csv(points: np.ndarray, lam: np.ndarray) -> str:
-    """One row per grid point: quasimomentum components then the eigenvalues."""
+    """One row per grid point: quasimomentum components then the eigenvalues.
+
+    Rows are formatted :data:`CSV_BLOCK_ROWS` at a time, never all at once.
+    """
     dim = points.shape[1]
     header = [f"k{s + 1}" for s in range(dim)] + [f"lambda{j + 1}" for j in range(lam.shape[1])]
     row = ",".join([FLOAT_12G] * len(header))
-    lines = [",".join(header)]
-    lines += [row % tuple(values) for values in np.hstack([points, lam]).tolist()]
-    return "\n".join(lines) + "\n"
+    blocks = [",".join(header)]
+    for start in range(0, len(points), CSV_BLOCK_ROWS):
+        block = slice(start, start + CSV_BLOCK_ROWS)
+        blocks.append("\n".join(row % tuple(values) for values in np.hstack([points[block], lam[block]]).tolist()))
+    # An empty last block ends the text with a newline, without one more copy of the text.
+    blocks.append("")
+    return "\n".join(blocks)

@@ -211,10 +211,13 @@ def info(graph: FundamentalGraph) -> _Output:
 def bands(graph: FundamentalGraph, kind: str, grid_n: int, dispersion_out: str | None) -> _Output:
     """Band table from a torus sweep."""
     grid = bands_mod.KGrid(graph.dim, grid_n)
-    points, lam = bands_mod.dispersion(graph, kind, grid)
-    table = bands_mod.table_from_eigenvalues(kind, grid, lam)
     if dispersion_out:
+        # Only the dump needs the full table; the band table is the same either way.
+        points, lam = bands_mod.dispersion(graph, kind, grid)
+        table = bands_mod.table_from_eigenvalues(kind, grid, lam)
         _write(dispersion_out, bands_mod.dispersion_csv(points, lam))
+    else:
+        table = bands_mod.band_structure(graph, kind, grid)
     doc = {
         "kind": table.kind,
         "grid_n": table.grid_n,
@@ -329,7 +332,7 @@ def traces(graph: FundamentalGraph, kind: str, n_max: int | None) -> _Output:
     failed = []
     for n, scale in enumerate(scales, 1):
         # The residual column below is the engine check: a mismatch is a row and exit 2.
-        series = trace_series(work_graph, trace_kind, n, check=False)
+        series = trace_series(work_graph, trace_kind, n)
         coeff_residual = coefficient_residual(series, walk_sums_for_kind(work_graph, trace_kind, n))
         eval_residual = float(np.abs(series.eval_grid(sample) - (lam**n).sum(axis=1)).max())
         worst = max(coeff_residual, eval_residual)

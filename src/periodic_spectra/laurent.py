@@ -88,8 +88,8 @@ class LaurentPoly:
             return other
         return LaurentPoly.constant(self.dim, other)
 
-    def prune(self, tol: float = PRUNE_TOL) -> "LaurentPoly":
-        return LaurentPoly(self.dim, {m: c for m, c in self.coeffs.items() if abs(c) >= tol})
+    def prune(self) -> "LaurentPoly":
+        return LaurentPoly(self.dim, {m: c for m, c in self.coeffs.items() if abs(c) >= PRUNE_TOL})
 
     # -- queries -----------------------------------------------------------
 
@@ -185,25 +185,6 @@ class LaurentMatrix:
                         acc = acc + left * other.entries[l][j]
                 out.entries[i][j] = acc.prune()
         return out
-
-    def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        if other.size != self.size or other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return LaurentMatrix(
-            self.dim,
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.size)]
-                for i in range(self.size)
-            ],
-        )
-
-    def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        return self + other.scaled(-1.0)
-
-    def scaled(self, factor: complex) -> "LaurentMatrix":
-        return LaurentMatrix(
-            self.dim, [[p * factor for p in row] for row in self.entries]
-        )
 
     def power(self, n: int) -> "LaurentMatrix":
         if n < 0:

@@ -8,9 +8,8 @@ Five kinds are assembled from the same edge data:
 * ``transition``           A(k) with every edge term divided by sqrt(deg_x deg_y)
 * ``normalized_laplacian`` identity minus the transition operator
 
-The Schrodinger fiber is deliberately built twice, once as a weighted
-adjacency matrix and once as -laplacian + V, and the two assemblies are
-required to coincide; a disagreement aborts instead of being symmetrized.
+Each kind is one pass over the oriented edges plus one constant per vertex
+on the diagonal; no kind is built from another.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import EngineMismatchError, GraphFormatError, HermiticityError
+from .errors import GraphFormatError, HermiticityError
 from .graphs import FundamentalGraph
 from .laurent import LaurentMatrix, LaurentPoly
 
@@ -30,12 +29,6 @@ HERMITICITY_TOL = 1e-12
 
 # Bytes of complex fiber matrices that a sweep evaluates and solves at once.
 CHUNK_BYTES = 1 << 20
-
-
-def check_kind(kind: str) -> str:
-    if kind not in OPERATOR_KINDS:
-        raise ValueError(f"unknown operator kind {kind!r}; expected one of {OPERATOR_KINDS}")
-    return kind
 
 
 def shifted_loop_weights(graph: FundamentalGraph, normalize: bool = False) -> tuple[float, ...]:
@@ -58,59 +51,35 @@ def symbolic_operator(
 ) -> LaurentMatrix:
     """Assemble the fiber operator of the requested kind as a LaurentMatrix.
 
-    ``normalize_potential`` applies only to the Schrodinger kind and shifts
-    the potential so that min(V - deg) = 0 (a bandwidth-neutral energy shift
-    used by the combinatorial engines).
+    Every oriented edge x->y adds ``sign * exp(i<index, k>)`` to entry
+    (x, y), divided by sqrt(deg_x deg_y) for the normalized kinds, with sign
+    -1 for the Laplacians and +1 otherwise.  Then each vertex adds one
+    diagonal constant: 0, deg_x (laplacian), V_x - deg_x (schrodinger) or 1
+    (normalized_laplacian).  ``normalize_potential`` applies only to the
+    Schrodinger kind and shifts the potential so that min(V - deg) = 0 (a
+    bandwidth-neutral energy shift used by the combinatorial engines).
     """
-    check_kind(kind)
-    dim, nv = graph.dim, graph.num_vertices
-    if kind in ("normalized_laplacian", "transition") and min(graph.degrees) < 1:
+    if kind not in OPERATOR_KINDS:
+        raise ValueError(f"unknown operator kind {kind!r}; expected one of {OPERATOR_KINDS}")
+    dim, nv, deg = graph.dim, graph.num_vertices, graph.degrees
+    normalized = kind in ("normalized_laplacian", "transition")
+    if normalized and min(deg) < 1:
         raise GraphFormatError("normalized kinds need every vertex degree >= 1")
-
-    def edge_weighted(weight_fn) -> LaurentMatrix:
-        mat = LaurentMatrix.zeros(dim, nv)
-        for e in graph.edges:
-            term = LaurentPoly.monomial(dim, e.index, weight_fn(e))
-            mat.entries[e.tail][e.head] = mat.entries[e.tail][e.head] + term
-        return mat
-
-    if kind == "adjacency":
-        return edge_weighted(lambda e: 1.0)
-
+    sign = -1.0 if kind in ("laplacian", "normalized_laplacian") else 1.0
     if kind == "laplacian":
-        lap = edge_weighted(lambda e: -1.0)
-        for x in range(nv):
-            lap.entries[x][x] = lap.entries[x][x] + LaurentPoly.constant(dim, graph.degrees[x])
-        return lap
-
-    if kind == "schrodinger":
-        weights = shifted_loop_weights(graph, normalize=normalize_potential)
-        ham = edge_weighted(lambda e: 1.0)
-        for x in range(nv):
-            ham.entries[x][x] = ham.entries[x][x] + LaurentPoly.constant(dim, weights[x])
-        shift = min(graph.potential[x] - graph.degrees[x] for x in range(nv)) if normalize_potential else 0.0
-        alt = symbolic_operator(graph, "laplacian").scaled(-1.0)
-        for x in range(nv):
-            alt.entries[x][x] = alt.entries[x][x] + LaurentPoly.constant(
-                dim, graph.potential[x] - shift
-            )
-        defect = max(
-            ham.entries[i][j].max_diff(alt.entries[i][j])
-            for i in range(nv)
-            for j in range(nv)
-        )
-        if defect > 1e-12:
-            raise EngineMismatchError(
-                f"Schrodinger assemblies disagree by {defect:.3e}"
-            )
-        return ham
-
-    if kind == "transition":
-        deg = graph.degrees
-        return edge_weighted(lambda e: 1.0 / np.sqrt(deg[e.tail] * deg[e.head]))
-
-    # normalized_laplacian
-    return LaurentMatrix.identity(dim, nv) - symbolic_operator(graph, "transition")
+        diagonal = deg
+    elif kind == "schrodinger":
+        diagonal = shifted_loop_weights(graph, normalize=normalize_potential)
+    else:
+        diagonal = (float(kind == "normalized_laplacian"),) * nv
+    mat = LaurentMatrix.zeros(dim, nv)
+    for e in graph.edges:
+        weight = sign / np.sqrt(deg[e.tail] * deg[e.head]) if normalized else sign
+        mat.entries[e.tail][e.head] += LaurentPoly.monomial(dim, e.index, weight)
+    for x, value in enumerate(diagonal):
+        if value:
+            mat.entries[x][x] += LaurentPoly.constant(dim, value)
+    return mat
 
 
 def worker_count(workers: int | None = None) -> int:
@@ -134,14 +103,13 @@ def chunk_points(size: int) -> int:
 def fiber_eigenvalues_grid(
     matrix: LaurentMatrix,
     points: np.ndarray,
-    herm_tol: float = HERMITICITY_TOL,
     workers: int | None = None,
 ) -> np.ndarray:
     """Sorted fiber eigenvalues at every grid point, shape (npts, size).
 
     The grid is streamed in chunks of :func:`chunk_points` points, about
     ``CHUNK_BYTES`` of complex fiber matrices each.  A chunk is evaluated,
-    checked for Hermiticity (a defect above ``herm_tol``, or NaN, raises
+    checked for Hermiticity (a defect above ``HERMITICITY_TOL``, or NaN, raises
     :class:`HermiticityError`) and solved while it is still in cache; only
     its eigenvalues are kept.  Memory is therefore the (npts, size) result,
     2*size times smaller than the stack of fibers, plus a few chunks per
@@ -156,7 +124,7 @@ def fiber_eigenvalues_grid(
     def solve(start: int) -> None:
         stack = matrix.eval_grid(points[start : start + step])
         defect = float(np.abs(stack - stack.conj().transpose(0, 2, 1)).max())
-        if not defect <= herm_tol:  # a NaN defect fails too
+        if not defect <= HERMITICITY_TOL:  # a NaN defect fails too
             raise HermiticityError(f"fiber matrix deviates from Hermitian by {defect:.3e}")
         out[start : start + step] = np.linalg.eigvalsh(stack)
 

@@ -12,8 +12,8 @@ Three step-weight modes:
 
 * ``unit``        every oriented edge weighs 1 (adjacency powers)
 * ``schrodinger`` the quotient graph gains one zero-index self-step per
-                  vertex weighing v_x = V_x - deg_x (shifted so min v = 0 by
-                  default); edge steps weigh 1
+                  vertex weighing v_x = V_x - deg_x, shifted so min v = 0;
+                  edge steps weigh 1
 * ``normalized``  edge step from x weighs 1/deg_x (transition powers)
 
 The self-steps added in schrodinger mode are single steps, not edge pairs:
@@ -24,9 +24,9 @@ polynomial in n: from each of the nu base vertices it carries at most
 nu * (2nR + 1)^d (vertex, index) states through n steps, R the largest index
 component.  The bounds need only the classified totals, which
 :func:`walk_classes` reads off one eigen-solve of the fiber over a small
-torus grid; the recursion is the independent engine behind
-:func:`trace_series`, the CLI's exact integer columns and the lattice
-witnesses.
+torus grid; the recursion is the exact engine behind the CLI's integer
+columns, the ``traces`` verb's comparison with :func:`trace_series` and the
+lattice witnesses.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class CycleClassSummary:
     t0: float
 
 
-def _walk_sums(graph: FundamentalGraph, n: int, mode: str, normalize: bool):
+def _walk_sums(graph: FundamentalGraph, n: int, mode: str):
     """Sums over the closed n-walks by index: ints in unit mode, else floats.
 
     A transfer recursion: from each base vertex, carry the summed weight of
@@ -104,7 +104,7 @@ def _walk_sums(graph: FundamentalGraph, n: int, mode: str, normalize: bool):
         for e in graph.edges
     ]
     if mode == "schrodinger":
-        loops = enumerate(shifted_loop_weights(graph, normalize=normalize))
+        loops = enumerate(shifted_loop_weights(graph, normalize=True))
         steps += [(x, x, (0,) * graph.dim, Fraction(w)) for x, w in loops if w != 0.0]
     den = math.lcm(*(Fraction(w).denominator for *_, w in steps))
     table: list[list[tuple[int, IndexVector, int]]] = [[] for _ in range(graph.num_vertices)]
@@ -133,22 +133,21 @@ def _walk_sums(graph: FundamentalGraph, n: int, mode: str, normalize: bool):
 
 def count_walks(graph: FundamentalGraph, n: int) -> WalkClassCounts:
     """Count all closed n-walks by index (backtracking ones included), exactly."""
-    return WalkClassCounts(n, "unit", graph.dim, _walk_sums(graph, n, "unit", False))
+    return WalkClassCounts(n, "unit", graph.dim, _walk_sums(graph, n, "unit"))
 
 
-def weighted_walk_sums(graph: FundamentalGraph, n: int, normalize: bool = True) -> WalkClassCounts:
+def weighted_walk_sums(graph: FundamentalGraph, n: int) -> WalkClassCounts:
     """Weighted sums over the self-step-augmented graph (Schrodinger powers).
 
-    With ``normalize`` (the default) the self-step weights are shifted so the
-    smallest is zero; the user's graph is never mutated, and bandwidths do
-    not feel the shift.
+    The self-step weights are shifted so the smallest is zero; the user's
+    graph is never mutated, and bandwidths do not feel the shift.
     """
-    return WalkClassCounts(n, "schrodinger", graph.dim, _walk_sums(graph, n, "schrodinger", normalize))
+    return WalkClassCounts(n, "schrodinger", graph.dim, _walk_sums(graph, n, "schrodinger"))
 
 
 def normalized_walk_sums(graph: FundamentalGraph, n: int) -> WalkClassCounts:
     """Degree-weighted sums: each walk weighs the product of 1/deg over its steps."""
-    return WalkClassCounts(n, "normalized", graph.dim, _walk_sums(graph, n, "normalized", False))
+    return WalkClassCounts(n, "normalized", graph.dim, _walk_sums(graph, n, "normalized"))
 
 
 def _round_count(value: float) -> int:
@@ -301,23 +300,12 @@ def coefficient_residual(series: LaurentPoly, sums: WalkClassCounts) -> float:
     return max((abs(series.coeff(m) - sums.value(m)) for m in keys), default=0.0)
 
 
-def trace_series(graph: FundamentalGraph, kind: str, n: int, check: bool = True) -> LaurentPoly:
-    """Trace of the n-th symbolic power, cross-checked against walk sums.
+def trace_series(graph: FundamentalGraph, kind: str, n: int) -> LaurentPoly:
+    """Trace of the n-th symbolic power of :func:`walk_matrix`.
 
     Supported kinds: ``adjacency``, ``schrodinger`` (potential shifted so
     min(V - deg) = 0, matching :func:`weighted_walk_sums`), ``transition``.
-    The coefficient map must agree with the independent exact walk sums to
-    ``TRACE_TOL`` times the trace scale (:func:`trace_scales`, at least 1)
-    per coefficient; a mismatch raises, since it can only mean one of the
-    engines is wrong.
+    By the trace formula the coefficient at index m is the sum over closed
+    n-walks of index m; the ``traces`` verb compares the two engines.
     """
-    matrix = walk_matrix(graph, kind)
-    series = matrix.power(n).trace()
-    if check:
-        worst = coefficient_residual(series, walk_sums_for_kind(graph, kind, n))
-        if worst > TRACE_TOL * max(1.0, trace_scales(matrix, n)[-1]):
-            raise EngineMismatchError(
-                f"trace-series coefficients deviate from walk sums by {worst:.3e} "
-                f"(kind={kind}, n={n})"
-            )
-    return series
+    return walk_matrix(graph, kind).power(n).trace()

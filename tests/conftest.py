@@ -6,6 +6,8 @@ construction paths against each other.  ``box_min_bridges`` is the exhaustive
 gauge search over a shift box, the reference for the spanning-tree search.
 ``enumerate_walk_sums`` is the depth-first search over every closed walk,
 the reference for the package's transfer recursion.
+``assert_trace_matches_walks`` holds the symbolic trace series to the exact
+walk sums, the comparison the ``traces`` verb makes.
 ``unchecked_graph`` builds quotients the parsers reject (sublattice indices);
 ``random_graph`` builds seeded random connected quotients.
 ``evaluate_fiber``, ``eigenvalues``, ``hermiticity_defect`` and
@@ -156,6 +158,15 @@ def unchecked_graph(dim, labels, edges):
         e = ps.OrientedEdge(ordinals[a], ordinals[b], tuple(idx), pair_id)
         oriented += [e, e.reversed()]
     return ps.FundamentalGraph(dim, tuple(labels), (0.0,) * len(labels), tuple(oriented))
+
+
+def assert_trace_matches_walks(graph, kind, n):
+    """``trace_series`` equals the exact walk sums to ``TRACE_TOL`` of the trace scale; returns the series."""
+    series = ps.trace_series(graph, kind, n)
+    residual = ps.walks.coefficient_residual(series, ps.walk_sums_for_kind(graph, kind, n))
+    scale = ps.walks.trace_scales(ps.walks.walk_matrix(graph, kind), n)[-1]
+    assert residual <= ps.walks.TRACE_TOL * max(1.0, scale)
+    return series
 
 
 def assert_walk_classes_match(graph, n_max):

@@ -14,6 +14,7 @@ import periodic_spectra as ps
 from conftest import (
     BIPARTITE_BUILTINS,
     BUILTIN_NAMES,
+    assert_trace_matches_walks,
     numeric_fiber,
     schrodinger_shift,
 )
@@ -56,7 +57,7 @@ def test_acceptance_03_kagome_cycle_counts():
     for n, (n_plus, n_odd) in expected.items():
         combinatorial = ps.classify(ps.count_walks(g, n))
         assert (combinatorial.n_plus, combinatorial.n_odd) == (n_plus, n_odd)
-        series = ps.trace_series(g, "adjacency", n)  # raises on engine mismatch
+        series = ps.trace_series(g, "adjacency", n)
         sym_plus = sum(c.real for m, c in series.coeffs.items() if any(m))
         sym_odd = sum(c.real for m, c in series.coeffs.items() if sum(m) % 2)
         assert sym_plus == pytest.approx(n_plus, abs=1e-6)
@@ -125,7 +126,7 @@ def test_acceptance_07_trace_formula_identity():
         sample = rng.uniform(0.0, 2 * np.pi, size=(20, base.dim))
         for kind, g, shift in cases:
             for n in range(1, 7):
-                series = ps.trace_series(g, kind, n)  # walk cross-check inside
+                series = assert_trace_matches_walks(g, kind, n)
                 for k in sample:
                     lam = np.linalg.eigvalsh(numeric_fiber(g, kind, k, potential_shift=shift))
                     norm = max(1.0, np.abs(lam).max())
@@ -248,10 +249,12 @@ def test_power_bandwidth_lower_bounds_all_builtins():
     # broader version of criterion 12: every builtin, both weighted engines
     for name in BUILTIN_NAMES:
         g = ps.builtin_graph(name)
+        # the walk sums' convention: potential shifted so min(V - deg) = 0
+        shifted = g.with_potential([v - schrodinger_shift(g) for v in g.potential])
         grid = ps.KGrid(g.dim, 32)
         for n in (1, 2, 3):
             schro = ps.classify(ps.weighted_walk_sums(g, n))
-            table = ps.power_band_structure(g, "schrodinger", n, grid, normalize_potential=True)
+            table = ps.power_band_structure(shifted, "schrodinger", n, grid)
             assert ps.total_bandwidth(table) >= max(schro.b1, schro.b2) - 2e-2
             norm = ps.classify(ps.normalized_walk_sums(g, n))
             table = ps.power_band_structure(g, "transition", n, grid)
@@ -262,9 +265,10 @@ def test_acceptance_12_power_bandwidth_lower_bounds():
     grid2 = ps.KGrid(2, 48)
     grid1 = ps.KGrid(1, 256)
     kag = ps.builtin_graph("kagome")
+    shifted = kag.with_potential([v - schrodinger_shift(kag) for v in kag.potential])
     for n in range(1, 5):
         summary = ps.classify(ps.weighted_walk_sums(kag, n))
-        table = ps.power_band_structure(kag, "schrodinger", n, grid2, normalize_potential=True)
+        table = ps.power_band_structure(shifted, "schrodinger", n, grid2)
         assert ps.total_bandwidth(table) >= max(summary.b1, summary.b2) - 2e-2
     fig4 = ps.builtin_graph("fig4_chain")
     for n in range(1, 5):

@@ -135,6 +135,24 @@ def test_dispersion_csv_shape(fig4):
     assert len(lines) == 9
 
 
+def test_dispersion_csv_blocks_match_one_shot_formatting():
+    def one_shot(points, lam):
+        header = [f"k{s + 1}" for s in range(points.shape[1])] + [f"lambda{j + 1}" for j in range(lam.shape[1])]
+        rows = [",".join("%.12g" % v for v in (*k, *values)) for k, values in zip(points, lam)]
+        return "\n".join([",".join(header), *rows]) + "\n"
+
+    # two full blocks and a partial third
+    npts = 2 * ps.bands.CSV_BLOCK_ROWS + 123
+    rng = np.random.default_rng(5)
+    points = rng.uniform(0.0, 2 * np.pi, (npts, 2))
+    lam = rng.normal(scale=1e3, size=(npts, 3))
+    lam[0, 0], lam[1, 1], lam[-1, 2], lam[npts // 2, 0] = -0.0, np.inf, -np.inf, np.nan
+    text = dispersion_csv(points, lam)
+    assert text == one_shot(points, lam)
+    assert text.count("\n") == npts + 1 and ",-0," in text and ",inf," in text and ",nan," in text
+    assert dispersion_csv(points[:0], lam[:0]) == "k1,k2,lambda1,lambda2,lambda3\n"
+
+
 def test_dispersion_grid_mismatch(fig4):
     with pytest.raises(ValueError):
         ps.dispersion(fig4, "adjacency", ps.KGrid(2, 8))
@@ -223,7 +241,7 @@ def test_complex_coefficients_are_not_mirrored(monkeypatch, sweep):
         sweep(ps.builtin_graph("zd(1)"), "adjacency", ps.KGrid(1, 8))
 
 
-def test_band_structure_memory_is_half_the_table():
+def test_band_structure_memory_is_half_the_table(monkeypatch):
     # An 8-vertex ring with loops: the full (npts, nu) table would take 10 MB, and
     # the table plus a scratch array of its size in _flat_candidates would be 2x.
     labels = [f"v{i}" for i in range(8)]
@@ -231,10 +249,11 @@ def test_band_structure_memory_is_half_the_table():
     edges += [(labels[i], labels[i], (1, i % 3 - 1)) for i in range(0, 8, 2)]
     graph = ps.build_graph(2, labels, edges, {lab: 0.1 * i for i, lab in enumerate(labels)})
     table_bytes = 400**2 * 8 * 8
+    monkeypatch.setenv("PERIODIC_SPECTRA_THREADS", "1")
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        table = ps.band_structure(graph, "schrodinger", ps.KGrid(2, 400), workers=1)
+        table = ps.band_structure(graph, "schrodinger", ps.KGrid(2, 400))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

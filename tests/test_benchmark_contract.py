@@ -1,0 +1,66 @@
+"""The benchmark's hold on the library: every name perfbench wraps, and every argument it counts.
+
+``perfbench/spans.py`` wraps library functions by module and name and binds
+some of their arguments in its counters; ``perfbench/run.py`` warms every
+layer up and records the worker budget.  This test loads both files as they
+are, installs the tracer, drives every wrapped layer once and uninstalls it.
+A wrapped function that is renamed or removed, or a counted argument that
+goes, fails here instead of in a benchmark run.
+"""
+
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import periodic_spectra as ps
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Arguments that the counters of perfbench/spans.py read from each call.
+COUNTED_ARGUMENTS = {
+    "fiber_eigenvalues_grid": {"matrix", "points", "workers"},
+    "count_walks": {"graph", "n"},
+    "weighted_walk_sums": {"graph", "n"},
+    "normalized_walk_sums": {"graph", "n"},
+    "minimize_bridges": {"graph"},
+}
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_layer_is_reached_and_counted(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spans, run = load("spans"), load("run")
+    assert set(spans.COUNTERS) == set(COUNTED_ARGUMENTS)
+    for module, attr, _ in spans.TARGETS:
+        leaf = attr.split(".")[-1]
+        if leaf in COUNTED_ARGUMENTS:
+            params = inspect.signature(getattr(getattr(ps, module), attr)).parameters
+            assert COUNTED_ARGUMENTS[leaf] <= set(params), attr
+
+    originals = {name: getattr(ps, name) for name in COUNTED_ARGUMENTS}
+    tracer = spans.Tracer()
+    tracer.install(ps)
+    try:
+        run.warm_up(ps)
+        kagome = ps.builtin_graph("kagome")
+        ps.power_band_structure(kagome, "adjacency", 2, ps.KGrid(2, 4))
+        for view in (ps.count_walks, ps.weighted_walk_sums, ps.normalized_walk_sums):
+            ps.classify(view(kagome, 2))
+        ps.minimize_bridges(kagome)
+        environment = run.environment(ps)
+    finally:
+        tracer.uninstall()
+
+    assert {name: getattr(ps, name) for name in COUNTED_ARGUMENTS} == originals
+    assert {span.name for span in tracer.spans} >= {name for _, _, name in spans.TARGETS} | {"operators.eigvalsh"}
+    for key in ("operators.kpoints", "operators.stack_bytes", "walks.steps", "graphs.gauge_calls"):
+        assert tracer.counts[key] > 0, key
+    assert tracer.maxes["operators.workers"] >= 1
+    assert environment["library_workers"] == ps.operators.worker_count()

@@ -127,6 +127,19 @@ def test_bands_json_and_dispersion(runner, tmp_path):
     assert "\r" not in disp.read_text()
 
 
+def test_bands_without_dump_never_expands_the_table(runner, monkeypatch, tmp_path):
+    args = ["bands", "--builtin", "kagome", "--operator", "schrodinger", "--grid", "12", "--format", "json"]
+    with_dump = invoke(runner, *args, "--dispersion-out", str(tmp_path / "disp.csv"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bands.dispersion called without --dispersion-out")
+
+    monkeypatch.setattr(ps.bands, "dispersion", refuse)
+    without = invoke(runner, *args)
+    assert without.exit_code == with_dump.exit_code == 0
+    assert without.stdout == with_dump.stdout
+
+
 def test_byte_identical_reruns(runner):
     args = ["bounds", "--builtin", "kagome", "--operator", "laplacian", "--format", "json"]
     first = invoke(runner, *args).output
@@ -338,6 +351,33 @@ def test_trace_residual_failure_exits_2_after_output(runner, monkeypatch):
     assert "trace residual" in result.stderr
 
 
+def test_trace_check_is_relative_to_trace_scale(runner, monkeypatch):
+    # kagome adjacency at n = 3: the trace scale is 3 * 4^3 = 192, so the limit is 1.92e-7
+    from periodic_spectra import cli as cli_mod
+
+    exact = ps.walk_sums_for_kind
+
+    def shifted(offset):
+        def sums(graph, kind, n):
+            counts = exact(graph, kind, n)
+            if n != 3:
+                return counts
+            by_index = {**counts.by_index, (0, 0): counts.value((0, 0)) + offset}
+            return ps.WalkClassCounts(n, counts.mode, counts.dim, by_index)
+
+        return sums
+
+    args = ["traces", "--builtin", "kagome", "--operator", "adjacency", "--n-max", "3"]
+    monkeypatch.setattr(cli_mod, "walk_sums_for_kind", shifted(1.5e-7))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.stderr
+    monkeypatch.setattr(cli_mod, "walk_sums_for_kind", shifted(2.5e-7))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "n=3 coeff_residual=2.500e-07 " in result.stdout
+    assert result.stderr.startswith("error: trace residual 2.500e-07 exceeds")
+
+
 def test_trace_coefficient_mismatch_is_a_row_and_exit_2(runner, monkeypatch):
     from periodic_spectra import cli as cli_mod
 
@@ -365,9 +405,9 @@ def test_walks_enumerated_once_per_length(runner, monkeypatch, verb, kind, per_n
     calls = []
     walk_sums = walks._walk_sums
 
-    def counted(graph, n, mode, normalize):
+    def counted(graph, n, mode):
         calls.append((n, mode))
-        return walk_sums(graph, n, mode, normalize)
+        return walk_sums(graph, n, mode)
 
     monkeypatch.setattr(walks, "_walk_sums", counted)
     result = invoke(runner, verb, "--builtin", "kagome", "--operator", kind, "--n-max", "3")

@@ -11,7 +11,7 @@ import pytest
 import periodic_spectra as ps
 from periodic_spectra.errors import GraphFormatError, HermiticityError
 
-from conftest import BUILTIN_NAMES, eigenvalues, evaluate_fiber, numeric_fiber, schrodinger_shift
+from conftest import BUILTIN_NAMES, eigenvalues, evaluate_fiber, numeric_fiber, random_graph, schrodinger_shift
 
 RNG = np.random.default_rng(2024)
 
@@ -171,14 +171,57 @@ def test_normalized_kind_rejects_isolated_vertex():
         ps.symbolic_operator(lonely, "transition")
 
 
+def _operator_identity_inputs(fig4):
+    yield fig4.with_potential([0.3, -1.2, 0.5, 2.0])
+    for name in BUILTIN_NAMES:
+        g = ps.builtin_graph(name)
+        yield g.with_potential(list(RNG.uniform(-2, 2, g.num_vertices)))
+    yield from (random_graph(seed) for seed in range(10))
+
+
 def test_schrodinger_equals_minus_laplacian_plus_potential(fig4):
-    g = fig4.with_potential([0.3, -1.2, 0.5, 2.0])
-    ham = ps.symbolic_operator(g, "schrodinger")
-    lap = ps.symbolic_operator(g, "laplacian")
-    for _ in range(3):
-        k = RNG.uniform(0, 2 * np.pi, 1)
-        expect = -lap.eval(k) + np.diag(g.potential)
-        assert np.abs(ham.eval(k) - expect).max() < 1e-12
+    # Each kind is assembled on its own; these identities tie the kinds together.
+    for g in _operator_identity_inputs(fig4):
+        lap = ps.symbolic_operator(g, "laplacian")
+        for normalize in (False, True):
+            ham = ps.symbolic_operator(g, "schrodinger", normalize_potential=normalize)
+            shift = schrodinger_shift(g) if normalize else 0.0
+            for i in range(g.num_vertices):
+                for j in range(g.num_vertices):
+                    expect = -lap.entries[i][j]
+                    if i == j:
+                        expect = expect + ps.LaurentPoly.constant(g.dim, g.potential[i] - shift)
+                    assert ham.entries[i][j].max_diff(expect) <= 1e-12
+        ham = ps.symbolic_operator(g, "schrodinger")
+        for _ in range(3):
+            k = RNG.uniform(0, 2 * np.pi, g.dim)
+            expect = -lap.eval(k) + np.diag(g.potential)
+            assert np.abs(ham.eval(k) - expect).max() < 1e-12
+
+
+def test_normalized_laplacian_equals_identity_minus_transition(fig4):
+    for g in _operator_identity_inputs(fig4):
+        nor = ps.symbolic_operator(g, "normalized_laplacian")
+        trans = ps.symbolic_operator(g, "transition")
+        for i in range(g.num_vertices):
+            for j in range(g.num_vertices):
+                expect = ps.LaurentPoly.constant(g.dim, float(i == j)) - trans.entries[i][j]
+                assert nor.entries[i][j].max_diff(expect) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ps.OPERATOR_KINDS)
+def test_each_kind_is_assembled_once(monkeypatch, kind):
+    # One pass over the edges: no kind is built from another kind.
+    calls = []
+    original = ps.operators.symbolic_operator
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ps.operators, "symbolic_operator", spy)
+    spy(ps.builtin_graph("fig4_chain").with_potential([0.3, -1.2, 0.5, 2.0]), kind)
+    assert calls == [kind]
 
 
 def test_worker_env_variable(monkeypatch, kagome):
@@ -286,14 +329,15 @@ def test_nonhermitian_chunk_past_the_first_raises(workers):
     assert ps.fiber_eigenvalues_grid(bad, points[:-1], workers=workers).shape == (5 * step + 2, 2)
 
 
-def test_sweep_memory_is_bounded_by_chunks():
+def test_sweep_memory_is_bounded_by_chunks(monkeypatch):
     graph = ring_quotient(16, 3, 7)
     grid = ps.KGrid(3, 24)
     stack_bytes = len(grid.points) * 16 * 16 * 16
+    monkeypatch.setenv("PERIODIC_SPECTRA_THREADS", "2")
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        table = ps.band_structure(graph, "laplacian", grid, workers=2)
+        table = ps.band_structure(graph, "laplacian", grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

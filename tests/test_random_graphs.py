@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import periodic_spectra as ps
 
 from conftest import (
+    assert_trace_matches_walks,
     assert_walk_classes_match,
     box_min_bridges,
     numeric_fiber,
@@ -36,7 +37,7 @@ def test_random_graph_dual_engines(seed):
     g = random_graph(seed)
     for kind in ("adjacency", "schrodinger", "transition"):
         for n in (1, 2, 3):
-            ps.trace_series(g, kind, n)  # raises EngineMismatchError on drift
+            assert_trace_matches_walks(g, kind, n)
     assert_walk_classes_match(g, 4)
 
 
