@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -227,22 +228,26 @@ def format_12g(value: float) -> str:
     return FLOAT_12G % float(value)
 
 
-# Rows that dispersion_csv formats at a time.
+# Rows that dispersion_csv_blocks formats at a time.
 CSV_BLOCK_ROWS = 1 << 14
 
 
-def dispersion_csv(points: np.ndarray, lam: np.ndarray) -> str:
-    """One row per grid point: quasimomentum components then the eigenvalues.
+def dispersion_csv_blocks(points: np.ndarray, lam: np.ndarray) -> Iterator[str]:
+    """The text of :func:`dispersion_csv` in pieces: the header line, then
+    :data:`CSV_BLOCK_ROWS` rows at a time, each piece ending with a newline.
 
-    Rows are formatted :data:`CSV_BLOCK_ROWS` at a time, never all at once.
+    A writer that takes each piece as it comes holds one block, never the
+    whole text.
     """
     dim = points.shape[1]
     header = [f"k{s + 1}" for s in range(dim)] + [f"lambda{j + 1}" for j in range(lam.shape[1])]
-    row = ",".join([FLOAT_12G] * len(header))
-    blocks = [",".join(header)]
+    row = ",".join([FLOAT_12G] * len(header)) + "\n"
+    yield ",".join(header) + "\n"
     for start in range(0, len(points), CSV_BLOCK_ROWS):
         block = slice(start, start + CSV_BLOCK_ROWS)
-        blocks.append("\n".join(row % tuple(values) for values in np.hstack([points[block], lam[block]]).tolist()))
-    # An empty last block ends the text with a newline, without one more copy of the text.
-    blocks.append("")
-    return "\n".join(blocks)
+        yield "".join(row % tuple(values) for values in np.hstack([points[block], lam[block]]).tolist())
+
+
+def dispersion_csv(points: np.ndarray, lam: np.ndarray) -> str:
+    """One row per grid point: quasimomentum components then the eigenvalues."""
+    return "".join(dispersion_csv_blocks(points, lam))

@@ -21,6 +21,7 @@ import dataclasses
 import io
 import json
 import sys
+from typing import Iterable
 
 import click
 import numpy as np
@@ -86,9 +87,10 @@ def _json_string(obj) -> str:
     return json.dumps(str(obj), ensure_ascii=False)
 
 
-def _write(path: str, text: str):
+def _write(path: str, pieces: Iterable[str]):
+    """Write ``pieces`` to ``path`` one after another, as they are produced."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+        handle.writelines(pieces)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,7 +150,7 @@ def _verb(*options):
                 graph = builtin_graph(builtin) if builtin is not None else load_graph(graph_file)
                 output = fn(graph, **kwargs)
                 if out_path:
-                    _write(out_path, output.render(fmt))
+                    _write(out_path, [output.render(fmt)])
                 else:
                     click.echo(output.render(fmt), nl=False)
                 if output.failure:
@@ -215,7 +217,7 @@ def bands(graph: FundamentalGraph, kind: str, grid_n: int, dispersion_out: str |
         # Only the dump needs the full table; the band table is the same either way.
         points, lam = bands_mod.dispersion(graph, kind, grid)
         table = bands_mod.table_from_eigenvalues(kind, grid, lam)
-        _write(dispersion_out, bands_mod.dispersion_csv(points, lam))
+        _write(dispersion_out, bands_mod.dispersion_csv_blocks(points, lam))
     else:
         table = bands_mod.band_structure(graph, kind, grid)
     doc = {

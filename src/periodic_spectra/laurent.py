@@ -211,12 +211,12 @@ class LaurentMatrix:
         """Stack of fiber matrices, shape (npts, size, size).
 
         ``exp(i<m, k>)`` is computed once for each distinct frequency m of the
-        whole matrix, and every entry sums its columns of that phase table.
-        ``<m, k>`` is summed term by term in axis order, so its bits do not
-        depend on the BLAS kernel.  Where every product ``m_s k_s`` is exact
-        (all ``|m_s| <= 2``, as in every graph with unit edge indices) the
-        stack equals :meth:`LaurentPoly.eval_grid` of each entry bit for bit;
-        otherwise the two can differ in the last bits of ``<m, k>``.
+        whole matrix, one contiguous row of the phase table per frequency.
+        ``<m, k>`` is summed term by term in axis order, and each entry sums
+        ``c * exp(i<m, k>)`` term by term in sorted-frequency order.  No BLAS
+        call is made, so the bits of every entry at a point depend neither on
+        the other points of the call nor on the BLAS kernel, for any frequency
+        range.
         """
         points = np.asarray(points, dtype=float)
         out = np.zeros((points.shape[0], self.size, self.size), dtype=complex)
@@ -229,14 +229,16 @@ class LaurentMatrix:
         freqs = sorted({m for _, _, items in terms for m, _ in items})
         column = {m: c for c, m in enumerate(freqs)}
         table = np.array(freqs, dtype=float).reshape(len(freqs), self.dim)
-        angles = points[:, 0, None] * table[:, 0]
+        angles = table[:, 0, None] * points[:, 0]
         for s in range(1, self.dim):
-            angles += points[:, s, None] * table[:, s]
+            angles += table[:, s, None] * points[:, s]
         phases = np.exp(1j * angles)
         for i, j, items in terms:
-            # Fancy indexing returns Fortran-ordered columns, on which @ rounds differently.
-            cols = np.ascontiguousarray(phases[:, [column[m] for m, _ in items]])
-            out[:, i, j] = cols @ np.array([c for _, c in items], dtype=complex)
+            (m, c), *rest = items
+            acc = c * phases[column[m]]
+            for m, c in rest:
+                acc += c * phases[column[m]]
+            out[:, i, j] = acc
         return out
 
     def max_abs_frequency(self) -> int:

@@ -83,7 +83,11 @@ def symbolic_operator(
 
 
 def worker_count(workers: int | None = None) -> int:
-    """Worker budget: explicit argument, else PERIODIC_SPECTRA_THREADS, else CPUs."""
+    """Worker budget: explicit argument, else PERIODIC_SPECTRA_THREADS, else usable CPUs.
+
+    Usable CPUs are those this process may run on (its affinity mask, which
+    ``taskset`` and cpusets narrow), where the platform reports them.
+    """
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get("PERIODIC_SPECTRA_THREADS")
@@ -92,6 +96,8 @@ def worker_count(workers: int | None = None) -> int:
             return max(1, int(env))
         except ValueError:
             pass
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

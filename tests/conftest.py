@@ -12,6 +12,8 @@ walk sums, the comparison the ``traces`` verb makes.
 ``random_graph`` builds seeded random connected quotients.
 ``evaluate_fiber``, ``eigenvalues``, ``hermiticity_defect`` and
 ``is_real_on_torus`` evaluate and check single fibers and symbolic entries.
+``eval_entries_termwise`` evaluates a symbolic matrix one entry and one term
+at a time, the reference for the bits of ``LaurentMatrix.eval_grid``.
 """
 
 import itertools
@@ -91,6 +93,28 @@ def hermiticity_defect(matrix):
 def is_real_on_torus(poly, tol=1e-12):
     """True when the polynomial equals its torus conjugate, so it is real at every k."""
     return poly.max_diff(poly.conj_reflect()) <= tol
+
+
+def eval_entries_termwise(matrix, points):
+    """Stack of ``matrix`` at ``points``, each entry summed on its own, term by term.
+
+    Per term, ``<m, k>`` is summed in axis order and ``c * exp(i<m, k>)`` is
+    added in sorted-frequency order, with plain numpy and no ``@``.
+    """
+    points = np.asarray(points, dtype=float)
+    stack = np.zeros((len(points), matrix.size, matrix.size), dtype=complex)
+    for i, row in enumerate(matrix.entries):
+        for j, poly in enumerate(row):
+            acc = None
+            for m, c in sorted(poly.coeffs.items()):
+                angle = points[:, 0] * m[0]
+                for s in range(1, len(m)):
+                    angle = angle + points[:, s] * m[s]
+                term = c * np.exp(1j * angle)
+                acc = term if acc is None else acc + term
+            if acc is not None:
+                stack[:, i, j] = acc
+    return stack
 
 
 def box_min_bridges(graph, radius):

@@ -5,11 +5,15 @@ some of their arguments in its counters; ``perfbench/run.py`` warms every
 layer up and records the worker budget.  This test loads both files as they
 are, installs the tracer, drives every wrapped layer once and uninstalls it.
 A wrapped function that is renamed or removed, or a counted argument that
-goes, fails here instead of in a benchmark run.
+goes, fails here instead of in a benchmark run.  Every traced run also
+checks one CLI process, ``run.TRACE_PROBE``, byte for byte against
+``perfbench/golden/cli.json``; a library change that moves those bytes fails
+here instead of failing one job in every traced run.
 """
 
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -64,3 +68,15 @@ def test_every_wrapped_layer_is_reached_and_counted(monkeypatch):
         assert tracer.counts[key] > 0, key
     assert tracer.maxes["operators.workers"] >= 1
     assert environment["library_workers"] == ps.operators.worker_count()
+
+
+def test_traced_probe_matches_its_recorded_output(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    run = load("run")
+    recorded = json.loads((PERFBENCH / "golden" / "cli.json").read_text())
+    want = next(entry for entry in recorded if tuple(entry["args"]) == run.TRACE_PROBE)
+    out = run.run_cli(run.TRACE_PROBE, tmp_path / "probe", traced=True)
+    assert out["exit_code"] == want["exit_code"]
+    assert out["stdout"] == want["stdout"].encode("utf-8")
+    assert out["files"] == want["files"]

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -138,6 +139,28 @@ def test_bands_without_dump_never_expands_the_table(runner, monkeypatch, tmp_pat
     without = invoke(runner, *args)
     assert without.exit_code == with_dump.exit_code == 0
     assert without.stdout == with_dump.stdout
+
+
+def test_bands_dump_streams_to_the_file(runner, monkeypatch, tmp_path):
+    # The table is swept beforehand, so the traced peak is the band reduction's
+    # scratch copy of the table plus the text held at once by the dump.
+    points, lam = ps.dispersion(ps.builtin_graph("kagome"), "laplacian", ps.KGrid(2, 300))
+    monkeypatch.setattr(ps.bands, "dispersion", lambda *args: (points, lam))
+    monkeypatch.setattr(ps.bands, "CSV_BLOCK_ROWS", 1024)
+    disp = tmp_path / "disp.csv"
+    tracemalloc.start()
+    try:
+        result = invoke(
+            runner, "bands", "--builtin", "kagome", "--operator", "laplacian",
+            "--grid", "300", "--dispersion-out", str(disp),
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0
+    assert disp.read_bytes() == ps.bands.dispersion_csv(points, lam).encode()
+    # Holding the whole text once would exceed the file's size.
+    assert peak < disp.stat().st_size
 
 
 def test_byte_identical_reruns(runner):

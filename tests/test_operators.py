@@ -11,7 +11,15 @@ import pytest
 import periodic_spectra as ps
 from periodic_spectra.errors import GraphFormatError, HermiticityError
 
-from conftest import BUILTIN_NAMES, eigenvalues, evaluate_fiber, numeric_fiber, random_graph, schrodinger_shift
+from conftest import (
+    BUILTIN_NAMES,
+    eigenvalues,
+    eval_entries_termwise,
+    evaluate_fiber,
+    numeric_fiber,
+    random_graph,
+    schrodinger_shift,
+)
 
 RNG = np.random.default_rng(2024)
 
@@ -233,29 +241,34 @@ def test_worker_env_variable(monkeypatch, kagome):
     assert np.array_equal(base, multi)
 
 
-def ring_quotient(nu: int, dim: int, seed: int) -> ps.FundamentalGraph:
-    """A ring of ``nu`` vertices with ``dim`` random loops each, unit indices and a potential."""
+def test_worker_count_is_usable_cpus(monkeypatch):
+    monkeypatch.delenv("PERIODIC_SPECTRA_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert ps.operators.worker_count() == 1
+    assert ps.operators.worker_count(3) == 3
+    monkeypatch.setenv("PERIODIC_SPECTRA_THREADS", "4")
+    assert ps.operators.worker_count() == 4
+    assert ps.operators.worker_count(2) == 2
+
+
+def ring_quotient(nu: int, dim: int, seed: int, reach: int = 1) -> ps.FundamentalGraph:
+    """A ring of ``nu`` vertices with ``dim`` random loops each and a potential.
+
+    Index components are drawn from [-reach, reach]; vertex 0 also carries
+    one unit loop per lattice direction.
+    """
     rng = np.random.default_rng(seed)
     labels = [f"v{i}" for i in range(nu)]
 
     def index():
-        return tuple(int(x) for x in rng.integers(-1, 2, dim))
+        return tuple(int(x) for x in rng.integers(-reach, reach + 1, dim))
 
     edges = [(labels[i], labels[(i + 1) % nu], index()) for i in range(nu)]
     edges += [(labels[0], labels[0], tuple(int(s == t) for t in range(dim))) for s in range(dim)]
     edges += [(labels[v], labels[v], index()) for v in range(1, nu) for _ in range(dim)]
     edges = [e for e in edges if e[0] != e[1] or any(e[2])]
     return ps.build_graph(dim, labels, edges, dict(zip(labels, rng.uniform(-1, 1, nu))))
-
-
-def entrywise_eigenvalues(matrix, points):
-    """Each entry evaluated on its own by LaurentPoly.eval_grid, then one eigvalsh."""
-    stack = np.zeros((len(points), matrix.size, matrix.size), dtype=complex)
-    for i, row in enumerate(matrix.entries):
-        for j, poly in enumerate(row):
-            if poly.coeffs:
-                stack[:, i, j] = poly.eval_grid(points)
-    return np.linalg.eigvalsh(stack)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -276,7 +289,27 @@ def test_streamed_sweep_is_bitwise_entrywise(graph, kind, grid_n, workers):
     assert len(points) > step and len(points) % step
     lam = ps.fiber_eigenvalues_grid(matrix, points, workers=workers)
     assert lam.shape == (len(points), matrix.size)
-    assert lam.tobytes() == entrywise_eigenvalues(matrix, points).tobytes()
+    assert lam.tobytes() == np.linalg.eigvalsh(eval_entries_termwise(matrix, points)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "graph, kind",
+    [
+        (ring_quotient(10, 2, 5), "schrodinger"),
+        (ring_quotient(12, 3, 6), "normalized_laplacian"),
+        (ring_quotient(7, 2, 8, reach=5), "schrodinger"),
+    ],
+    ids=["ring10", "ring12", "reach5"],
+)
+def test_eval_grid_is_split_invariant(graph, kind):
+    matrix = ps.symbolic_operator(graph, kind)
+    points = np.random.default_rng(11).uniform(0, 2 * np.pi, (97, graph.dim))
+    stack = matrix.eval_grid(points)
+    assert stack.tobytes() == eval_entries_termwise(matrix, points).tobytes()
+    assert stack.tobytes() == np.concatenate([matrix.eval_grid(k[None]) for k in points]).tobytes()
+    assert stack.tobytes() == matrix.eval_grid(points[::-1])[::-1].tobytes()
+    for k, fiber in zip(points, stack):
+        np.testing.assert_allclose(fiber, numeric_fiber(graph, kind, k), rtol=0, atol=1e-12)
 
 
 def within(seconds, fn, *args, **kwargs):
