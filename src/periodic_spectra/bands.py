@@ -8,10 +8,18 @@ flat level running through the middle of a dispersive band splits across two
 sorted bands, whose widths are both nonzero).
 
 Every fiber operator has real coefficients, so M(-k) = conj M(k) and the
-eigenvalues at -k equal those at k.  A sweep therefore solves one point of
-each pair {k, -k mod 2*pi} (:attr:`KGrid.half`); :func:`dispersion` copies
-each solved row to its mirror, so its rows at k and -k are equal bit for bit,
-and the band tables reduce the solved half alone.
+eigenvalues at -k equal those at k.  A sweep therefore solves at most one
+point of each pair {k, -k mod 2*pi} (:attr:`KGrid.half`); :func:`dispersion`
+solves the whole half and copies each solved row to its mirror, so its rows
+at k and -k are equal bit for bit.
+
+Band tables solve only the points that can still set a reported number.
+Each sorted eigenvalue is Lipschitz in k (Weyl's inequality), so a point
+whose eigenvalues provably lie inside every current band and within every
+flat candidate's current residual can neither move a band edge nor raise a
+residual; it is never evaluated.  The solved rows contain every extreme of
+the full sweep, so every number of the table is the full sweep's, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -24,9 +32,18 @@ import numpy as np
 
 from .errors import EngineMismatchError
 from .graphs import FundamentalGraph
-from .operators import fiber_eigenvalues_grid, symbolic_operator
+from .laurent import LaurentMatrix
+from .operators import HERMITICITY_TOL, fiber_eigenvalues_grid, symbolic_operator
 
 DEFAULT_GRID_N = 64
+
+# The pruned solve starts on the sub-lattice of the largest power of two up to
+# this stride that divides the grid size, then halves the stride level by level.
+TOP_STRIDE = 8
+
+# Bytes of eigenvalues that the pruned solve asks fiber_eigenvalues_grid for at
+# once, and that one block of its skip test gathers; bounds its temporaries.
+BATCH_BYTES = 1 << 20
 
 
 def default_flat_tol(value: float) -> float:
@@ -37,7 +54,7 @@ def default_flat_tol(value: float) -> float:
 class KGrid:
     """Uniform grid 2*pi*m/n on the torus; n even so both 0 and pi*(1,..,1) appear.
 
-    The grid is closed under k -> -k mod 2*pi.  Sweeps solve only
+    The grid is closed under k -> -k mod 2*pi.  Sweeps solve at most
     :attr:`half`, one point of each such pair; :func:`dispersion` fills the
     row of -k with a copy of the eigenvalues solved at k.
     """
@@ -111,17 +128,21 @@ class BandTable:
 def dispersion(graph: FundamentalGraph, kind: str, grid: KGrid | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Grid points and sorted fiber eigenvalues, shapes (npts, d) and (npts, nu).
 
-    Only one point of each pair {k, -k} is solved; the rows at k and -k mod
-    2*pi are copies of the same eigenvalues.  The full table is twice the
-    memory of the solved half that :func:`band_structure` reduces, so call
-    this only when every row is needed (a dispersion dump).
+    Every point of ``grid.half`` is solved; the rows at k and -k mod 2*pi are
+    copies of the same eigenvalues.  The full table is twice the memory of
+    the solved half, so call this only when every row is needed.
     """
     grid = grid or KGrid(graph.dim)
-    return grid.points, _solve_half(graph, kind, grid)[grid.half[1]]
+    return grid.points, solve_half(graph, kind, grid)[grid.half[1]]
 
 
-def _solve_half(graph: FundamentalGraph, kind: str, grid: KGrid) -> np.ndarray:
-    """Sorted fiber eigenvalues at the points of ``grid.half``, shape (npts_half, nu).
+def solve_half(graph: FundamentalGraph, kind: str, grid: KGrid) -> np.ndarray:
+    """Sorted fiber eigenvalues at every point of ``grid.half``, shape (npts_half, nu)."""
+    return fiber_eigenvalues_grid(_fiber_operator(graph, kind, grid), grid.half[0])
+
+
+def _fiber_operator(graph: FundamentalGraph, kind: str, grid: KGrid) -> LaurentMatrix:
+    """The fiber operator of a sweep over ``grid``.
 
     The pairing holds only for real coefficients, where M(-k) = conj M(k) has
     the spectrum of M(k) (and is Hermitian when M(k) is); a complex
@@ -132,21 +153,79 @@ def _solve_half(graph: FundamentalGraph, kind: str, grid: KGrid) -> np.ndarray:
     matrix = symbolic_operator(graph, kind)
     if any(c.imag != 0 for row in matrix.entries for p in row for c in p.coeffs.values()):
         raise EngineMismatchError("fiber operator has complex coefficients; eigenvalues at k and -k may differ")
-    return fiber_eigenvalues_grid(matrix, grid.half[0])
+    return matrix
 
 
-def _flat_candidates(lam: np.ndarray) -> tuple[tuple[float, float], ...]:
+def _operator_bounds(matrix: LaurentMatrix) -> tuple[float, float, bool]:
+    """``(L, rho, exact)``: bounds that hold for the fiber at every k.
+
+    Entry (i, j) weighs ``sum_m |c| * ||m||_1`` for ``L`` and ``sum_m |c|``
+    for ``rho``, or the weight of entry (j, i) if that is larger, so the
+    bounds hold for the Hermitian matrix of either triangle, the one that
+    ``eigvalsh`` reads.  The largest row sum of the weights bounds the
+    infinity norm, hence the 2-norm, of a Hermitian matrix, so
+    ``||M(k) - M(k')||_2 <= L * ||k - k'||_inf`` on the torus and
+    ``||M(k)||_2 <= rho``.
+
+    ``exact`` holds when no evaluated fiber can read a Hermiticity defect
+    above ``HERMITICITY_TOL``.  ``sum_m |c_ij(m) - conj c_ji(-m)|`` bounds
+    the defect of entry (i, j) at every k, and ``noise`` bounds what
+    ``LaurentMatrix.eval_grid`` adds to each entry by rounding: the phase
+    ``<m, k>`` (|k_s| < 2*pi, summed over ``dim`` axes), ``exp``, the product
+    with c and the running sum of the entry's terms.  Their total must stay
+    under half the tolerance, which absorbs the rounding of the check itself.
+    """
+    size = matrix.size
+    slope, norm = np.zeros((size, size)), np.zeros((size, size))
+    defect, noise = np.zeros((size, size)), np.zeros((size, size))
+    eps = np.finfo(float).eps
+    for i, row in enumerate(matrix.entries):
+        for j, poly in enumerate(row):
+            if not poly.coeffs:
+                continue
+            slope[i, j] = sum(abs(c) * sum(map(abs, m)) for m, c in poly.coeffs.items())
+            norm[i, j] = sum(map(abs, poly.coeffs.values()))
+            noise[i, j] = eps * sum(
+                abs(c) * (np.pi * (matrix.dim + 1) * sum(map(abs, m)) + len(poly.coeffs) + 2)
+                for m, c in poly.coeffs.items()
+            )
+            mirror = {tuple(-v for v in m): c.conjugate() for m, c in matrix.entries[j][i].coeffs.items()}
+            defect[i, j] = sum(abs(poly.coeffs.get(m, 0) - mirror.get(m, 0)) for m in poly.coeffs.keys() | mirror.keys())
+    lip = float(np.maximum(slope, slope.T).sum(axis=1).max())
+    rho = float(np.maximum(norm, norm.T).sum(axis=1).max())
+    exact = bool((defect + noise + noise.T <= HERMITICITY_TOL / 2).all())  # a NaN defect fails too
+    return lip, rho, exact
+
+
+def _candidate_values(at_zero: np.ndarray) -> list[float]:
     # Any flat level is present at k = 0, so its eigenvalues are the candidates.
-    at_zero = lam[0]
     candidates: list[float] = []
     for value in at_zero:
         if candidates and abs(value - candidates[-1]) <= default_flat_tol(value):
             continue
         candidates.append(float(value))
+    return candidates
+
+
+def _levels(points: np.ndarray, h: float, top: int) -> np.ndarray:
+    """Per point, the largest power of two up to ``top`` that divides every grid coordinate."""
+    bits = np.full(len(points), top, dtype=np.intp)
+    # Integer grid coordinates, exact: every angle is 2*pi*m/n.
+    for column in np.rint(points / h).astype(np.intp).T:
+        bits |= column
+    return (bits & -bits).astype(np.uint8)
+
+
+def _residual(columns: np.ndarray, value: float) -> float:
+    """Worst distance over the columns of eigenvalues from ``value`` to the nearest eigenvalue."""
+    return float(np.abs(columns - value).min(axis=0).max())
+
+
+def _flat_candidates(lam: np.ndarray) -> tuple[tuple[float, float], ...]:
     out = []
     # One scratch array for every candidate: the eigenvalue table is the sweep's largest array.
     distance = np.empty_like(lam)
-    for value in candidates:
+    for value in _candidate_values(lam[0]):
         np.abs(np.subtract(lam, value, out=distance), out=distance)
         out.append((value, float(distance.min(axis=1).max())))
     return tuple(out)
@@ -162,10 +241,119 @@ def table_from_eigenvalues(kind: str, grid: KGrid, lam: np.ndarray) -> BandTable
     return BandTable(kind, grid.points_per_dim, bands, _flat_candidates(lam))
 
 
+def _pruned_rows(graph: FundamentalGraph, kind: str, grid: KGrid, power: int = 1) -> np.ndarray:
+    """The rows of ``grid.half`` that can still set a number of the band table.
+
+    A row holds the sorted fiber eigenvalues at one point, raised to ``power``
+    and re-sorted.  Rows come in solve order, k = 0 first.  Every band's
+    min and max and every flat candidate's residual over the returned rows
+    equal those over the whole half, bit for bit.
+
+    The stride-``top`` sub-lattice is solved first, then the stride halves
+    level by level.  A new point at stride s takes the row of its parent
+    (each coordinate rounded to the nearest multiple of 2s, ties to even) if
+    the parent was solved, else the row the parent took; its radius is the
+    parent's plus s grid steps, a torus distance bound to the point whose row
+    it takes.  Sorted eigenvalues move by at most ``L_n * h`` per step of
+    ``h = 2*pi/n``, with ``L_n = n * rho**(n-1) * L`` (``|x**n - y**n| <=
+    n * rho**(n-1) * |x - y|`` on the spectrum, and sorting is 1-Lipschitz
+    in the infinity norm).  The point is solved unless every value within
+    ``L_n * h * radius + margin`` of its row stays inside every current band
+    and within every candidate's current residual; the margin
+    ``1e-12 * (1 + n * rho**n)`` covers the rounding of both solves.  The
+    extremes only grow as points are solved, so a skipped point stays inside
+    the final ones.
+
+    A skip needs ``L_n * h * radius`` below half of every band width and
+    below every residual; once ``L_n * h`` alone is not, no remaining point
+    can be skipped and they are solved without testing.  Skipped points are
+    never evaluated, so the pruning runs only when the coefficients keep the
+    Hermiticity defect every evaluated fiber could read under the tolerance,
+    rounding included (``_operator_bounds``); otherwise the whole half is
+    solved and every fiber is checked.
+    """
+    matrix = _fiber_operator(graph, kind, grid)
+    points, partner = grid.half
+
+    def solve(index) -> np.ndarray:
+        lam = fiber_eigenvalues_grid(matrix, points[index])
+        return lam if power == 1 else np.sort(lam**power, axis=1)
+
+    lip, rho, exact = _operator_bounds(matrix)
+    if not exact:
+        return solve(slice(None))
+    n, npts = grid.points_per_dim, len(points)
+    h = 2.0 * np.pi / n
+    slope = power * rho ** (power - 1) * lip * h
+    margin = 1e-12 * (1.0 + power * rho**power)
+    batch = max(1, BATCH_BYTES // (8 * matrix.size))
+    top = TOP_STRIDE
+    while n % top:
+        top //= 2
+    level = _levels(points, h, top)
+    # One column per solved point, so the tests below reduce along contiguous rows.
+    solved = np.empty((matrix.size, npts))
+    source = np.empty(npts, dtype=np.intp)  # the column each point takes
+    radius = np.zeros(npts, dtype=np.uint8)  # grid steps to that column's point
+    filled = 0
+
+    def place(index: np.ndarray, widen: bool) -> None:
+        """Solve the points ``index`` into the next columns and, if ``widen``, widen the extremes."""
+        nonlocal filled
+        for start in range(0, len(index), batch):
+            part = index[start : start + batch]
+            got = solved[:, filled : filled + len(part)]
+            got[:] = solve(part).T
+            source[part] = np.arange(filled, filled + len(part))
+            filled += len(part)
+            if widen:
+                np.minimum(lo, got.min(axis=1), out=lo)
+                np.maximum(hi, got.max(axis=1), out=hi)
+                for c, value in enumerate(values):
+                    residual[c] = max(residual[c], _residual(got, value))
+
+    def unsure(part: np.ndarray, stride: int) -> np.ndarray:
+        """The points of ``part`` (all at ``stride``) that could pass an extreme; the rest take their column."""
+        c = np.rint(points[part] / h).astype(np.intp)
+        q = c // (2 * stride)
+        up = 2 * stride * (q + ((c % (2 * stride) != 0) & (q % 2 == 1))) % n
+        parent = partner[np.ravel_multi_index(tuple(up.T), (n,) * grid.dim)]
+        took, steps = source[parent], radius[parent] + stride
+        near = solved.take(took, axis=1)
+        reach = slope * steps + margin
+        inside = ((near - reach >= lo[:, None]) & (near + reach <= hi[:, None])).all(axis=0)
+        for value, limit in zip(values, residual):
+            inside &= np.abs(near - value).min(axis=0) + reach <= limit
+        source[part[inside]] = took[inside]
+        radius[part[inside]] = steps[inside]
+        return part[~inside]
+
+    place(np.flatnonzero(level == top), widen=False)
+    lo, hi = solved[:, :filled].min(axis=1), solved[:, :filled].max(axis=1)
+    values = _candidate_values(solved[:, 0])
+    residual = np.array([_residual(solved[:, :filled], value) for value in values])
+    stride = top // 2
+    while stride:
+        # Once not even a point one step from its column can be skipped, solve the rest untested.
+        rest = slope + margin > min(((hi - lo) / 2).min(), residual.min())
+        todo: list[np.ndarray] = []
+        for start in range(0, npts, batch):
+            block = level[start : start + batch]
+            part = start + np.flatnonzero(block <= stride if rest else block == stride)
+            todo.append(part if rest else unsure(part, stride))
+            if sum(map(len, todo)) >= batch or start + batch >= npts:
+                place(np.concatenate(todo), widen=not rest)
+                todo = []
+        if rest:
+            break
+        stride //= 2
+    return solved[:, :filled].T
+
+
 def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None) -> BandTable:
-    """Min/max of each sorted eigenvalue curve over the solved half of the grid."""
+    """Min/max of each sorted eigenvalue curve over the grid, from the points that can set them."""
     grid = grid or KGrid(graph.dim)
-    return table_from_eigenvalues(kind, grid, _solve_half(graph, kind, grid))
+    return table_from_eigenvalues(kind, grid, _pruned_rows(graph, kind, grid))
 
 
 def power_band_structure(graph: FundamentalGraph, kind: str, n: int, grid: KGrid | None = None) -> BandTable:
@@ -173,8 +361,7 @@ def power_band_structure(graph: FundamentalGraph, kind: str, n: int, grid: KGrid
     if n < 1:
         raise ValueError("power must be positive")
     grid = grid or KGrid(graph.dim)
-    powered = np.sort(_solve_half(graph, kind, grid) ** n, axis=1)
-    return table_from_eigenvalues(kind, grid, powered)
+    return table_from_eigenvalues(kind, grid, _pruned_rows(graph, kind, grid, n))
 
 
 def total_bandwidth(table: BandTable) -> float:
@@ -232,10 +419,12 @@ def format_12g(value: float) -> str:
 CSV_BLOCK_ROWS = 1 << 14
 
 
-def dispersion_csv_blocks(points: np.ndarray, lam: np.ndarray) -> Iterator[str]:
+def dispersion_csv_blocks(points: np.ndarray, lam: np.ndarray, partner: np.ndarray | None = None) -> Iterator[str]:
     """The text of :func:`dispersion_csv` in pieces: the header line, then
     :data:`CSV_BLOCK_ROWS` rows at a time, each piece ending with a newline.
 
+    With ``partner`` (as from :attr:`KGrid.half`), ``lam`` holds the solved
+    half and point i takes row ``partner[i]``, expanded one block at a time.
     A writer that takes each piece as it comes holds one block, never the
     whole text.
     """
@@ -245,7 +434,8 @@ def dispersion_csv_blocks(points: np.ndarray, lam: np.ndarray) -> Iterator[str]:
     yield ",".join(header) + "\n"
     for start in range(0, len(points), CSV_BLOCK_ROWS):
         block = slice(start, start + CSV_BLOCK_ROWS)
-        yield "".join(row % tuple(values) for values in np.hstack([points[block], lam[block]]).tolist())
+        eigenvalues = lam[block] if partner is None else lam[partner[block]]
+        yield "".join(row % tuple(values) for values in np.hstack([points[block], eigenvalues]).tolist())
 
 
 def dispersion_csv(points: np.ndarray, lam: np.ndarray) -> str:

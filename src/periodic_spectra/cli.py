@@ -214,10 +214,11 @@ def bands(graph: FundamentalGraph, kind: str, grid_n: int, dispersion_out: str |
     """Band table from a torus sweep."""
     grid = bands_mod.KGrid(graph.dim, grid_n)
     if dispersion_out:
-        # Only the dump needs the full table; the band table is the same either way.
-        points, lam = bands_mod.dispersion(graph, kind, grid)
+        # The dump needs every row: solve the whole half once, reduce it, and
+        # expand each row to its mirror one CSV block at a time.
+        lam = bands_mod.solve_half(graph, kind, grid)
         table = bands_mod.table_from_eigenvalues(kind, grid, lam)
-        _write(dispersion_out, bands_mod.dispersion_csv_blocks(points, lam))
+        _write(dispersion_out, bands_mod.dispersion_csv_blocks(grid.points, lam, grid.half[1]))
     else:
         table = bands_mod.band_structure(graph, kind, grid)
     doc = {

@@ -9,7 +9,10 @@ the reference for the package's transfer recursion.
 ``assert_trace_matches_walks`` holds the symbolic trace series to the exact
 walk sums, the comparison the ``traces`` verb makes.
 ``unchecked_graph`` builds quotients the parsers reject (sublattice indices);
-``random_graph`` builds seeded random connected quotients.
+``random_graph`` builds seeded random connected quotients and ``regular_graph``
+seeded regular ones.  ``full_band_table`` is the unpruned sweep, the
+reference for every band table; ``assert_tables_identical`` compares two
+tables bit for bit.
 ``evaluate_fiber``, ``eigenvalues``, ``hermiticity_defect`` and
 ``is_real_on_torus`` evaluate and check single fibers and symbolic entries.
 ``eval_entries_termwise`` evaluates a symbolic matrix one entry and one term
@@ -236,6 +239,53 @@ def random_graph(seed: int, dim: int | None = None) -> ps.FundamentalGraph:
         edges.append((labels[host], labels[host], unit))
     potential = {lab: float(v) for lab, v in zip(labels, rng.uniform(-2, 2, nv))}
     return ps.build_graph(dim, labels, edges, potential)
+
+
+def regular_graph(seed: int, nu: int, dim: int) -> ps.FundamentalGraph:
+    """A seeded (2 + 2d)-regular quotient on ``nu`` vertices with a random potential.
+
+    A random Hamiltonian cycle with indices in [-1, 1]^d, one unit-index loop
+    per lattice direction at vertex 0, and d loops with random nonzero indices
+    at every other vertex: dispersive bands with no flat level.
+    """
+    rng = np.random.default_rng(2000 + seed)
+    labels = [f"v{i}" for i in range(nu)]
+    perm = rng.permutation(nu)
+    edges = [
+        (labels[perm[i]], labels[perm[(i + 1) % nu]], tuple(int(v) for v in rng.integers(-1, 2, dim)))
+        for i in range(nu)
+    ]
+    edges += [(labels[0], labels[0], tuple(int(j == s) for j in range(dim))) for s in range(dim)]
+    for v in range(1, nu):
+        for _ in range(dim):
+            idx = rng.integers(-1, 2, dim)
+            idx[rng.integers(dim)] = 1
+            edges.append((labels[v], labels[v], tuple(int(x) for x in idx)))
+    return ps.build_graph(dim, labels, edges, dict(zip(labels, (float(v) for v in rng.uniform(-1, 1, nu)))))
+
+
+def full_band_table(graph, kind, grid, power=1):
+    """The band table of the unpruned sweep: every point of ``grid.half`` solved.
+
+    With ``power``, each row is raised to it and re-sorted, as
+    ``power_band_structure`` does.
+    """
+    lam = ps.fiber_eigenvalues_grid(ps.symbolic_operator(graph, kind), grid.half[0])
+    if power != 1:
+        lam = np.sort(lam**power, axis=1)
+    return ps.bands.table_from_eigenvalues(kind, grid, lam)
+
+
+def assert_tables_identical(got, want):
+    """Every number of two band tables is equal bit for bit, and so is every flat verdict."""
+    assert (got.kind, got.grid_n) == (want.kind, want.grid_n)
+    for side in ("lo", "hi"):
+        values = [np.array([getattr(b, side) for b in t.bands]) for t in (got, want)]
+        assert values[0].tobytes() == values[1].tobytes(), side
+    assert [b.flat for b in got.bands] == [b.flat for b in want.bands]
+    assert np.array(got.flat_candidates).tobytes() == np.array(want.flat_candidates).tobytes()
+    for tol in (None, 1e-3, 1.0, 10.0):
+        assert ps.flat_bands(got, tol) == ps.flat_bands(want, tol), tol
 
 
 def schrodinger_shift(graph):

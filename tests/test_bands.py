@@ -8,9 +8,10 @@ import pytest
 
 import periodic_spectra as ps
 from periodic_spectra.bands import dispersion_csv, merge_intervals
-from periodic_spectra.errors import EngineMismatchError
+from periodic_spectra.errors import EngineMismatchError, HermiticityError
+from periodic_spectra.operators import HERMITICITY_TOL
 
-from conftest import BUILTIN_NAMES, random_graph
+from conftest import BUILTIN_NAMES, assert_tables_identical, full_band_table, random_graph, regular_graph
 
 RNG = np.random.default_rng(99)
 
@@ -213,22 +214,110 @@ def test_power_band_structure_matches_direct_sweep(kagome):
         assert got.lo == pytest.approx(want.lo, abs=1e-11) and got.hi == pytest.approx(want.hi, abs=1e-11)
 
 
-@pytest.mark.parametrize("dim, n", [(2, 10), (3, 4)])
-def test_sweeps_solve_one_point_of_each_pair(monkeypatch, kagome, dim, n):
-    graph = kagome if dim == 2 else ps.builtin_graph("zd(3)")
+def spy_solved_rows(monkeypatch, grid):
+    """Rows of ``grid.half`` solved by each sweep call, one list per call; a point outside it raises."""
+    row = {point.tobytes(): i for i, point in enumerate(grid.half[0])}
     solved = []
     original = ps.bands.fiber_eigenvalues_grid
 
     def spy(matrix, points, **kwargs):
-        solved.append(len(points))
+        solved[-1].extend(row[point.tobytes()] for point in points)
         return original(matrix, points, **kwargs)
 
     monkeypatch.setattr(ps.bands, "fiber_eigenvalues_grid", spy)
+    return solved
+
+
+@pytest.mark.parametrize("dim, n", [(2, 10), (3, 4)])
+def test_sweeps_solve_one_point_of_each_pair(monkeypatch, kagome, dim, n):
+    graph = kagome if dim == 2 else ps.builtin_graph("zd(3)")
     grid = ps.KGrid(dim, n)
-    ps.band_structure(graph, "laplacian", grid)
-    ps.dispersion(graph, "laplacian", grid)
-    ps.power_band_structure(graph, "laplacian", 2, grid)
-    assert solved == [(n**dim + 2**dim) // 2] * 3
+    solved = spy_solved_rows(monkeypatch, grid)
+    for sweep in (
+        lambda: ps.dispersion(graph, "laplacian", grid),
+        lambda: ps.band_structure(graph, "laplacian", grid),
+        lambda: ps.power_band_structure(graph, "laplacian", 2, grid),
+    ):
+        solved.append([])
+        sweep()
+    assert len(grid.half[0]) == (n**dim + 2**dim) // 2
+    # dispersion solves exactly the half; the band tables a subset of it, no point twice.
+    assert solved[0] == list(range(len(grid.half[0])))
+    for rows in solved[1:]:
+        assert rows[0] == 0 and len(set(rows)) == len(rows)
+
+
+ORACLE_GRAPHS = [pytest.param(ps.builtin_graph(name), id=name) for name in BUILTIN_NAMES] + [
+    pytest.param(random_graph(seed), id=f"random_s{seed}") for seed in range(6)
+]
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 10, 16, 24, 64])
+@pytest.mark.parametrize("graph", ORACLE_GRAPHS)
+def test_pruned_tables_equal_the_full_sweep_bit_for_bit(graph, n):
+    grid = ps.KGrid(graph.dim, n)
+    for kind in ps.OPERATOR_KINDS:
+        assert_tables_identical(ps.band_structure(graph, kind, grid), full_band_table(graph, kind, grid))
+        for power in (2, 3):
+            got = ps.power_band_structure(graph, kind, power, grid)
+            assert_tables_identical(got, full_band_table(graph, kind, grid, power))
+
+
+def test_flat_band_solves_every_point(monkeypatch, kagome):
+    grid = ps.KGrid(2, 400)
+    solved = spy_solved_rows(monkeypatch, grid)
+    solved.append([])
+    ps.band_structure(kagome, "laplacian", grid)
+    assert sorted(solved[0]) == list(range(len(grid.half[0])))
+
+
+def test_dispersive_quotient_solves_under_half_the_points(monkeypatch):
+    graph = regular_graph(0, 8, 2)
+    grid = ps.KGrid(2, 400)
+    solved = spy_solved_rows(monkeypatch, grid)
+    solved.append([])
+    table = ps.band_structure(graph, "schrodinger", grid)
+    assert len(set(solved[0])) == len(solved[0]) < 0.5 * len(grid.half[0])
+    assert_tables_identical(table, full_band_table(graph, "schrodinger", grid))
+
+
+def _defect_matrix(diagonal, upper, lower):
+    entries = [[ps.LaurentPoly(1, diagonal), ps.LaurentPoly(1, upper)], [ps.LaurentPoly(1, lower), ps.LaurentPoly(1, diagonal)]]
+    return ps.LaurentMatrix(1, entries)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        # All coefficients real; the defect |e^{8ik} - 1| vanishes on the stride-8
+        # lattice and on every stride down to 2, so only odd points show it.
+        _defect_matrix({}, {(8,): 1.0}, {(0,): 1.0}),
+        # Dispersive bands 2cos(k) +- 1 leave room to prune, and the defect
+        # 1e-9 * (1 - e^{8ik}) * (2cos(2k) - sqrt 2) shows only at k = 2*pi*m/16
+        # with m = 3, 5, 11, 13, the points farthest from the band edges.
+        _defect_matrix(
+            {(1,): 1.0, (-1,): 1.0},
+            {(0,): 1.0 - 1e-9 * 2**0.5, (2,): 1e-9, (-2,): 1e-9, (6,): -1e-9, (10,): -1e-9, (8,): 1e-9 * 2**0.5},
+            {(0,): 1.0},
+        ),
+        # Coefficient defect exactly HERMITICITY_TOL, (tol/2)(1 - e^{8ik}) in
+        # exact arithmetic: rounding the sum with cos(2k) reads it just over
+        # the tolerance at m = 3, 5, the points the pruning could skip.
+        _defect_matrix(
+            {(1,): 1.0, (-1,): 1.0},
+            {(-2,): 0.5, (0,): HERMITICITY_TOL / 2, (2,): 0.5, (8,): -HERMITICITY_TOL / 2},
+            {(-2,): 0.5, (2,): 0.5},
+        ),
+    ],
+    ids=["e8ik", "dispersive", "at-tolerance"],
+)
+def test_defect_between_solved_points_still_raises(monkeypatch, matrix):
+    monkeypatch.setattr(ps.bands, "symbolic_operator", lambda *args, **kwargs: matrix)
+    graph, grid = ps.builtin_graph("zd(1)"), ps.KGrid(1, 16)
+    with pytest.raises(HermiticityError):
+        ps.band_structure(graph, "adjacency", grid)
+    with pytest.raises(HermiticityError):
+        ps.power_band_structure(graph, "adjacency", 2, grid)
 
 
 @pytest.mark.parametrize("sweep", [ps.band_structure, ps.dispersion])

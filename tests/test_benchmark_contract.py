@@ -8,7 +8,9 @@ A wrapped function that is renamed or removed, or a counted argument that
 goes, fails here instead of in a benchmark run.  Every traced run also
 checks one CLI process, ``run.TRACE_PROBE``, byte for byte against
 ``perfbench/golden/cli.json``; a library change that moves those bytes fails
-here instead of failing one job in every traced run.
+here instead of failing one job in every traced run.  Each band table that
+the ``sweep`` workload times must equal the unpruned sweep's bit for bit, so
+a pruning change that moves a benchmarked number fails here too.
 """
 
 import importlib.util
@@ -18,6 +20,8 @@ import sys
 from pathlib import Path
 
 import periodic_spectra as ps
+
+from conftest import assert_tables_identical, full_band_table
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -36,6 +40,20 @@ def load(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_benchmarked_band_tables_equal_the_full_sweep(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    # dataclasses look their module up in sys.modules while the file executes.
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)
+    spec.loader.exec_module(inputs)
+    jobs = [job for job in inputs.sweep_jobs(1) if not job.dump]
+    assert jobs
+    for job in jobs:
+        graph, grid = job.graph.to_graph(ps), ps.KGrid(job.graph.dim, job.grid_n)
+        assert_tables_identical(ps.band_structure(graph, job.kind, grid), full_band_table(graph, job.kind, grid))
 
 
 def test_every_wrapped_layer_is_reached_and_counted(monkeypatch):

@@ -142,10 +142,13 @@ def test_bands_without_dump_never_expands_the_table(runner, monkeypatch, tmp_pat
 
 
 def test_bands_dump_streams_to_the_file(runner, monkeypatch, tmp_path):
-    # The table is swept beforehand, so the traced peak is the band reduction's
-    # scratch copy of the table plus the text held at once by the dump.
-    points, lam = ps.dispersion(ps.builtin_graph("kagome"), "laplacian", ps.KGrid(2, 300))
-    monkeypatch.setattr(ps.bands, "dispersion", lambda *args: (points, lam))
+    # The grid and its solved half are built beforehand, so the traced peak is the
+    # band reduction's scratch copy of the half plus the text held at once by the dump.
+    grid = ps.KGrid(2, 300)
+    half = ps.bands.solve_half(ps.builtin_graph("kagome"), "laplacian", grid)
+    points, lam = grid.points, half[grid.half[1]]
+    monkeypatch.setattr(ps.bands, "KGrid", lambda *args: grid)
+    monkeypatch.setattr(ps.bands, "solve_half", lambda *args: half)
     monkeypatch.setattr(ps.bands, "CSV_BLOCK_ROWS", 1024)
     disp = tmp_path / "disp.csv"
     tracemalloc.start()
