@@ -12,7 +12,7 @@ walk sums, the comparison the ``traces`` verb makes.
 ``random_graph`` builds seeded random connected quotients and ``regular_graph``
 seeded regular ones.  ``full_band_table`` is the unpruned sweep, the
 reference for every band table; ``assert_tables_identical`` compares two
-tables bit for bit.
+tables bit for bit; ``spy_solved_rows`` records which points a sweep solves.
 ``evaluate_fiber``, ``eigenvalues``, ``hermiticity_defect`` and
 ``is_real_on_torus`` evaluate and check single fibers and symbolic entries.
 ``eval_entries_termwise`` evaluates a symbolic matrix one entry and one term
@@ -274,6 +274,20 @@ def full_band_table(graph, kind, grid, power=1):
     if power != 1:
         lam = np.sort(lam**power, axis=1)
     return ps.bands.table_from_eigenvalues(kind, grid, lam)
+
+
+def spy_solved_rows(monkeypatch, grid):
+    """Rows of ``grid.half`` solved by each sweep call, one list per call; a point outside it raises."""
+    row = {point.tobytes(): i for i, point in enumerate(grid.half[0])}
+    solved = []
+    original = ps.bands.fiber_eigenvalues_grid
+
+    def spy(matrix, points, **kwargs):
+        solved[-1].extend(row[point.tobytes()] for point in points)
+        return original(matrix, points, **kwargs)
+
+    monkeypatch.setattr(ps.bands, "fiber_eigenvalues_grid", spy)
+    return solved
 
 
 def assert_tables_identical(got, want):

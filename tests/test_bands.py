@@ -11,7 +11,14 @@ from periodic_spectra.bands import dispersion_csv, merge_intervals
 from periodic_spectra.errors import EngineMismatchError, HermiticityError
 from periodic_spectra.operators import HERMITICITY_TOL
 
-from conftest import BUILTIN_NAMES, assert_tables_identical, full_band_table, random_graph, regular_graph
+from conftest import (
+    BUILTIN_NAMES,
+    assert_tables_identical,
+    full_band_table,
+    random_graph,
+    regular_graph,
+    spy_solved_rows,
+)
 
 RNG = np.random.default_rng(99)
 
@@ -214,20 +221,6 @@ def test_power_band_structure_matches_direct_sweep(kagome):
         assert got.lo == pytest.approx(want.lo, abs=1e-11) and got.hi == pytest.approx(want.hi, abs=1e-11)
 
 
-def spy_solved_rows(monkeypatch, grid):
-    """Rows of ``grid.half`` solved by each sweep call, one list per call; a point outside it raises."""
-    row = {point.tobytes(): i for i, point in enumerate(grid.half[0])}
-    solved = []
-    original = ps.bands.fiber_eigenvalues_grid
-
-    def spy(matrix, points, **kwargs):
-        solved[-1].extend(row[point.tobytes()] for point in points)
-        return original(matrix, points, **kwargs)
-
-    monkeypatch.setattr(ps.bands, "fiber_eigenvalues_grid", spy)
-    return solved
-
-
 @pytest.mark.parametrize("dim, n", [(2, 10), (3, 4)])
 def test_sweeps_solve_one_point_of_each_pair(monkeypatch, kagome, dim, n):
     graph = kagome if dim == 2 else ps.builtin_graph("zd(3)")
@@ -263,6 +256,51 @@ def test_pruned_tables_equal_the_full_sweep_bit_for_bit(graph, n):
             assert_tables_identical(got, full_band_table(graph, kind, grid, power))
 
 
+def coarse_rows(grid):
+    """Rows of ``grid.half`` whose grid coordinates are all multiples of the coarse stride, in grid order."""
+    stride = {1: 8, 2: 4}.get(grid.dim, 2)
+    while grid.points_per_dim % stride:
+        stride //= 2
+    coords = np.rint(grid.half[0] * grid.points_per_dim / (2 * np.pi)).astype(int)
+    return np.flatnonzero((coords % stride == 0).all(axis=1)).tolist()
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (1, 36), (2, 40), (2, 202), (3, 12), (4, 6)])
+def test_band_structure_solves_the_coarse_lattice_first(monkeypatch, dim, n):
+    graph, grid = regular_graph(0, 3, dim), ps.KGrid(dim, n)
+    solved = spy_solved_rows(monkeypatch, grid)
+    solved.append([])
+    ps.band_structure(graph, "schrodinger", grid)
+    coarse = coarse_rows(grid)
+    assert coarse[0] == 0
+    assert solved[0][: len(coarse)] == coarse
+    assert len(set(solved[0])) == len(solved[0])
+
+
+# Grids large enough that points between coarse ones pass the skip test, in every
+# dimension; every power-1 sweep and some power-2 sweep of each case skip points.
+SKIP_CASES = [
+    pytest.param(regular_graph(0, 4, 1), 4000, id="d1_n4000"),
+    pytest.param(regular_graph(0, 3, 2), 202, id="d2_n202"),
+    pytest.param(regular_graph(0, 2, 3), 48, id="d3_n48"),
+]
+
+
+@pytest.mark.parametrize("graph, n", SKIP_CASES)
+def test_skip_path_keeps_tables_bit_for_bit(monkeypatch, graph, n):
+    grid = ps.KGrid(graph.dim, n)
+    solved = spy_solved_rows(monkeypatch, grid)
+    skipped = {power: [] for power in (1, 2, 3)}
+    for kind in ps.OPERATOR_KINDS:
+        for power in (1, 2, 3):
+            solved.append([])
+            got = ps.power_band_structure(graph, kind, power, grid)
+            assert_tables_identical(got, full_band_table(graph, kind, grid, power))
+            assert len(set(solved[-1])) == len(solved[-1])
+            skipped[power].append(len(grid.half[0]) - len(solved[-1]))
+    assert min(skipped[1]) > 0 and max(skipped[2]) > 0
+
+
 def test_flat_band_solves_every_point(monkeypatch, kagome):
     grid = ps.KGrid(2, 400)
     solved = spy_solved_rows(monkeypatch, grid)
@@ -289,8 +327,8 @@ def _defect_matrix(diagonal, upper, lower):
 @pytest.mark.parametrize(
     "matrix",
     [
-        # All coefficients real; the defect |e^{8ik} - 1| vanishes on the stride-8
-        # lattice and on every stride down to 2, so only odd points show it.
+        # All coefficients real; the defect |e^{8ik} - 1| vanishes on the coarse
+        # stride-8 lattice and at every even point, so only odd points show it.
         _defect_matrix({}, {(8,): 1.0}, {(0,): 1.0}),
         # Dispersive bands 2cos(k) +- 1 leave room to prune, and the defect
         # 1e-9 * (1 - e^{8ik}) * (2cos(2k) - sqrt 2) shows only at k = 2*pi*m/16

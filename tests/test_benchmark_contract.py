@@ -10,7 +10,8 @@ checks one CLI process, ``run.TRACE_PROBE``, byte for byte against
 ``perfbench/golden/cli.json``; a library change that moves those bytes fails
 here instead of failing one job in every traced run.  Each band table that
 the ``sweep`` workload times must equal the unpruned sweep's bit for bit, so
-a pruning change that moves a benchmarked number fails here too.
+a pruning change that moves a benchmarked number fails here too, and its
+dispersive jobs must keep their skips, so one that solves more points does.
 """
 
 import importlib.util
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import periodic_spectra as ps
 
-from conftest import assert_tables_identical, full_band_table
+from conftest import assert_tables_identical, full_band_table, spy_solved_rows
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -42,7 +43,8 @@ def load(name):
     return module
 
 
-def test_benchmarked_band_tables_equal_the_full_sweep(monkeypatch):
+def sweep_jobs(monkeypatch):
+    """The band-table jobs of ``perfbench/inputs.py``'s ``sweep_jobs(1)``, the file loaded as it is."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     # dataclasses look their module up in sys.modules while the file executes.
     spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
@@ -51,9 +53,28 @@ def test_benchmarked_band_tables_equal_the_full_sweep(monkeypatch):
     spec.loader.exec_module(inputs)
     jobs = [job for job in inputs.sweep_jobs(1) if not job.dump]
     assert jobs
-    for job in jobs:
-        graph, grid = job.graph.to_graph(ps), ps.KGrid(job.graph.dim, job.grid_n)
+    return [(job, job.graph.to_graph(ps), ps.KGrid(job.graph.dim, job.grid_n)) for job in jobs]
+
+
+def test_benchmarked_band_tables_equal_the_full_sweep(monkeypatch):
+    for job, graph, grid in sweep_jobs(monkeypatch):
         assert_tables_identical(ps.band_structure(graph, job.kind, grid), full_band_table(graph, job.kind, grid))
+
+
+# Fractions of the half that the level-by-level refinement from stride 8 solved on
+# these jobs; the coarse pass solves 14.0% and 35.5%.
+SOLVED_AT_MOST = {"q8r2-schrodinger-400": 0.156, "q6r2-normalized_laplacian-200": 0.424}
+
+
+def test_benchmarked_sweeps_keep_their_skips(monkeypatch):
+    jobs = {job.name: (job, graph, grid) for job, graph, grid in sweep_jobs(monkeypatch)}
+    for name, limit in SOLVED_AT_MOST.items():
+        job, graph, grid = jobs[name]
+        with monkeypatch.context() as patch:
+            solved = spy_solved_rows(patch, grid)
+            solved.append([])
+            ps.band_structure(graph, job.kind, grid)
+        assert len(set(solved[0])) == len(solved[0]) <= limit * len(grid.half[0]), name
 
 
 def test_every_wrapped_layer_is_reached_and_counted(monkeypatch):
