@@ -13,12 +13,13 @@ point of each pair {k, -k mod 2*pi} (:attr:`KGrid.half`); :func:`dispersion`
 solves the whole half and copies each solved row to its mirror, so its rows
 at k and -k are equal bit for bit.
 
-Band tables solve only the points that can still set a reported number.
-Each sorted eigenvalue is Lipschitz in k (Weyl's inequality), so a point
-that its nearest point of one coarse pass shows to lie inside every band and
-within every flat candidate's residual is never evaluated.  The solved rows
-contain every extreme of the full sweep, so every number of the table is the
-full sweep's, bit for bit.
+:func:`band_structure` solves only the points that can still set a reported
+number, and folds each solved block into running band extremes and flat
+residuals as it is solved.  Each sorted eigenvalue is Lipschitz in k (Weyl's
+inequality), so a point that its nearest point of one coarse pass shows to
+lie inside every band and within every flat candidate's residual is never
+evaluated.  Min and max are exact, so every number of the table is the full
+sweep's, bit for bit.  :func:`power_band_structure` solves the whole half.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .operators import HERMITICITY_TOL, fiber_eigenvalues_grid, symbolic_operato
 
 DEFAULT_GRID_N = 64
 
-# Bytes of eigenvalues that the pruned solve asks fiber_eigenvalues_grid for at
-# once, and that one block of its skip test gathers; bounds its temporaries.
+# Bytes of eigenvalues that band_structure solves and folds at once after its
+# coarse pass, and that one block of its skip test gathers; bounds its temporaries.
 BATCH_BYTES = 1 << 20
 
 
@@ -217,52 +218,44 @@ def _flat_candidates(lam: np.ndarray) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
+def _table(kind: str, grid: KGrid, lows: np.ndarray, highs: np.ndarray, candidates: tuple) -> BandTable:
+    bands = tuple(Band(float(lo), float(hi), bool(hi - lo < default_flat_tol(hi))) for lo, hi in zip(lows, highs))
+    return BandTable(kind, grid.points_per_dim, bands, candidates)
+
+
 def table_from_eigenvalues(kind: str, grid: KGrid, lam: np.ndarray) -> BandTable:
-    lows = lam.min(axis=0)
-    highs = lam.max(axis=0)
-    bands = tuple(
-        Band(float(lo), float(hi), bool(hi - lo < default_flat_tol(hi)))
-        for lo, hi in zip(lows, highs)
-    )
-    return BandTable(kind, grid.points_per_dim, bands, _flat_candidates(lam))
+    return _table(kind, grid, lam.min(axis=0), lam.max(axis=0), _flat_candidates(lam))
 
 
-def _pruned_rows(graph: FundamentalGraph, kind: str, grid: KGrid, power: int = 1) -> np.ndarray:
-    """The rows of ``grid.half`` that can still set a number of the band table.
+def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None) -> BandTable:
+    """Min/max of each sorted eigenvalue curve over the grid, from the points that can set them.
 
-    Each row holds the sorted eigenvalues at one point, raised to ``power`` p
-    and re-sorted, k = 0 first; every band extreme and flat residual over the
-    rows is the whole half's, bit for bit.
-
-    One coarse pass solves the points whose grid coordinates are all
-    multiples of the stride s, a lattice closed under k -> -k.  Every other
-    point is tested once against its nearest coarse point, r <= s/2 steps of
-    ``h = 2*pi/n`` away: the sorted eigenvalues raised to p move by at most
-    ``L_p * h * r``, ``L_p = p * rho**(p-1) * L`` (Weyl's inequality, and
-    ``|x**p - y**p| <= p * rho**(p-1) * |x - y|`` on the spectrum).  The
-    point is skipped when its coarse row, widened by that plus ``1e-12 * (1 +
-    p * rho**p)`` for the rounding of both solves, stays inside every coarse
-    band and within every coarse residual: coarse bands lie inside the final
-    ones, and coarse residuals are at most the final ones.  When ``L_p * h``
-    alone passes half the narrowest band or the smallest residual, the rest
-    is solved untested.  Skipped points are never evaluated, so the pruning
-    runs only when no evaluated fiber can read a Hermiticity defect over the
-    tolerance (``_operator_bounds``); else the whole half is solved.
+    One coarse pass solves the points of ``grid.half`` whose grid coordinates
+    are all multiples of the stride s, a lattice closed under k -> -k, k = 0
+    first.  Every other point is tested once against its nearest coarse
+    point, r <= s/2 steps of ``h = 2*pi/n`` away: the sorted eigenvalues move
+    by at most ``L * h * r`` (Weyl's inequality).  The point is skipped when
+    its coarse row, widened by that plus ``1e-12 * (1 + rho)`` for the
+    rounding of both solves, stays inside every band and within every flat
+    residual so far.  Each solved block is folded into those as it is solved;
+    they come from solved points, so they lie inside the final bands and are
+    at most the final residuals.  When ``L * h`` alone passes half the
+    narrowest band or the smallest residual, or when an evaluated fiber could
+    read a Hermiticity defect over the tolerance (``_operator_bounds``), the
+    rest is solved untested, so every fiber is checked.
     """
+    grid = grid or KGrid(graph.dim)
     matrix = _fiber_operator(graph, kind, grid)
     points, partner = grid.half
 
-    def solve(index) -> np.ndarray:
-        lam = fiber_eigenvalues_grid(matrix, points[index])
-        return lam if power == 1 else np.sort(lam**power, axis=1)
+    def solve(index: np.ndarray) -> np.ndarray:
+        # One column per point, so the reductions below run along contiguous rows.
+        return fiber_eigenvalues_grid(matrix, points[index]).T.copy()
 
     lip, rho, exact = _operator_bounds(matrix)
-    if not exact:
-        return solve(slice(None))
     n, npts = grid.points_per_dim, len(points)
     h = 2.0 * np.pi / n
-    slope = power * rho ** (power - 1) * lip * h
-    margin = 1e-12 * (1.0 + power * rho**power)
+    slope, margin = lip * h, 1e-12 * (1.0 + rho)
     batch = max(1, BATCH_BYTES // (8 * matrix.size))
     # A coarser lattice solves fewer points but tests the rest from farther.  Mean % of the half
     # solved on seeded nu = 6 regular quotients (adjacency / Schrodinger); 8>4>2>1 refines by levels:
@@ -275,53 +268,42 @@ def _pruned_rows(graph: FundamentalGraph, kind: str, grid: KGrid, power: int = 1
         s //= 2
     # Rows of the half on the coarse lattice, in grid order (grid coordinates are exact: angles 2*pi*m/n).
     coarse = np.flatnonzero((np.rint(points / h).astype(np.intp) % s == 0).all(axis=1))
-    # One column per solved point, so the tests below reduce along contiguous rows.
-    solved = np.empty((matrix.size, npts))
-    filled = 0
-
-    def place(index: np.ndarray) -> None:
-        nonlocal filled
-        for start in range(0, len(index), batch):
-            part = index[start : start + batch]
-            solved[:, filled : filled + len(part)] = solve(part).T
-            filled += len(part)
+    top = solve(coarse)
+    lo, hi = top.min(axis=1), top.max(axis=1)
+    values = _candidate_values(top[:, 0])
+    residual = np.array([_residual(top, value) for value in values])
 
     def unsure(c: np.ndarray) -> np.ndarray:
-        """Whether each point at grid coordinates ``c`` could pass a coarse extreme."""
+        """Whether each point at grid coordinates ``c`` could pass a running extreme."""
         near = (c + s // 2) // s * s
         reach = slope * np.abs(c - near).max(axis=1) + margin
         column = np.searchsorted(coarse, partner[np.ravel_multi_index(tuple((near % n).T), (n,) * grid.dim)])
-        row = solved.take(column, axis=1)
+        row = top.take(column, axis=1)
         inside = ((row - reach >= lo[:, None]) & (row + reach <= hi[:, None])).all(axis=0)
         for value, limit in zip(values, residual):
             inside &= np.abs(row - value).min(axis=0) + reach <= limit
         return ~inside
 
-    place(coarse)
-    lo, hi = solved[:, :filled].min(axis=1), solved[:, :filled].max(axis=1)
-    values = _candidate_values(solved[:, 0])
-    residual = np.array([_residual(solved[:, :filled], value) for value in values])
-    rest = slope + margin > min(((hi - lo) / 2).min(), residual.min())
+    rest = not exact or slope + margin > min(((hi - lo) / 2).min(), residual.min())
     for start in range(0, npts, batch):
         c = np.rint(points[start : start + batch] / h).astype(np.intp)
         off = (c % s).any(axis=1)
         part = start + np.flatnonzero(off)
-        place(part if rest else part[unsure(c[off])])
-    return solved[:, :filled].T
-
-
-def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None) -> BandTable:
-    """Min/max of each sorted eigenvalue curve over the grid, from the points that can set them."""
-    grid = grid or KGrid(graph.dim)
-    return table_from_eigenvalues(kind, grid, _pruned_rows(graph, kind, grid))
+        part = part if rest else part[unsure(c[off])]
+        if len(part):
+            block = solve(part)
+            np.minimum(lo, block.min(axis=1), out=lo)
+            np.maximum(hi, block.max(axis=1), out=hi)
+            np.maximum(residual, [_residual(block, value) for value in values], out=residual)
+    return _table(kind, grid, lo, hi, tuple(zip(values, map(float, residual))))
 
 
 def power_band_structure(graph: FundamentalGraph, kind: str, n: int, grid: KGrid | None = None) -> BandTable:
-    """Band table of the n-th power: sweep eigenvalues, raise to n, re-sort."""
+    """Band table of the n-th power: solve the whole half, raise to n, re-sort."""
     if n < 1:
         raise ValueError("power must be positive")
     grid = grid or KGrid(graph.dim)
-    return table_from_eigenvalues(kind, grid, _pruned_rows(graph, kind, grid, n))
+    return table_from_eigenvalues(kind, grid, np.sort(solve_half(graph, kind, grid) ** n, axis=1))
 
 
 def total_bandwidth(table: BandTable) -> float:

@@ -122,21 +122,9 @@ class LaurentPoly:
         values = np.array([c for _, c in items], dtype=complex)
         return freqs, values
 
-    def support(self) -> list[IndexVector]:
-        return sorted(self.coeffs)
-
     def max_abs_frequency(self) -> int:
         """Largest |m_s| over the support, 0 for the zero polynomial."""
         return max((max(abs(v) for v in m) for m in self.coeffs if m), default=0)
-
-    def conj_reflect(self) -> "LaurentPoly":
-        """Conjugate coefficients and negate frequencies: the torus conjugate."""
-        return LaurentPoly(self.dim, {tuple(-v for v in m): c.conjugate() for m, c in self.coeffs.items()})
-
-    def max_diff(self, other: "LaurentPoly") -> float:
-        other = self._coerce(other)
-        keys = set(self.coeffs) | set(other.coeffs)
-        return max((abs(self.coeffs.get(m, 0) - other.coeffs.get(m, 0)) for m in keys), default=0.0)
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{m}: {c:.6g}" for m, c in sorted(self.coeffs.items()))

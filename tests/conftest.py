@@ -14,7 +14,9 @@ seeded regular ones.  ``full_band_table`` is the unpruned sweep, the
 reference for every band table; ``assert_tables_identical`` compares two
 tables bit for bit; ``spy_solved_rows`` records which points a sweep solves.
 ``evaluate_fiber``, ``eigenvalues``, ``hermiticity_defect`` and
-``is_real_on_torus`` evaluate and check single fibers and symbolic entries.
+``is_real_on_torus`` evaluate and check single fibers and symbolic entries;
+``support``, ``conj_reflect`` and ``max_diff`` read and compare Laurent
+polynomials.
 ``eval_entries_termwise`` evaluates a symbolic matrix one entry and one term
 at a time, the reference for the bits of ``LaurentMatrix.eval_grid``.
 """
@@ -84,10 +86,26 @@ def evaluate_fiber(matrix, k, herm_tol=HERMITICITY_TOL):
     return _hermitian(matrix.eval(k), herm_tol)
 
 
+def support(poly):
+    """Frequencies of the polynomial's terms, sorted."""
+    return sorted(poly.coeffs)
+
+
+def conj_reflect(poly):
+    """Conjugate coefficients and negate frequencies: the torus conjugate."""
+    return ps.LaurentPoly(poly.dim, {tuple(-v for v in m): c.conjugate() for m, c in poly.coeffs.items()})
+
+
+def max_diff(a, b):
+    """Largest coefficient difference between two polynomials of one dimension."""
+    assert a.dim == b.dim
+    return max((abs(a.coeffs.get(m, 0) - b.coeffs.get(m, 0)) for m in a.coeffs.keys() | b.coeffs.keys()), default=0.0)
+
+
 def hermiticity_defect(matrix):
     """Largest coefficient deviation from entry(j,i) == conj-reflect(entry(i,j))."""
     return max(
-        matrix.entries[j][i].max_diff(matrix.entries[i][j].conj_reflect())
+        max_diff(matrix.entries[j][i], conj_reflect(matrix.entries[i][j]))
         for i in range(matrix.size)
         for j in range(i, matrix.size)
     )
@@ -95,7 +113,7 @@ def hermiticity_defect(matrix):
 
 def is_real_on_torus(poly, tol=1e-12):
     """True when the polynomial equals its torus conjugate, so it is real at every k."""
-    return poly.max_diff(poly.conj_reflect()) <= tol
+    return max_diff(poly, conj_reflect(poly)) <= tol
 
 
 def eval_entries_termwise(matrix, points):

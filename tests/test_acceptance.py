@@ -15,6 +15,7 @@ from conftest import (
     BIPARTITE_BUILTINS,
     BUILTIN_NAMES,
     assert_trace_matches_walks,
+    max_diff,
     numeric_fiber,
     schrodinger_shift,
 )
@@ -174,7 +175,7 @@ def test_acceptance_09_gauge_invariance():
             for a, b in zip(base_table.bands, table.bands):
                 assert abs(a.lo - b.lo) < 1e-10
                 assert abs(a.hi - b.hi) < 1e-10
-            assert ps.trace_series(moved, "adjacency", 3).max_diff(base_series) < 1e-9
+            assert max_diff(ps.trace_series(moved, "adjacency", 3), base_series) < 1e-9
     _record(9, "random gauges leave cycle indices, band tables, trace series unchanged")
 
 

@@ -234,10 +234,10 @@ def test_sweeps_solve_one_point_of_each_pair(monkeypatch, kagome, dim, n):
         solved.append([])
         sweep()
     assert len(grid.half[0]) == (n**dim + 2**dim) // 2
-    # dispersion solves exactly the half; the band tables a subset of it, no point twice.
-    assert solved[0] == list(range(len(grid.half[0])))
-    for rows in solved[1:]:
-        assert rows[0] == 0 and len(set(rows)) == len(rows)
+    # dispersion and the power table solve exactly the half, in order; band_structure
+    # a subset of it, k = 0 first, no point twice.
+    assert solved[0] == solved[2] == list(range(len(grid.half[0])))
+    assert solved[1][0] == 0 and len(set(solved[1])) == len(solved[1])
 
 
 ORACLE_GRAPHS = [pytest.param(ps.builtin_graph(name), id=name) for name in BUILTIN_NAMES] + [
@@ -278,7 +278,7 @@ def test_band_structure_solves_the_coarse_lattice_first(monkeypatch, dim, n):
 
 
 # Grids large enough that points between coarse ones pass the skip test, in every
-# dimension; every power-1 sweep and some power-2 sweep of each case skip points.
+# dimension; every band_structure sweep of each case skips points.
 SKIP_CASES = [
     pytest.param(regular_graph(0, 4, 1), 4000, id="d1_n4000"),
     pytest.param(regular_graph(0, 3, 2), 202, id="d2_n202"),
@@ -290,15 +290,13 @@ SKIP_CASES = [
 def test_skip_path_keeps_tables_bit_for_bit(monkeypatch, graph, n):
     grid = ps.KGrid(graph.dim, n)
     solved = spy_solved_rows(monkeypatch, grid)
-    skipped = {power: [] for power in (1, 2, 3)}
     for kind in ps.OPERATOR_KINDS:
-        for power in (1, 2, 3):
-            solved.append([])
+        solved.append([])
+        assert_tables_identical(ps.band_structure(graph, kind, grid), full_band_table(graph, kind, grid))
+        assert len(set(solved[-1])) == len(solved[-1]) < len(grid.half[0])
+        for power in (2, 3):
             got = ps.power_band_structure(graph, kind, power, grid)
             assert_tables_identical(got, full_band_table(graph, kind, grid, power))
-            assert len(set(solved[-1])) == len(solved[-1])
-            skipped[power].append(len(grid.half[0]) - len(solved[-1]))
-    assert min(skipped[1]) > 0 and max(skipped[2]) > 0
 
 
 def test_flat_band_solves_every_point(monkeypatch, kagome):
@@ -369,20 +367,25 @@ def test_complex_coefficients_are_not_mirrored(monkeypatch, sweep):
 
 
 def test_band_structure_memory_is_half_the_table(monkeypatch):
-    # An 8-vertex ring with loops: the full (npts, nu) table would take 10 MB, and
-    # the table plus a scratch array of its size in _flat_candidates would be 2x.
+    # An 8-vertex ring with loops: the full (npts, nu) table would take 10 MB.  The
+    # sweep keeps the coarse lattice's eigenvalues and one solved block, so once the
+    # grid's half is built its peak is mostly the solve's chunks.
     labels = [f"v{i}" for i in range(8)]
     edges = [(labels[i], labels[(i + 1) % 8], (0, int(i == 0))) for i in range(8)]
     edges += [(labels[i], labels[i], (1, i % 3 - 1)) for i in range(0, 8, 2)]
     graph = ps.build_graph(2, labels, edges, {lab: 0.1 * i for i, lab in enumerate(labels)})
     table_bytes = 400**2 * 8 * 8
     monkeypatch.setenv("PERIODIC_SPECTRA_THREADS", "1")
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        table = ps.band_structure(graph, "schrodinger", ps.KGrid(2, 400))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(table.bands) == 8
-    assert peak < 1.5 * table_bytes
+    for built, bound in ((False, 1.5), (True, 0.75)):
+        grid = ps.KGrid(2, 400)
+        if built:
+            grid.half
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            table = ps.band_structure(graph, "schrodinger", grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table.bands) == 8
+        assert peak < bound * table_bytes, built
