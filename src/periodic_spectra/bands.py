@@ -20,10 +20,21 @@ inequality), so a point that its nearest point of one coarse pass shows to
 lie inside every band and within every flat candidate's residual is never
 evaluated.  Min and max are exact, so every number of the table is the full
 sweep's, bit for bit.  :func:`power_band_structure` solves the whole half.
+
+A flat level v is exact when ``det(M(z) - v*I)`` vanishes identically in
+``z_s = exp(i k_s)``.  :func:`band_structure` proves that, in integer
+arithmetic, for each flat candidate of its coarse pass when the proof costs
+less than the points left to test (:func:`_flat_level`).  A certified level
+reports residual 0.0, every band end within the sweep's rounding margin of
+it reads v exactly, and it no longer stops the pruning.  Tables built by
+:func:`table_from_eigenvalues` (``dispersion``, ``power_band_structure``)
+keep the sampled residuals.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -108,7 +119,11 @@ class BandTable:
     ``flat_candidates`` holds ``(value, residual)`` for every distinct
     eigenvalue at k = 0, where the residual is the worst distance over the
     grid from that value to the nearest eigenvalue; a residual below the flat
-    tolerance certifies a flat level.
+    tolerance counts as a flat level.  :func:`band_structure` reports
+    residual 0.0 for a level it has certified flat at every k, not only at
+    the grid points; the value is then exact, and so is every band end that
+    reads it.  Tables from :func:`table_from_eigenvalues` keep the sampled
+    residuals.
     """
 
     kind: str
@@ -152,8 +167,8 @@ def _fiber_operator(graph: FundamentalGraph, kind: str, grid: KGrid) -> LaurentM
     return matrix
 
 
-def _operator_bounds(matrix: LaurentMatrix) -> tuple[float, float, bool]:
-    """``(L, rho, exact)``: bounds that hold for the fiber at every k.
+def _operator_bounds(matrix: LaurentMatrix) -> tuple[float, float, bool, bool]:
+    """``(L, rho, exact, hermitian)``: bounds that hold for the fiber at every k.
 
     Entry (i, j) weighs ``sum_m |c| * ||m||_1`` for ``L`` and ``sum_m |c|``
     for ``rho``, or the weight of entry (j, i) if that is larger, so the
@@ -170,6 +185,8 @@ def _operator_bounds(matrix: LaurentMatrix) -> tuple[float, float, bool]:
     ``<m, k>`` (|k_s| < 2*pi, summed over ``dim`` axes), ``exp``, the product
     with c and the running sum of the entry's terms.  Their total must stay
     under half the tolerance, which absorbs the rounding of the check itself.
+    ``hermitian`` holds when that coefficient defect is exactly zero, so that
+    M(k) is Hermitian at every k in exact arithmetic.
     """
     size = matrix.size
     slope, norm = np.zeros((size, size)), np.zeros((size, size))
@@ -190,7 +207,7 @@ def _operator_bounds(matrix: LaurentMatrix) -> tuple[float, float, bool]:
     lip = float(np.maximum(slope, slope.T).sum(axis=1).max())
     rho = float(np.maximum(norm, norm.T).sum(axis=1).max())
     exact = bool((defect + noise + noise.T <= HERMITICITY_TOL / 2).all())  # a NaN defect fails too
-    return lip, rho, exact
+    return lip, rho, exact, bool((defect == 0).all())
 
 
 def _candidate_values(at_zero: np.ndarray) -> list[float]:
@@ -218,6 +235,120 @@ def _flat_candidates(lam: np.ndarray) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
+def _rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix, by fraction-free (Bareiss) elimination; ``rows`` is overwritten.
+
+    Every entry below the pivots stays a minor of the input, so each division is exact.
+    """
+    rank, last = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            row = rows[r]
+            rows[r] = [(top[col] * a - row[col] * b) // last for a, b in zip(row, top)]
+        last, rank = top[col], rank + 1
+    return rank
+
+
+def _frequency_radius(matrix: LaurentMatrix) -> list[int]:
+    """R_s, the largest ``|m_s|`` over the terms of the operator, for each axis s."""
+    terms = [m for row in matrix.entries for poly in row for m in poly.coeffs]
+    return [max((abs(m[s]) for m in terms), default=0) for s in range(matrix.dim)]
+
+
+def _flat_level(matrix: LaurentMatrix, value: float) -> tuple[float, int]:
+    """``(v, mu)``: ``value`` rounded to the grid of the coefficients, and the
+    multiplicity of v as an eigenvalue of M(k) at every k (0: v is not flat).
+
+    Every coefficient is a dyadic rational, ``a * 2**-e`` with a common e,
+    so ``2**e * (M(z) - v*I)``, its rows scaled by ``z**R`` to clear negative
+    powers (:func:`_frequency_radius`), is a matrix of integer polynomials in
+    z whenever v lies on the grid ``2**-e * Z``, where every rational flat
+    level lies.  Each of its minors has degree at most ``2 * nu * R_s`` in
+    z_s, so it vanishes identically if it vanishes on a tensor grid of
+    ``2 * nu * R_s + 1`` integers per axis.  The largest rank over that grid,
+    computed exactly, is therefore the rank at generic z, and at least the
+    rank at every z on the torus ``z_s = exp(i k_s)``: v is an eigenvalue of
+    the Hermitian M(k) with multiplicity at least ``mu = nu - rank`` at every k.
+    """
+    size, radius = matrix.size, tuple(_frequency_radius(matrix))
+    terms = [
+        (i, j, m, c.real.as_integer_ratio())
+        for i, row in enumerate(matrix.entries)
+        for j, poly in enumerate(row)
+        for m, c in poly.coeffs.items()
+    ]
+    scale = max((den for *_, (_, den) in terms), default=1)  # 2**e
+    num, den = value.as_integer_ratio()
+    level = (2 * num * scale + den) // (2 * den)  # the integer nearest value * 2**e
+    # Entry (i, j) of 2**e * z**R * (M(z) - v*I), as {exponent: integer coefficient}.
+    entries = [[{radius: -level} if i == j else {} for j in range(size)] for i in range(size)]
+    for i, j, m, (num, den) in terms:
+        key = tuple(a + r for a, r in zip(m, radius))
+        entries[i][j][key] = entries[i][j].get(key, 0) + num * (scale // den)
+    axes = [range(-size * r, size * r + 1) for r in radius]
+    powers = [{x: [x**p for p in range(2 * r + 1)] for x in axis} for axis, r in zip(axes, radius)]
+    rank = 0
+    for z in itertools.product(*axes):
+        tables = [power[x] for power, x in zip(powers, z)]
+        rows = [
+            [sum(c * math.prod(t[p] for t, p in zip(tables, key)) for key, c in entry.items()) for entry in row]
+            for row in entries
+        ]
+        rank = max(rank, _rank(rows))
+        if rank == size:
+            break
+    return level / scale, size - rank
+
+
+def _flat_levels(
+    matrix: LaurentMatrix, values: list[float], residual: np.ndarray, margin: float, budget: int
+) -> dict[int, tuple[float, int]]:
+    """Certified flat levels among the candidates: ``{candidate: (v, mu)}``, v within ``margin`` of the candidate.
+
+    Only candidates whose residual so far is under the flat tolerance are
+    tried, and only when their certificates together, ``nu**3`` for each
+    point of each, cost at most ``budget``, the points left to test.
+    """
+    tried = [c for c, value in enumerate(values) if residual[c] < default_flat_tol(value)]
+    size = matrix.size
+    if not tried or len(tried) * size**3 * math.prod(2 * size * r + 1 for r in _frequency_radius(matrix)) > budget:
+        return {}
+    out = {}
+    for c in tried:
+        level, mu = _flat_level(matrix, values[c])
+        if mu and abs(level - values[c]) <= margin:
+            out[c] = (level, mu)
+    return out
+
+
+def _branch_bounds(
+    row: np.ndarray, reach: np.ndarray, levels: list[tuple[float, int]], margin: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on the sorted eigenvalues at points within ``reach`` of the solved columns of ``row``.
+
+    Each column is one point's sorted eigenvalues, and ``reach`` bounds how
+    far each sorted eigenvalue can move from it, rounding included.  Each
+    certified level ``(v, mu)`` takes the mu entries nearest v out of the
+    column, since mu analytic branches stay v (Rellich) and the others move
+    by at most ``reach``, and puts mu copies of ``v -+ margin`` back in.
+    """
+    lower, upper = row - reach, row + reach
+    if levels:
+        free = row.copy()
+        for v, mu in levels:
+            pick = np.argpartition(np.abs(free - v), mu - 1, axis=0)[:mu]
+            for bound, end in ((lower, v - margin), (upper, v + margin), (free, np.inf)):
+                np.put_along_axis(bound, pick, end, axis=0)
+        lower.sort(axis=0)
+        upper.sort(axis=0)
+    return lower, upper
+
+
 def _table(kind: str, grid: KGrid, lows: np.ndarray, highs: np.ndarray, candidates: tuple) -> BandTable:
     bands = tuple(Band(float(lo), float(hi), bool(hi - lo < default_flat_tol(hi))) for lo, hi in zip(lows, highs))
     return BandTable(kind, grid.points_per_dim, bands, candidates)
@@ -235,14 +366,26 @@ def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None
     first.  Every other point is tested once against its nearest coarse
     point, r <= s/2 steps of ``h = 2*pi/n`` away: the sorted eigenvalues move
     by at most ``L * h * r`` (Weyl's inequality).  The point is skipped when
-    its coarse row, widened by that plus ``1e-12 * (1 + rho)`` for the
-    rounding of both solves, stays inside every band and within every flat
-    residual so far.  Each solved block is folded into those as it is solved;
-    they come from solved points, so they lie inside the final bands and are
-    at most the final residuals.  When ``L * h`` alone passes half the
-    narrowest band or the smallest residual, or when an evaluated fiber could
-    read a Hermiticity defect over the tolerance (``_operator_bounds``), the
-    rest is solved untested, so every fiber is checked.
+    its coarse row, widened by that plus ``margin = 1e-12 * (1 + rho)`` for
+    the rounding of both solves, stays inside every band and within every
+    flat residual so far.  Each solved block is folded into those as it is
+    solved; they come from solved points, so they lie inside the final bands
+    and are at most the final residuals.  When ``L * h`` alone passes half
+    the narrowest band or the smallest residual, or when an evaluated fiber
+    could read a Hermiticity defect over the tolerance (``_operator_bounds``),
+    the rest is solved untested, so every fiber is checked.
+
+    A flat candidate of the coarse pass is proved flat, when that costs less
+    than the points left to test (:func:`_flat_levels`).  A certified level v
+    of multiplicity mu reports residual 0.0, and every band end within
+    ``margin`` of v is reported as v.  It leaves the residual test and the
+    ``rest`` shortcut: mu analytic eigenvalue branches are identically v
+    along the segment to the coarse point (Rellich), so the others, the
+    coarse row without its mu entries nearest v, still move by at most
+    ``L * h * r``, and band j is bounded by the j-th smallest of those
+    widened branches and mu copies of ``v -+ margin``.  A band end within
+    ``margin`` of v is only tested against ``v -+ margin``.  Every other
+    number of the table is the full sweep's, bit for bit.
     """
     grid = grid or KGrid(graph.dim)
     matrix = _fiber_operator(graph, kind, grid)
@@ -252,7 +395,7 @@ def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None
         # One column per point, so the reductions below run along contiguous rows.
         return fiber_eigenvalues_grid(matrix, points[index]).T.copy()
 
-    lip, rho, exact = _operator_bounds(matrix)
+    lip, rho, exact, hermitian = _operator_bounds(matrix)
     n, npts = grid.points_per_dim, len(points)
     h = 2.0 * np.pi / n
     slope, margin = lip * h, 1e-12 * (1.0 + rho)
@@ -272,6 +415,19 @@ def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None
     lo, hi = top.min(axis=1), top.max(axis=1)
     values = _candidate_values(top[:, 0])
     residual = np.array([_residual(top, value) for value in values])
+    certified = _flat_levels(matrix, values, residual, margin, npts - len(coarse)) if exact and hermitian else {}
+    levels = list(certified.values())
+    loose = [i for i in range(len(values)) if i not in certified]
+
+    def window(x: np.ndarray) -> list[np.ndarray]:
+        """For each certified level, whether each of ``x`` lies within ``margin`` of it."""
+        return [np.abs(x - v) <= margin for v, _ in levels]
+
+    def snap(x: np.ndarray, offset: float = 0.0) -> np.ndarray:
+        """``x`` with each entry within ``margin`` of a certified level v read as ``v + offset``."""
+        for (v, _), near in zip(levels, window(x)):
+            x = np.where(near, v + offset, x)
+        return x
 
     def unsure(c: np.ndarray) -> np.ndarray:
         """Whether each point at grid coordinates ``c`` could pass a running extreme."""
@@ -279,12 +435,17 @@ def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None
         reach = slope * np.abs(c - near).max(axis=1) + margin
         column = np.searchsorted(coarse, partner[np.ravel_multi_index(tuple((near % n).T), (n,) * grid.dim)])
         row = top.take(column, axis=1)
-        inside = ((row - reach >= lo[:, None]) & (row + reach <= hi[:, None])).all(axis=0)
-        for value, limit in zip(values, residual):
-            inside &= np.abs(row - value).min(axis=0) + reach <= limit
+        lower, upper = _branch_bounds(row, reach, levels, margin)
+        inside = ((lower >= snap(lo, -margin)[:, None]) & (upper <= snap(hi, margin)[:, None])).all(axis=0)
+        for i in loose:
+            inside &= np.abs(row - values[i]).min(axis=0) + reach <= residual[i]
         return ~inside
 
-    rest = not exact or slope + margin > min(((hi - lo) / 2).min(), residual.min())
+    flat = np.zeros(len(lo), dtype=bool)
+    for low, high in zip(window(lo), window(hi)):
+        flat |= low & high
+    narrowest = min(np.min((hi - lo)[~flat] / 2, initial=np.inf), np.min(residual[loose], initial=np.inf))
+    rest = not exact or slope + margin > narrowest
     for start in range(0, npts, batch):
         c = np.rint(points[start : start + batch] / h).astype(np.intp)
         off = (c % s).any(axis=1)
@@ -294,8 +455,12 @@ def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None
             block = solve(part)
             np.minimum(lo, block.min(axis=1), out=lo)
             np.maximum(hi, block.max(axis=1), out=hi)
-            np.maximum(residual, [_residual(block, value) for value in values], out=residual)
-    return _table(kind, grid, lo, hi, tuple(zip(values, map(float, residual))))
+            for i in loose:
+                residual[i] = max(residual[i], _residual(block, values[i]))
+    candidates = tuple(
+        (certified[i][0], 0.0) if i in certified else (value, float(residual[i])) for i, value in enumerate(values)
+    )
+    return _table(kind, grid, snap(lo), snap(hi), candidates)
 
 
 def power_band_structure(graph: FundamentalGraph, kind: str, n: int, grid: KGrid | None = None) -> BandTable:
@@ -368,16 +533,41 @@ def dispersion_csv_blocks(points: np.ndarray, lam: np.ndarray, partner: np.ndarr
     With ``partner`` (as from :attr:`KGrid.half`), ``lam`` holds the solved
     half and point i takes row ``partner[i]``, expanded one block at a time.
     A writer that takes each piece as it comes holds one block, never the
-    whole text.
+    whole text, plus the text of each distinct row of ``lam`` once it is used.
+
+    Each distinct angle and each distinct row of eigenvalues is formatted
+    once per call.  Without ``partner``, rows are told apart by their bits,
+    so -0.0 and NaN payloads keep their own text; with it, by ``partner``.
     """
-    dim = points.shape[1]
-    header = [f"k{s + 1}" for s in range(dim)] + [f"lambda{j + 1}" for j in range(lam.shape[1])]
-    row = ",".join([FLOAT_12G] * len(header)) + "\n"
+    points, lam = np.asarray(points, dtype=float), np.asarray(lam, dtype=float)
+    dim, nu = points.shape[1], lam.shape[1]
+    header = [f"k{s + 1}" for s in range(dim)] + [f"lambda{j + 1}" for j in range(nu)]
     yield ",".join(header) + "\n"
+    if partner is None:
+        first: dict[bytes, int] = {}
+        keys = np.ascontiguousarray(lam).view(np.dtype((np.void, 8 * nu))).ravel().tolist()
+        partner = np.array([first.setdefault(key, i) for i, key in enumerate(keys)], dtype=np.intp)
+        del first, keys  # the generator would hold them while the text is formatted
+    eigen = ",".join([FLOAT_12G] * nu)
+    row = ",".join(["%s"] * (dim + 1)) + "\n"
+    texts: list[str | None] = [None] * len(lam)
+    angles: dict[int, str] = {}
     for start in range(0, len(points), CSV_BLOCK_ROWS):
         block = slice(start, start + CSV_BLOCK_ROWS)
-        eigenvalues = lam[block] if partner is None else lam[partner[block]]
-        yield "".join(row % tuple(values) for values in np.hstack([points[block], eigenvalues]).tolist())
+        rows = partner[block]
+        new = [key for key in np.unique(rows).tolist() if texts[key] is None]
+        for key, values in zip(new, lam[new].tolist()):
+            texts[key] = eigen % tuple(values)
+        cells = []
+        for axis in range(dim):
+            bits, where = np.unique(points[block, axis].view(np.uint64), return_inverse=True)
+            names = [
+                angles[key] if key in angles else angles.setdefault(key, FLOAT_12G % value)
+                for key, value in zip(bits.tolist(), bits.view(float).tolist())
+            ]
+            cells.append(np.array(names, dtype=object)[where].tolist())
+        cells.append([texts[key] for key in rows.tolist()])
+        yield "".join(row % cell for cell in zip(*cells))
 
 
 def dispersion_csv(points: np.ndarray, lam: np.ndarray) -> str:

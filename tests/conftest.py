@@ -12,7 +12,10 @@ walk sums, the comparison the ``traces`` verb makes.
 ``random_graph`` builds seeded random connected quotients and ``regular_graph``
 seeded regular ones.  ``full_band_table`` is the unpruned sweep, the
 reference for every band table; ``assert_tables_identical`` compares two
-tables bit for bit; ``spy_solved_rows`` records which points a sweep solves.
+tables bit for bit, and ``assert_pruned_table_is_the_full_sweep`` holds
+``band_structure`` to the unpruned sweep with its certified flat levels
+(``certified_levels``) snapped alike; ``spy_solved_rows`` records which
+points a sweep solves.
 ``evaluate_fiber``, ``eigenvalues``, ``hermiticity_defect`` and
 ``is_real_on_torus`` evaluate and check single fibers and symbolic entries;
 ``support``, ``conj_reflect`` and ``max_diff`` read and compare Laurent
@@ -282,16 +285,61 @@ def regular_graph(seed: int, nu: int, dim: int) -> ps.FundamentalGraph:
     return ps.build_graph(dim, labels, edges, dict(zip(labels, (float(v) for v in rng.uniform(-1, 1, nu)))))
 
 
-def full_band_table(graph, kind, grid, power=1):
+def full_band_table(graph, kind, grid, power=1, levels=()):
     """The band table of the unpruned sweep: every point of ``grid.half`` solved.
 
     With ``power``, each row is raised to it and re-sorted, as
-    ``power_band_structure`` does.
+    ``power_band_structure`` does.  ``levels`` are certified flat levels,
+    reported as ``band_structure`` reports them: the candidate within the
+    sweep's rounding margin ``1e-12 * (1 + rho)`` of each level v reads
+    ``(v, 0.0)``, and so does every band end within that margin of v.
     """
-    lam = ps.fiber_eigenvalues_grid(ps.symbolic_operator(graph, kind), grid.half[0])
+    matrix = ps.symbolic_operator(graph, kind)
+    lam = ps.fiber_eigenvalues_grid(matrix, grid.half[0])
     if power != 1:
         lam = np.sort(lam**power, axis=1)
-    return ps.bands.table_from_eigenvalues(kind, grid, lam)
+    table = ps.bands.table_from_eigenvalues(kind, grid, lam)
+    if not levels:
+        return table
+    margin = 1e-12 * (1.0 + ps.bands._operator_bounds(matrix)[1])
+    lows, highs = lam.min(axis=0), lam.max(axis=0)
+    candidates = list(table.flat_candidates)
+    for v in levels:
+        (c,) = [c for c, (value, _) in enumerate(candidates) if abs(value - v) <= margin]
+        # Only a level that the full sweep samples as flat can be certified.
+        assert candidates[c][1] < ps.bands.default_flat_tol(v)
+        candidates[c] = (v, 0.0)
+        lows, highs = np.where(np.abs(lows - v) <= margin, v, lows), np.where(np.abs(highs - v) <= margin, v, highs)
+    return ps.bands._table(kind, grid, lows, highs, tuple(candidates))
+
+
+def certified_levels(table):
+    """The flat levels that a band table reports with residual exactly 0.0, as certified ones read."""
+    return [value for value, residual in table.flat_candidates if residual == 0.0]
+
+
+def assert_pruned_table_is_the_full_sweep(graph, kind, grid):
+    """``band_structure`` equals the unpruned sweep bit for bit, certified levels snapped alike; returns its table.
+
+    The levels are those that ``bands._flat_levels`` certifies during the sweep; a level
+    whose sampled residual happens to be exactly 0.0 is not snapped.
+    """
+    certified = []
+    original = ps.bands._flat_levels
+
+    def spy(*args):
+        found = original(*args)
+        certified.extend(v for v, _ in found.values())
+        return found
+
+    ps.bands._flat_levels = spy
+    try:
+        table = ps.band_structure(graph, kind, grid)
+    finally:
+        ps.bands._flat_levels = original
+    assert set(certified) <= set(certified_levels(table))
+    assert_tables_identical(table, full_band_table(graph, kind, grid, levels=certified))
+    return table
 
 
 def spy_solved_rows(monkeypatch, grid):

@@ -13,7 +13,9 @@ from periodic_spectra.operators import HERMITICITY_TOL
 
 from conftest import (
     BUILTIN_NAMES,
+    assert_pruned_table_is_the_full_sweep,
     assert_tables_identical,
+    certified_levels,
     full_band_table,
     random_graph,
     regular_graph,
@@ -149,15 +151,23 @@ def test_dispersion_csv_blocks_match_one_shot_formatting():
         rows = [",".join("%.12g" % v for v in (*k, *values)) for k, values in zip(points, lam)]
         return "\n".join([",".join(header), *rows]) + "\n"
 
-    # two full blocks and a partial third
+    # Two full blocks and a partial third.  Angles and rows repeat across blocks, some only
+    # as numbers (0.0 and -0.0, two NaN payloads), which must keep their own text.
     npts = 2 * ps.bands.CSV_BLOCK_ROWS + 123
     rng = np.random.default_rng(5)
-    points = rng.uniform(0.0, 2 * np.pi, (npts, 2))
-    lam = rng.normal(scale=1e3, size=(npts, 3))
-    lam[0, 0], lam[1, 1], lam[-1, 2], lam[npts // 2, 0] = -0.0, np.inf, -np.inf, np.nan
+    points = rng.choice([0.0, -0.0, np.pi, *rng.uniform(0.0, 2 * np.pi, 50)], size=(npts, 2))
+    distinct = rng.normal(scale=1e3, size=(npts // 2, 3))
+    distinct[0, 0], distinct[1, 1], distinct[-1, 2], distinct[2, 0] = -0.0, np.inf, -np.inf, np.nan
+    distinct[3], distinct[4] = distinct[0], distinct[2]
+    distinct[3, 0], distinct[4, 0] = 0.0, np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0]
+    partner = rng.integers(0, len(distinct), npts)
+    partner[:5] = range(5)
+    lam = distinct[partner]
     text = dispersion_csv(points, lam)
     assert text == one_shot(points, lam)
-    assert text.count("\n") == npts + 1 and ",-0," in text and ",inf," in text and ",nan," in text
+    assert "".join(ps.bands.dispersion_csv_blocks(points, distinct, partner)) == text
+    assert text.count("\n") == npts + 1 and ",-0," in text and ",0," in text
+    assert ",inf," in text and ",nan," in text and "\n-0," in text
     assert dispersion_csv(points[:0], lam[:0]) == "k1,k2,lambda1,lambda2,lambda3\n"
 
 
@@ -250,7 +260,7 @@ ORACLE_GRAPHS = [pytest.param(ps.builtin_graph(name), id=name) for name in BUILT
 def test_pruned_tables_equal_the_full_sweep_bit_for_bit(graph, n):
     grid = ps.KGrid(graph.dim, n)
     for kind in ps.OPERATOR_KINDS:
-        assert_tables_identical(ps.band_structure(graph, kind, grid), full_band_table(graph, kind, grid))
+        assert_pruned_table_is_the_full_sweep(graph, kind, grid)
         for power in (2, 3):
             got = ps.power_band_structure(graph, kind, power, grid)
             assert_tables_identical(got, full_band_table(graph, kind, grid, power))
@@ -292,19 +302,22 @@ def test_skip_path_keeps_tables_bit_for_bit(monkeypatch, graph, n):
     solved = spy_solved_rows(monkeypatch, grid)
     for kind in ps.OPERATOR_KINDS:
         solved.append([])
-        assert_tables_identical(ps.band_structure(graph, kind, grid), full_band_table(graph, kind, grid))
+        assert_pruned_table_is_the_full_sweep(graph, kind, grid)
         assert len(set(solved[-1])) == len(solved[-1]) < len(grid.half[0])
         for power in (2, 3):
             got = ps.power_band_structure(graph, kind, power, grid)
             assert_tables_identical(got, full_band_table(graph, kind, grid, power))
 
 
-def test_flat_band_solves_every_point(monkeypatch, kagome):
+def test_certified_flat_band_is_skipped_past(monkeypatch, kagome):
+    # The flat band 6 no longer stops the pruning: 6511 of the 80002 points are solved.
     grid = ps.KGrid(2, 400)
     solved = spy_solved_rows(monkeypatch, grid)
     solved.append([])
-    ps.band_structure(kagome, "laplacian", grid)
-    assert sorted(solved[0]) == list(range(len(grid.half[0])))
+    table = assert_pruned_table_is_the_full_sweep(kagome, "laplacian", grid)
+    assert certified_levels(table) == [6.0]
+    assert (table.bands[2].lo, table.bands[2].hi, table.bands[1].hi) == (6.0, 6.0, 6.0)
+    assert len(set(solved[0])) == len(solved[0]) <= 0.09 * len(grid.half[0])
 
 
 def test_dispersive_quotient_solves_under_half_the_points(monkeypatch):
@@ -315,6 +328,150 @@ def test_dispersive_quotient_solves_under_half_the_points(monkeypatch):
     table = ps.band_structure(graph, "schrodinger", grid)
     assert len(set(solved[0])) == len(solved[0]) < 0.5 * len(grid.half[0])
     assert_tables_identical(table, full_band_table(graph, "schrodinger", grid))
+
+
+# -- certified flat levels ------------------------------------------------------
+
+
+def flat_levels(graph, kind):
+    """``(v, mu)`` of every candidate that a full grid-16 sweep samples as flat, certified one by one."""
+    grid = ps.KGrid(graph.dim, 16)
+    matrix = ps.symbolic_operator(graph, kind)
+    table = full_band_table(graph, kind, grid)
+    return [ps.bands._flat_level(matrix, value) for value, residual in table.flat_candidates
+            if residual < ps.bands.default_flat_tol(value)]
+
+
+def pendant_graph():
+    """The honeycomb quotient with three pendant vertices on one of its two vertices."""
+    labels = ["v1", "v2", "p1", "p2", "p3"]
+    edges = [("v1", "v2", (0, 0)), ("v1", "v2", (1, 0)), ("v1", "v2", (0, 1))]
+    return ps.build_graph(2, labels, edges + [("v1", p, (0, 0)) for p in labels[2:]])
+
+
+KAGOME_FLAT = {
+    "adjacency": -2.0, "laplacian": 6.0, "schrodinger": -6.0, "normalized_laplacian": 1.5, "transition": -0.5
+}
+FIG4_FLAT = {"adjacency": 0.0, "laplacian": 2.0, "schrodinger": -2.0, "normalized_laplacian": 1.0, "transition": 0.0}
+
+
+@pytest.mark.parametrize("kind", ps.OPERATOR_KINDS)
+def test_builtin_flat_levels_certify_with_multiplicity_one(kagome, fig4, kind):
+    assert flat_levels(kagome, kind) == [(KAGOME_FLAT[kind], 1)]
+    assert flat_levels(fig4, kind) == [(FIG4_FLAT[kind], 1)]
+
+
+def test_pendant_vertices_certify_their_multiplicity():
+    # Adjacency: f(v1) = 0 and sum_p f(p) = -h(k) f(v2) leave a 3-dimensional kernel.
+    # Laplacian: f(v1) = f(v2) = 0 and sum_p f(p) = 0 give eigenvalue 1 twice.
+    graph = pendant_graph()
+    assert (0.0, 3) in flat_levels(graph, "adjacency")
+    assert (1.0, 2) in flat_levels(graph, "laplacian")
+    # 5**3 * 11**2 integer operations: the grid must leave at least that many points to test.
+    table = assert_pruned_table_is_the_full_sweep(graph, "laplacian", ps.KGrid(2, 200))
+    assert 1.0 in certified_levels(table)
+
+
+@pytest.mark.parametrize("graph", [pytest.param("kagome", id="kagome"), pytest.param("fig4_chain", id="fig4_chain"),
+                                   pytest.param(None, id="pendant")])
+def test_certified_levels_are_gauge_invariant(graph):
+    graph = ps.builtin_graph(graph) if graph else pendant_graph()
+    rng = np.random.default_rng(7)
+    for _ in range(2):
+        shifts = [(0,) * graph.dim]
+        shifts += [tuple(int(v) for v in rng.integers(-2, 3, graph.dim)) for _ in range(graph.num_vertices - 1)]
+        moved = ps.gauge_transform(graph, ps.Gauge(tuple(shifts)))
+        for kind in ps.OPERATOR_KINDS:
+            assert flat_levels(moved, kind) == flat_levels(graph, kind)
+
+
+@pytest.mark.parametrize("graph", [pytest.param("kagome", id="kagome"), pytest.param(None, id="pendant")])
+def test_branch_bounds_hold_between_grid_points(graph):
+    # Every point of a grid against its nearest point of the stride-4 lattice, as the pruned
+    # sweep tests it: the solved eigenvalues lie inside the bounds from the lattice point.
+    graph, grid = (ps.builtin_graph(graph) if graph else pendant_graph()), ps.KGrid(2, 48)
+    h = 2 * np.pi / grid.points_per_dim
+    coords = np.rint(grid.points / h).astype(int)
+    near = (coords + 2) // 4 * 4
+    for kind in ps.OPERATOR_KINDS:
+        matrix = ps.symbolic_operator(graph, kind)
+        lip, rho = ps.bands._operator_bounds(matrix)[:2]
+        margin = 1e-12 * (1.0 + rho)
+        levels = [level for level in flat_levels(graph, kind) if level[1]]
+        assert levels
+        row = ps.fiber_eigenvalues_grid(matrix, near * h).T
+        lam = ps.fiber_eigenvalues_grid(matrix, grid.points).T
+        reach = lip * h * np.abs(coords - near).max(axis=1) + margin
+        lower, upper = ps.bands._branch_bounds(row, reach, levels, margin)
+        assert (lower <= lam).all() and (lam <= upper).all()
+
+
+def near_flat_kagome(potential):
+    base = ps.builtin_graph("kagome")
+    edges = [(base.labels[e.tail], base.labels[e.head], e.index) for e in base.unoriented()]
+    return ps.build_graph(2, list(base.labels), edges, {base.labels[0]: potential})
+
+
+@pytest.mark.parametrize("potential", [1e-9, 1e-7])
+def test_near_flat_level_is_not_certified(monkeypatch, potential):
+    # A potential on one vertex splits the flat band by about that much: sampled as flat,
+    # but not flat, so the table stays the unpruned sweep's, unsnapped, solving every point.
+    graph, grid = near_flat_kagome(potential), ps.KGrid(2, 64)
+    candidates = full_band_table(graph, "schrodinger", grid).flat_candidates
+    assert any(0 < residual < ps.bands.default_flat_tol(value) for value, residual in candidates)
+    assert all(mu == 0 for _, mu in flat_levels(graph, "schrodinger"))
+    solved = spy_solved_rows(monkeypatch, grid)
+    solved.append([])
+    table = ps.band_structure(graph, "schrodinger", grid)
+    assert_tables_identical(table, full_band_table(graph, "schrodinger", grid))
+    assert certified_levels(table) == []
+    assert sorted(solved[0]) == list(range(len(grid.half[0])))
+
+
+@pytest.mark.parametrize("n", [8, 40])
+def test_certificate_dearer_than_the_sweep_is_refused(monkeypatch, kagome, n):
+    # 27 * 49 integer operations cost more than the few hundred points left to test:
+    # the flat band keeps the sampled path, every point solved and nothing snapped.
+    grid = ps.KGrid(2, n)
+    solved = spy_solved_rows(monkeypatch, grid)
+    for kind in ps.OPERATOR_KINDS:
+        solved.append([])
+        table = ps.band_structure(kagome, kind, grid)
+        assert_tables_identical(table, full_band_table(kagome, kind, grid))
+        assert certified_levels(table) == []
+        assert sorted(solved[-1]) == list(range(len(grid.half[0])))
+
+
+def fraction_rank(rows):
+    """Rank by Gaussian elimination over the rationals."""
+    from fractions import Fraction
+
+    rows = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_bareiss_rank_matches_rational_elimination():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        size, rank = int(rng.integers(1, 7)), int(rng.integers(0, 7))
+        # A product of random integer factors has rank at most the inner size; big entries
+        # make the exact divisions matter.
+        left = rng.integers(-9, 10, (size, rank)).tolist()
+        right = rng.integers(-9, 10, (rank, size)).tolist()
+        rows = [[sum(left[i][t] * right[t][j] for t in range(rank)) * 10**12 for j in range(size)] for i in range(size)]
+        if rng.random() < 0.3 and size > 1:
+            rows[0] = [0] * size
+        assert ps.bands._rank([row[:] for row in rows]) == fraction_rank(rows)
 
 
 def _defect_matrix(diagonal, upper, lower):
