@@ -26,7 +26,8 @@ A flat level v is exact when ``det(M(z) - v*I)`` vanishes identically in
 arithmetic, for each flat candidate of its coarse pass when the proof costs
 less than the points left to test (:func:`_flat_level`).  A certified level
 reports residual 0.0, every band end within the sweep's rounding margin of
-it reads v exactly, and it no longer stops the pruning.  Tables built by
+it reads v exactly, and it no longer stops the pruning: the sorted slots that
+it pins are exempt from the skip test.  Tables built by
 :func:`table_from_eigenvalues` (``dispersion``, ``power_band_structure``)
 keep the sampled residuals.
 """
@@ -254,28 +255,23 @@ def _rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _frequency_radius(matrix: LaurentMatrix) -> list[int]:
-    """R_s, the largest ``|m_s|`` over the terms of the operator, for each axis s."""
-    terms = [m for row in matrix.entries for poly in row for m in poly.coeffs]
-    return [max((abs(m[s]) for m in terms), default=0) for s in range(matrix.dim)]
-
-
 def _flat_level(matrix: LaurentMatrix, value: float) -> tuple[float, int]:
     """``(v, mu)``: ``value`` rounded to the grid of the coefficients, and the
     multiplicity of v as an eigenvalue of M(k) at every k (0: v is not flat).
 
     Every coefficient is a dyadic rational, ``a * 2**-e`` with a common e,
     so ``2**e * (M(z) - v*I)``, its rows scaled by ``z**R`` to clear negative
-    powers (:func:`_frequency_radius`), is a matrix of integer polynomials in
-    z whenever v lies on the grid ``2**-e * Z``, where every rational flat
-    level lies.  Each of its minors has degree at most ``2 * nu * R_s`` in
-    z_s, so it vanishes identically if it vanishes on a tensor grid of
-    ``2 * nu * R_s + 1`` integers per axis.  The largest rank over that grid,
-    computed exactly, is therefore the rank at generic z, and at least the
-    rank at every z on the torus ``z_s = exp(i k_s)``: v is an eigenvalue of
-    the Hermitian M(k) with multiplicity at least ``mu = nu - rank`` at every k.
+    powers (``LaurentMatrix.frequency_radius``), is a matrix of integer
+    polynomials in z whenever v lies on the grid ``2**-e * Z``, where every
+    rational flat level lies.  Each of its minors has degree at most
+    ``2 * nu * R_s`` in z_s, so it vanishes identically if it vanishes on a
+    tensor grid of ``2 * nu * R_s + 1`` integers per axis.  The largest rank
+    over that grid, computed exactly, is therefore the rank at generic z, and
+    at least the rank at every z on the torus ``z_s = exp(i k_s)``: v is an
+    eigenvalue of the Hermitian M(k) with multiplicity at least
+    ``mu = nu - rank`` at every k.
     """
-    size, radius = matrix.size, tuple(_frequency_radius(matrix))
+    size, radius = matrix.size, matrix.frequency_radius()
     terms = [
         (i, j, m, c.real.as_integer_ratio())
         for i, row in enumerate(matrix.entries)
@@ -316,7 +312,7 @@ def _flat_levels(
     """
     tried = [c for c, value in enumerate(values) if residual[c] < default_flat_tol(value)]
     size = matrix.size
-    if not tried or len(tried) * size**3 * math.prod(2 * size * r + 1 for r in _frequency_radius(matrix)) > budget:
+    if not tried or len(tried) * size**3 * math.prod(2 * size * r + 1 for r in matrix.frequency_radius()) > budget:
         return {}
     out = {}
     for c in tried:
@@ -324,29 +320,6 @@ def _flat_levels(
         if mu and abs(level - values[c]) <= margin:
             out[c] = (level, mu)
     return out
-
-
-def _branch_bounds(
-    row: np.ndarray, reach: np.ndarray, levels: list[tuple[float, int]], margin: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds on the sorted eigenvalues at points within ``reach`` of the solved columns of ``row``.
-
-    Each column is one point's sorted eigenvalues, and ``reach`` bounds how
-    far each sorted eigenvalue can move from it, rounding included.  Each
-    certified level ``(v, mu)`` takes the mu entries nearest v out of the
-    column, since mu analytic branches stay v (Rellich) and the others move
-    by at most ``reach``, and puts mu copies of ``v -+ margin`` back in.
-    """
-    lower, upper = row - reach, row + reach
-    if levels:
-        free = row.copy()
-        for v, mu in levels:
-            pick = np.argpartition(np.abs(free - v), mu - 1, axis=0)[:mu]
-            for bound, end in ((lower, v - margin), (upper, v + margin), (free, np.inf)):
-                np.put_along_axis(bound, pick, end, axis=0)
-        lower.sort(axis=0)
-        upper.sort(axis=0)
-    return lower, upper
 
 
 def _table(kind: str, grid: KGrid, lows: np.ndarray, highs: np.ndarray, candidates: tuple) -> BandTable:
@@ -379,13 +352,13 @@ def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None
     than the points left to test (:func:`_flat_levels`).  A certified level v
     of multiplicity mu reports residual 0.0, and every band end within
     ``margin`` of v is reported as v.  It leaves the residual test and the
-    ``rest`` shortcut: mu analytic eigenvalue branches are identically v
-    along the segment to the coarse point (Rellich), so the others, the
-    coarse row without its mu entries nearest v, still move by at most
-    ``L * h * r``, and band j is bounded by the j-th smallest of those
-    widened branches and mu copies of ``v -+ margin``.  A band end within
-    ``margin`` of v is only tested against ``v -+ margin``.  Every other
-    number of the table is the full sweep's, bit for bit.
+    ``rest`` shortcut.  Its pinned slots are exempt from the band test: when
+    exactly mu entries of the coarse row lie within ``reach + margin`` of v,
+    they are v's own mu branches, identically v (Rellich), and every other
+    branch stays too far from v to cross it on the way, so the same slots
+    hold v up to ``margin`` at the point, which cannot move a reported end.
+    A point whose coarse row has any other count near v is solved.  Every
+    other number of the table is the full sweep's, bit for bit.
     """
     grid = grid or KGrid(graph.dim)
     matrix = _fiber_operator(graph, kind, grid)
@@ -419,14 +392,10 @@ def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None
     levels = list(certified.values())
     loose = [i for i in range(len(values)) if i not in certified]
 
-    def window(x: np.ndarray) -> list[np.ndarray]:
-        """For each certified level, whether each of ``x`` lies within ``margin`` of it."""
-        return [np.abs(x - v) <= margin for v, _ in levels]
-
-    def snap(x: np.ndarray, offset: float = 0.0) -> np.ndarray:
-        """``x`` with each entry within ``margin`` of a certified level v read as ``v + offset``."""
-        for (v, _), near in zip(levels, window(x)):
-            x = np.where(near, v + offset, x)
+    def snap(x: np.ndarray) -> np.ndarray:
+        """``x`` with each entry within ``margin`` of a certified level v read as v."""
+        for v, _ in levels:
+            x = np.where(np.abs(x - v) <= margin, v, x)
         return x
 
     def unsure(c: np.ndarray) -> np.ndarray:
@@ -435,15 +404,20 @@ def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None
         reach = slope * np.abs(c - near).max(axis=1) + margin
         column = np.searchsorted(coarse, partner[np.ravel_multi_index(tuple((near % n).T), (n,) * grid.dim)])
         row = top.take(column, axis=1)
-        lower, upper = _branch_bounds(row, reach, levels, margin)
-        inside = ((lower >= snap(lo, -margin)[:, None]) & (upper <= snap(hi, margin)[:, None])).all(axis=0)
+        inside = (row - reach >= lo[:, None]) & (row + reach <= hi[:, None])
+        counted = np.ones(row.shape[1], dtype=bool)
+        for v, mu in levels:
+            pinned = np.abs(row - v) <= reach + margin
+            counted &= pinned.sum(axis=0) == mu
+            inside |= pinned
+        inside = inside.all(axis=0) & counted
         for i in loose:
             inside &= np.abs(row - values[i]).min(axis=0) + reach <= residual[i]
         return ~inside
 
     flat = np.zeros(len(lo), dtype=bool)
-    for low, high in zip(window(lo), window(hi)):
-        flat |= low & high
+    for v, _ in levels:
+        flat |= np.maximum(np.abs(lo - v), np.abs(hi - v)) <= margin
     narrowest = min(np.min((hi - lo)[~flat] / 2, initial=np.inf), np.min(residual[loose], initial=np.inf))
     rest = not exact or slope + margin > narrowest
     for start in range(0, npts, batch):
@@ -500,7 +474,7 @@ def spectrum_measure(table: BandTable) -> float:
 
 def flat_bands(table: BandTable, tol: float | None = None) -> list[Band]:
     """Flat levels: values attained by some eigenvalue at every grid point."""
-    if tol is not None and tol <= 0:
+    if tol is not None and not tol > 0:
         raise ValueError("flat-band tolerance must be positive")
     out = []
     for value, residual in table.flat_candidates:

@@ -122,10 +122,6 @@ class LaurentPoly:
         values = np.array([c for _, c in items], dtype=complex)
         return freqs, values
 
-    def max_abs_frequency(self) -> int:
-        """Largest |m_s| over the support, 0 for the zero polynomial."""
-        return max((max(abs(v) for v in m) for m in self.coeffs if m), default=0)
-
     def __repr__(self) -> str:
         terms = ", ".join(f"{m}: {c:.6g}" for m, c in sorted(self.coeffs.items()))
         return f"LaurentPoly(dim={self.dim}, {{{terms}}})"
@@ -229,7 +225,7 @@ class LaurentMatrix:
             out[:, i, j] = acc
         return out
 
-    def max_abs_frequency(self) -> int:
-        return max(
-            (p.max_abs_frequency() for row in self.entries for p in row), default=0
-        )
+    def frequency_radius(self) -> tuple[int, ...]:
+        """R_s, the largest ``|m_s|`` over the terms of the entries, for each axis s."""
+        terms = [m for row in self.entries for poly in row for m in poly.coeffs]
+        return tuple(max((abs(m[s]) for m in terms), default=0) for s in range(self.dim))

@@ -238,12 +238,13 @@ def walk_classes(graph: FundamentalGraph, kind: str, n_max: int) -> tuple[tuple[
 
     With ``T_n(k) = Tr M(k)^n``, ``B_n2 = T_n(0) - T_n(pi,..,pi)`` and
     ``B_n1 = T_n(0) - T_n0``, where the zero-index sum ``T_n0`` is the mean of
-    ``T_n`` over a grid of ``n_max * R + 1`` points per axis (R the largest
-    index frequency of M), exact because it resolves every frequency of
-    ``T_n``.  The values equal :func:`classify` of the exact walk sums.
-    The sweep streams the grid in chunks (see :func:`fiber_eigenvalues_grid`),
-    so memory is the grid points, the eigenvalues, one power of them and the
-    (n_max, npts) traces, never the stack of fibers.
+    ``T_n`` over a grid of ``n_max * R_s + 1`` points on each axis s (R_s the
+    largest ``|m_s|`` over the terms of M, ``LaurentMatrix.frequency_radius``),
+    exact because it resolves every frequency of ``T_n`` on that axis.  The
+    values equal :func:`classify` of the exact walk sums.  The sweep streams
+    the grid in chunks (see :func:`fiber_eigenvalues_grid`), so memory is the
+    grid points, the eigenvalues, one power of them and the (n_max, npts)
+    traces, never the stack of fibers.
 
     The error of each value is of order ``n * nu * eps`` times the trace
     scale ``nu * rho^n`` of :func:`trace_scales`: eigenvalue rounding,
@@ -259,9 +260,8 @@ def walk_classes(graph: FundamentalGraph, kind: str, n_max: int) -> tuple[tuple[
     coeffs = [c for row in matrix.entries for p in row for c in p.coeffs.values()]
     integral = all(c.imag == 0.0 and c.real == round(c.real) for c in coeffs)
     scales = trace_scales(matrix, n_max)
-    per_axis = n_max * matrix.max_abs_frequency() + 1
-    axis = 2.0 * np.pi * np.arange(per_axis) / per_axis
-    grid = np.stack(np.meshgrid(*[axis] * graph.dim, indexing="ij"), axis=-1).reshape(-1, graph.dim)
+    axes = [2.0 * np.pi * np.arange(n_max * r + 1) / (n_max * r + 1) for r in matrix.frequency_radius()]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, graph.dim)
     special = np.array([[0.0] * graph.dim, [np.pi] * graph.dim])
     points = np.vstack([special, grid])
     # T_n at every point, one row per n; columns: k = 0, k = pi*(1,..,1), the grid.

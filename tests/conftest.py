@@ -18,8 +18,8 @@ tables bit for bit, and ``assert_pruned_table_is_the_full_sweep`` holds
 points a sweep solves.
 ``evaluate_fiber``, ``eigenvalues``, ``hermiticity_defect`` and
 ``is_real_on_torus`` evaluate and check single fibers and symbolic entries;
-``support``, ``conj_reflect`` and ``max_diff`` read and compare Laurent
-polynomials.
+``support``, ``conj_reflect``, ``max_abs_frequency`` and ``max_diff`` read
+and compare Laurent polynomials.
 ``eval_entries_termwise`` evaluates a symbolic matrix one entry and one term
 at a time, the reference for the bits of ``LaurentMatrix.eval_grid``.
 """
@@ -97,6 +97,11 @@ def support(poly):
 def conj_reflect(poly):
     """Conjugate coefficients and negate frequencies: the torus conjugate."""
     return ps.LaurentPoly(poly.dim, {tuple(-v for v in m): c.conjugate() for m, c in poly.coeffs.items()})
+
+
+def max_abs_frequency(poly):
+    """Largest |m_s| over the support, 0 for the zero polynomial."""
+    return max((max(map(abs, m)) for m in poly.coeffs if m), default=0)
 
 
 def max_diff(a, b):
@@ -393,3 +398,13 @@ def fig4():
 @pytest.fixture
 def hexagonal():
     return ps.builtin_graph("hexagonal")
+
+
+@pytest.fixture
+def wide_index():
+    """A 2-vertex rank-3 quotient whose indices reach 101 on the first axis and 1 on the others.
+
+    Its cycle indices (100, 1, 0), (101, 1, 0) and (0, 0, 1) form a unimodular matrix.
+    """
+    edges = [("a", "b", (0, 0, 0)), ("a", "b", (100, 1, 0)), ("a", "b", (101, 1, 0)), ("a", "a", (0, 0, 1))]
+    return ps.build_graph(3, ["a", "b"], edges)

@@ -74,10 +74,11 @@ def test_square_lattice_has_no_flat_band():
     assert ps.flat_bands(table) == []
 
 
-def test_flat_band_tolerance_must_be_positive(kagome):
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_flat_band_tolerance_must_be_positive(kagome, tol):
     table = ps.band_structure(kagome, "laplacian", ps.KGrid(2, 16))
     with pytest.raises(ValueError):
-        ps.flat_bands(table, tol=0.0)
+        ps.flat_bands(table, tol=tol)
 
 
 def test_all_flat_table_has_zero_bandwidth():
@@ -349,6 +350,14 @@ def pendant_graph():
     return ps.build_graph(2, labels, edges + [("v1", p, (0, 0)) for p in labels[2:]])
 
 
+def crossing_graph():
+    """A seeded rank-2 quotient with two pendant vertices on v0: adjacency level 0, crossed by a dispersive band."""
+    base = random_graph(3, 2)
+    edges = [(base.labels[e.tail], base.labels[e.head], e.index) for e in base.unoriented()]
+    edges += [("v0", p, (0, 0)) for p in ("p1", "p2")]
+    return ps.build_graph(2, list(base.labels) + ["p1", "p2"], edges, dict(zip(base.labels, map(float, base.potential))))
+
+
 KAGOME_FLAT = {
     "adjacency": -2.0, "laplacian": 6.0, "schrodinger": -6.0, "normalized_laplacian": 1.5, "transition": -0.5
 }
@@ -359,6 +368,17 @@ FIG4_FLAT = {"adjacency": 0.0, "laplacian": 2.0, "schrodinger": -2.0, "normalize
 def test_builtin_flat_levels_certify_with_multiplicity_one(kagome, fig4, kind):
     assert flat_levels(kagome, kind) == [(KAGOME_FLAT[kind], 1)]
     assert flat_levels(fig4, kind) == [(FIG4_FLAT[kind], 1)]
+
+
+def test_level_crossed_by_a_dispersive_band_is_certified(monkeypatch):
+    # A dispersive band crosses adjacency level 0: the fibers near the crossing are solved,
+    # and the rest of the grid is still skipped past, the table staying the full sweep's.
+    grid = ps.KGrid(2, 200)
+    solved = spy_solved_rows(monkeypatch, grid)
+    solved.append([])
+    table = assert_pruned_table_is_the_full_sweep(crossing_graph(), "adjacency", grid)
+    assert certified_levels(table) == [0.0]
+    assert len(set(solved[0])) == len(solved[0]) <= 0.74 * len(grid.half[0])
 
 
 def test_pendant_vertices_certify_their_multiplicity():
@@ -385,25 +405,35 @@ def test_certified_levels_are_gauge_invariant(graph):
             assert flat_levels(moved, kind) == flat_levels(graph, kind)
 
 
-@pytest.mark.parametrize("graph", [pytest.param("kagome", id="kagome"), pytest.param(None, id="pendant")])
-def test_branch_bounds_hold_between_grid_points(graph):
+@pytest.mark.parametrize("graph", [pytest.param(ps.builtin_graph("kagome"), id="kagome"),
+                                   pytest.param(pendant_graph(), id="pendant"),
+                                   pytest.param(crossing_graph(), id="crossing")])
+def test_pinned_slots_hold_between_grid_points(graph):
     # Every point of a grid against its nearest point of the stride-4 lattice, as the pruned
-    # sweep tests it: the solved eigenvalues lie inside the bounds from the lattice point.
-    graph, grid = (ps.builtin_graph(graph) if graph else pendant_graph()), ps.KGrid(2, 48)
+    # sweep tests it: every sorted eigenvalue lies within the reach of its lattice value, and
+    # where exactly mu lattice values lie within reach + margin of a certified level v, the
+    # solved eigenvalues of those slots lie within margin of v.
+    grid = ps.KGrid(2, 48)
     h = 2 * np.pi / grid.points_per_dim
     coords = np.rint(grid.points / h).astype(int)
     near = (coords + 2) // 4 * 4
+    pinned_columns = 0
     for kind in ps.OPERATOR_KINDS:
         matrix = ps.symbolic_operator(graph, kind)
         lip, rho = ps.bands._operator_bounds(matrix)[:2]
         margin = 1e-12 * (1.0 + rho)
-        levels = [level for level in flat_levels(graph, kind) if level[1]]
-        assert levels
         row = ps.fiber_eigenvalues_grid(matrix, near * h).T
         lam = ps.fiber_eigenvalues_grid(matrix, grid.points).T
         reach = lip * h * np.abs(coords - near).max(axis=1) + margin
-        lower, upper = ps.bands._branch_bounds(row, reach, levels, margin)
-        assert (lower <= lam).all() and (lam <= upper).all()
+        assert (np.abs(lam - row) <= reach).all()
+        for v, mu in flat_levels(graph, kind):
+            if not mu:
+                continue
+            pinned = np.abs(row - v) <= reach + margin
+            counted = pinned.sum(axis=0) == mu
+            assert (np.abs(lam - v)[pinned & counted] <= margin).all()
+            pinned_columns += counted.sum()
+    assert pinned_columns
 
 
 def near_flat_kagome(potential):

@@ -189,6 +189,14 @@ def test_unknown_builtin_is_input_error(runner):
     assert "error:" in result.output
 
 
+@pytest.mark.parametrize("tol", ["0", "nan"])
+def test_non_positive_flat_tolerance_is_input_error(runner, tol):
+    result = runner.invoke(main, ["bandwidth", "--builtin", "kagome", "--flat-tol", tol])
+    assert result.exit_code == 1
+    assert "flat-band tolerance must be positive" in result.output
+    assert "flat_bands" not in result.output
+
+
 def test_bad_graph_file_is_input_error(runner, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{broken")

@@ -9,7 +9,7 @@ import periodic_spectra as ps
 from periodic_spectra.errors import EngineMismatchError
 from periodic_spectra.walks import WalkClassCounts
 
-from conftest import assert_walk_classes_match, enumerate_walk_sums, max_diff, unchecked_graph
+from conftest import assert_walk_classes_match, enumerate_walk_sums, max_abs_frequency, max_diff, unchecked_graph
 
 RNG = np.random.default_rng(31)
 
@@ -232,7 +232,7 @@ def test_torus_average_identity(builtin):
     for n in (1, 2, 3):
         series = ps.trace_series(g, "schrodinger", n)
         t_n0 = ps.classify(ps.weighted_walk_sums(g, n)).t0
-        npts = max(2, 2 * series.max_abs_frequency() + 2)
+        npts = max(2, 2 * max_abs_frequency(series) + 2)
         grid = ps.KGrid(g.dim, npts)
         avg = series.eval_grid(grid.points).mean()
         assert avg.real == pytest.approx(t_n0, abs=1e-9)
@@ -250,6 +250,20 @@ def test_walk_classes_past_enumeration(kagome):
     series = ps.trace_series(kagome, "adjacency", 12)
     assert b1 == round(sum(c.real for m, c in series.coeffs.items() if any(m)))
     assert b2 == round(2 * sum(c.real for m, c in series.coeffs.items() if sum(m) % 2))
+
+
+def test_walk_classes_grid_is_sized_per_axis(monkeypatch, wide_index):
+    # n_max * R_s + 1 points on each axis: 203 * 3 * 3 rather than 203**3, plus k = 0 and k = pi.
+    sizes = []
+    original = ps.walks.fiber_eigenvalues_grid
+
+    def spy(matrix, points, **kwargs):
+        sizes.append(len(points))
+        return original(matrix, points, **kwargs)
+
+    monkeypatch.setattr(ps.walks, "fiber_eigenvalues_grid", spy)
+    assert_walk_classes_match(wide_index, 2)
+    assert sizes and max(sizes) <= 2 + 203 * 3 * 3
 
 
 def test_walk_classes_kinds(kagome):
