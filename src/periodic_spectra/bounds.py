@@ -26,7 +26,7 @@ from .graphs import (
     is_bipartite,
     minimize_bridges,
 )
-from .walks import classify, count_walks, walk_classes, walk_setting
+from .walks import classify, walk_classes, walk_series, walk_setting
 
 
 @dataclass(frozen=True)
@@ -91,12 +91,16 @@ class BoundsReport:
     terms: tuple[BoundTerm, ...]
 
 
+def _d_star(dim: int) -> int:
+    """The smallest even integer >= dim."""
+    return dim + dim % 2
+
+
 def structural_constants(graph: FundamentalGraph) -> StructuralConstants:
     deg = graph.degrees
     kappa_minus, kappa_plus = min(deg), max(deg)
     shifted = [graph.potential[x] - deg[x] for x in range(graph.num_vertices)]
     v_plus = max(shifted) - min(shifted)
-    d_star = graph.dim if graph.dim % 2 == 0 else graph.dim + 1
     _, min_bridges = minimize_bridges(graph)
     per_vertex_bridges = [0] * graph.num_vertices
     for e in graph.edges:
@@ -111,7 +115,7 @@ def structural_constants(graph: FundamentalGraph) -> StructuralConstants:
         kappa_star=2 * kappa_plus - kappa_minus,
         v_plus=float(v_plus),
         v_star=float(kappa_plus + v_plus),
-        d_star=d_star,
+        d_star=_d_star(graph.dim),
         betti=betti_number(graph),
         bridges=bridge_count(graph),
         min_bridges=min_bridges,
@@ -251,15 +255,13 @@ def verify_index_lattice(graph: FundamentalGraph) -> IndexLatticeReport:
                 basis_subset = tuple(cycles[j] for j in combo)
                 break
 
-    d_star = graph.dim if graph.dim % 2 == 0 else graph.dim + 1
-    witness_n = witness_odd = None
-    bip_witness = None
+    witness_n = witness_odd = bip_witness = None
     bipartite = is_bipartite(graph)[0]
-    for n in range(1, graph.num_vertices + 1):
-        summary = classify(count_walks(graph, n))
-        if witness_n is None and summary.n_odd >= n * d_star:
-            witness_n, witness_odd = n, summary.n_odd
-        if bipartite and bip_witness is None and summary.n_odd >= 2 * n * graph.dim:
+    for n, counts in enumerate(walk_series(graph, "adjacency", graph.num_vertices), 1):
+        n_odd = classify(counts).n_odd
+        if witness_n is None and n_odd >= n * _d_star(graph.dim):
+            witness_n, witness_odd = n, n_odd
+        if bipartite and bip_witness is None and n_odd >= 2 * n * graph.dim:
             bip_witness = n
         if witness_n is not None and (not bipartite or bip_witness is not None):
             break

@@ -47,12 +47,10 @@ from .walks import (
     TRACE_TOL,
     classify,
     coefficient_residual,
-    count_walks,
     trace_scales,
-    trace_series,
     walk_matrix,
+    walk_series,
     walk_setting,
-    walk_sums_for_kind,
 )
 
 TRACE_SAMPLE_POINTS = 20
@@ -302,16 +300,14 @@ def cycles(graph: FundamentalGraph, kind: str, n_max: int | None) -> _Output:
     """
     limit = n_max or graph.num_vertices
     weighted_graph, weight_kind = walk_setting(graph, kind)
-    doc = []
-    for n in range(1, limit + 1):
-        units = classify(count_walks(graph, n))
-        # Adjacency weighs every step 1: its weighted sums are the unit counts.
-        if weight_kind == "adjacency":
-            weighted = units
-        else:
-            weighted = classify(walk_sums_for_kind(weighted_graph, weight_kind, n))
-        doc.append({"n": n, "N0": units.n_zero, "Nplus": units.n_plus, "Nodd": units.n_odd,
-                    "Bn1": weighted.b1, "Bn2": weighted.b2, "Tn0": weighted.t0})
+    units = map(classify, walk_series(graph, "adjacency", limit))
+    # Adjacency weighs every step 1: its weighted sums are the unit counts.
+    if weight_kind == "adjacency":
+        pairs = ((unit, unit) for unit in units)
+    else:
+        pairs = zip(units, map(classify, walk_series(weighted_graph, weight_kind, limit)))
+    doc = [{"n": u.n, "N0": u.n_zero, "Nplus": u.n_plus, "Nodd": u.n_odd, "Bn1": w.b1, "Bn2": w.b2, "Tn0": w.t0}
+           for u, w in pairs]
     rows = [["n", "N0", "Nplus", "Nodd", "Bn1", "Bn2", "Tn0"]] + [list(r.values()) for r in doc]
     lines = [
         f"n={r['n']} N0={r['N0']} N+={r['Nplus']} Nodd={r['Nodd']} "
@@ -328,15 +324,16 @@ def traces(graph: FundamentalGraph, kind: str, n_max: int | None) -> _Output:
     limit = n_max or graph.num_vertices
     matrix = walk_matrix(work_graph, trace_kind)
     scales = trace_scales(matrix, limit)
-    rng = np.random.default_rng(0)
-    sample = rng.uniform(0.0, 2.0 * np.pi, size=(TRACE_SAMPLE_POINTS, graph.dim))
+    sample = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, size=(TRACE_SAMPLE_POINTS, graph.dim))
     lam = fiber_eigenvalues_grid(matrix, sample)
-    doc = []
-    failed = []
-    for n, scale in enumerate(scales, 1):
+    doc, failed = [], []
+    # Each power M^n from the last, starting at the identity: the products of matrix.power(n).
+    power = matrix.power(0)
+    for n, (scale, sums) in enumerate(zip(scales, walk_series(work_graph, trace_kind, limit)), 1):
         # The residual column below is the engine check: a mismatch is a row and exit 2.
-        series = trace_series(work_graph, trace_kind, n)
-        coeff_residual = coefficient_residual(series, walk_sums_for_kind(work_graph, trace_kind, n))
+        power = power @ matrix
+        series = power.trace()
+        coeff_residual = coefficient_residual(series, sums)
         eval_residual = float(np.abs(series.eval_grid(sample) - (lam**n).sum(axis=1)).max())
         worst = max(coeff_residual, eval_residual)
         # Residuals are judged relative to the trace scale nu * rho^n, which bounds the traces.

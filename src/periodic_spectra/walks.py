@@ -19,23 +19,24 @@ Three step-weight modes:
 The self-steps added in schrodinger mode are single steps, not edge pairs:
 the diagonal of the fiber matrix carries v_x exactly once.
 
-One exact transfer recursion gives the sums index by index.  Its work is
-polynomial in n: from each of the nu base vertices it carries at most
-nu * (2nR + 1)^d (vertex, index) states through n steps, R the largest index
-component.  The bounds need only the classified totals, which
-:func:`walk_classes` reads off one eigen-solve of the fiber over a small
-torus grid; the recursion is the exact engine behind the CLI's integer
-columns, the ``traces`` verb's comparison with :func:`trace_series` and the
-lattice witnesses.
+One exact transfer recursion, :func:`walk_series`, gives the sums index by
+index for every length up to N in one pass: from each of the nu base vertices
+it carries at most nu * (2nR + 1)^d (vertex, index) states one step further
+per length n, R the largest index component, so all N lengths cost what the
+last one does.  The bounds need only the classified totals, which
+:func:`walk_classes` reads off one eigen-solve of the fiber over a small torus
+grid; the recursion is the exact engine behind the CLI's integer columns, the
+``traces`` verb's comparison with the symbolic powers and the lattice witnesses.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+from typing import Iterator
 
 import numpy as np
 
@@ -85,16 +86,17 @@ class CycleClassSummary:
     t0: float
 
 
-def _walk_sums(graph: FundamentalGraph, n: int, mode: str):
-    """Sums over the closed n-walks by index: ints in unit mode, else floats.
+def walk_series(graph: FundamentalGraph, kind: str, n_max: int) -> Iterator[WalkClassCounts]:
+    """Sums over the closed n-walks by index, for n = 1..n_max in one pass.
 
     A transfer recursion: from each base vertex, carry the summed weight of
-    every (vertex, index) state reachable in k steps, then keep the states
-    back at the base after n.  The step weights are scaled to integers over
-    one common denominator, so the arithmetic is exact and each sum is
-    rounded to a float once, at the end.
+    every (vertex, index) state one step further per length, and yield the
+    states back at the base.  Step weights are scaled to integers over one
+    common denominator, so the arithmetic is exact: unit sums are ints, and
+    every other sum is rounded to a float once.
     """
-    if n < 1:
+    mode = _walk_mode(kind)
+    if n_max < 1:
         raise ValueError("walk length must be positive")
     if mode == "normalized" and min(graph.degrees) < 1:
         raise GraphFormatError("normalized walks need every vertex degree >= 1")
@@ -110,30 +112,34 @@ def _walk_sums(graph: FundamentalGraph, n: int, mode: str):
     table: list[list[tuple[int, IndexVector, int]]] = [[] for _ in range(graph.num_vertices)]
     for tail, head, slope, w in steps:
         table[tail].append((head, slope, int(w * den)))
-    sums: dict[IndexVector, int] = defaultdict(int)
-    for base in range(graph.num_vertices):
-        front = {(base, (0,) * graph.dim): 1}
-        for _ in range(n):
+    fronts = [{(base, (0,) * graph.dim): 1} for base in range(graph.num_vertices)]
+    for n in range(1, n_max + 1):
+        sums: dict[IndexVector, int] = defaultdict(int)
+        for base, front in enumerate(fronts):
             ahead: dict[tuple[int, IndexVector], int] = defaultdict(int)
             for (vertex, index), weight in front.items():
                 for head, slope, w in table[vertex]:
                     ahead[head, tuple(map(add, index, slope))] += weight * w
-            front = ahead
-        for (vertex, index), weight in front.items():
-            if vertex == base:
-                sums[index] += weight
-    if mode == "unit":
-        return {m: s for m, s in sums.items() if s}
-    try:
-        # int / int rounds correctly, and raises OverflowError past the float range.
-        return {m: s / den**n for m, s in sums.items() if s}
-    except OverflowError:
-        raise ValueError(f"walk sums of length n={n} leave the float range") from None
+            fronts[base] = ahead
+            for (vertex, index), weight in ahead.items():
+                if vertex == base:
+                    sums[index] += weight
+        try:
+            # int / int rounds correctly, and raises OverflowError past the float range.
+            by_index = {m: s if mode == "unit" else s / den**n for m, s in sums.items() if s}
+        except OverflowError:
+            raise ValueError(f"walk sums of length n={n} leave the float range") from None
+        yield WalkClassCounts(n, mode, graph.dim, by_index)
+
+
+def walk_sums_for_kind(graph: FundamentalGraph, kind: str, n: int) -> WalkClassCounts:
+    """The last item of :func:`walk_series`: the sums over the closed n-walks alone."""
+    return deque(walk_series(graph, kind, n), maxlen=1).pop()
 
 
 def count_walks(graph: FundamentalGraph, n: int) -> WalkClassCounts:
     """Count all closed n-walks by index (backtracking ones included), exactly."""
-    return WalkClassCounts(n, "unit", graph.dim, _walk_sums(graph, n, "unit"))
+    return walk_sums_for_kind(graph, "adjacency", n)
 
 
 def weighted_walk_sums(graph: FundamentalGraph, n: int) -> WalkClassCounts:
@@ -142,12 +148,12 @@ def weighted_walk_sums(graph: FundamentalGraph, n: int) -> WalkClassCounts:
     The self-step weights are shifted so the smallest is zero; the user's
     graph is never mutated, and bandwidths do not feel the shift.
     """
-    return WalkClassCounts(n, "schrodinger", graph.dim, _walk_sums(graph, n, "schrodinger"))
+    return walk_sums_for_kind(graph, "schrodinger", n)
 
 
 def normalized_walk_sums(graph: FundamentalGraph, n: int) -> WalkClassCounts:
     """Degree-weighted sums: each walk weighs the product of 1/deg over its steps."""
-    return WalkClassCounts(n, "normalized", graph.dim, _walk_sums(graph, n, "normalized"))
+    return walk_sums_for_kind(graph, "transition", n)
 
 
 def _round_count(value: float) -> int:
@@ -163,7 +169,10 @@ def classify(counts: WalkClassCounts) -> CycleClassSummary:
     b1 = sum(v for m, v in counts.by_index.items() if any(m))
     odd = sum(v for m, v in counts.by_index.items() if sum(m) % 2)
     exact = map(_round_count, (t0, b1, odd)) if counts.mode == "unit" else (None, None, None)
-    return CycleClassSummary(counts.n, *exact, float(b1), 2.0 * odd, float(t0))
+    try:
+        return CycleClassSummary(counts.n, *exact, float(b1), 2.0 * odd, float(t0))
+    except OverflowError:
+        raise ValueError(f"walk sums of length n={counts.n} leave the float range") from None
 
 
 #: Operator kind -> (trace kind whose walks stand for it, walk mode).  The
@@ -203,15 +212,6 @@ def walk_matrix(graph: FundamentalGraph, kind: str) -> LaurentMatrix:
     """
     _walk_mode(kind)
     return symbolic_operator(graph, kind, normalize_potential=(kind == "schrodinger"))
-
-
-def walk_sums_for_kind(graph: FundamentalGraph, kind: str, n: int) -> WalkClassCounts:
-    mode = _walk_mode(kind)
-    if mode == "unit":
-        return count_walks(graph, n)
-    if mode == "schrodinger":
-        return weighted_walk_sums(graph, n)
-    return normalized_walk_sums(graph, n)
 
 
 def trace_scales(matrix: LaurentMatrix, n_max: int) -> np.ndarray:

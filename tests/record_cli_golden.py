@@ -6,9 +6,11 @@ files it wrote (``--out`` and ``--dispersion-out``).  The matrix covers every
 verb in every format, every operator kind, three graphs (kagome, fig4_chain
 and ``golden/loop_potential.json``, a graph file with a loop and a nonzero
 potential) at small ``--grid``/``--n-max``, the defaults, ``--help`` and the
-usage and input errors.  Two band sweeps are large enough that the torus
-sweep solves them in several chunks: kagome at ``--grid 160`` and a
-dispersion dump of a 96-vertex ring (see :func:`ring_graph_text`).
+usage and input errors.  Longer walks run ``cycles`` and ``traces`` to
+``--n-max 8`` and ``verify`` to its witness at n = 40 on ``z_cycle(40)``.
+Two band sweeps are large enough that the torus sweep solves them in several
+chunks: kagome at ``--grid 160`` and a dispersion dump of a 96-vertex ring
+(see :func:`ring_graph_text`).
 ``test_cli_golden.py`` reruns each recorded case and requires the same bytes.
 The recorder prints the arguments of every case whose recorded bytes change
 (new cases included), and their count.
@@ -68,6 +70,18 @@ def case_args() -> list[list[str]]:
         ["bounds", "--builtin", "fig4_chain", "--operator", "normalized_laplacian", "--n-max", "4"],
         ["cycles", "--builtin", "z_cycle(3)", "--n-max", "5", "--format", "csv"],
         ["verify", "--builtin", "hexagonal"],
+        # longer walks: the exact recursion and the symbolic power run to n = 8, the witnesses to n = 40
+        *(
+            [verb, *source, "--operator", kind, "--n-max", "8", "--format", "json"]
+            for verb in ("cycles", "traces")
+            for source, kind in (
+                (["--builtin", "kagome"], "adjacency"),
+                (["--builtin", "kagome"], "schrodinger"),
+                (["--builtin", "kagome"], "transition"),
+                (["--graph", "{graph}"], "schrodinger"),
+            )
+        ),
+        ["verify", "--builtin", "z_cycle(40)"],
         # usage errors (exit 2) and input errors (exit 1)
         ["info"],
         ["info", "--builtin", "kagome", "--graph", "{graph}"],

@@ -287,7 +287,7 @@ def test_engine_mismatch_exits_2(runner, monkeypatch):
     def broken(*args, **kwargs):
         raise EngineMismatchError("forced for the exit-code contract")
 
-    monkeypatch.setattr(cli_mod, "trace_series", broken)
+    monkeypatch.setattr(cli_mod, "walk_series", broken)
     result = runner.invoke(main, ["traces", "--builtin", "kagome", "--operator", "adjacency"])
     assert result.exit_code == 2
     assert "error:" in result.output
@@ -351,13 +351,27 @@ def test_walk_verbs_reach_long_walks(runner, verb, builtin):
         assert (rows[-1]["Nplus"], 2 * rows[-1]["Nodd"]) == (b1, b2)
 
 
-def test_verify_finds_long_witnesses(runner):
+@pytest.mark.parametrize("nu", [24, 40])
+def test_verify_finds_long_witnesses(runner, nu):
     start = time.perf_counter()
-    result = runner.invoke(main, ["verify", "--builtin", "z_cycle(24)", "--format", "json"])
+    result = runner.invoke(main, ["verify", "--builtin", f"z_cycle({nu})", "--format", "json"])
     assert time.perf_counter() - start < 10.0
     assert result.exit_code == 0, result.stderr
     doc = json.loads(result.stdout)
-    assert (doc["witness_n"], doc["witness_odd_count"]) == (24, 48)
+    assert (doc["witness_n"], doc["witness_odd_count"]) == (nu, 2 * nu)
+
+
+def test_unit_counts_past_the_float_range_are_input_errors(runner, tmp_path):
+    # One vertex with eight (1,) loops: 16^n closed walks, past 2^1024 at n = 257.
+    graph = ps.build_graph(1, ["a"], [("a", "a", (1,))] * 8)
+    path = tmp_path / "loops.json"
+    path.write_text(json.dumps(ps.graph_to_dict(graph)))
+    args = ["cycles", "--graph", str(path), "--operator", "adjacency", "--n-max"]
+    assert runner.invoke(main, [*args, "256"]).exit_code == 0
+    result = runner.invoke(main, [*args, "257"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: walk sums of length n=257 leave the float range\n"
 
 
 @pytest.mark.parametrize("verb", ["bounds", "cycles", "traces"])
@@ -375,6 +389,26 @@ def test_weights_past_the_float_range_are_input_errors(runner, tmp_path, verb):
     assert "n=" in result.stderr
 
 
+@pytest.mark.parametrize("kind", ps.walks.TRACE_KINDS)
+def test_traces_builds_each_trace_series(monkeypatch, builtin, kind):
+    # Each power from the last gives the same coefficients as trace_series' fresh power, bit for bit.
+    from periodic_spectra import cli as cli_mod
+
+    graph = builtin.with_potential([0.5 * x - 1.25 for x in range(builtin.num_vertices)])
+    built = []
+
+    def spy(series, sums):
+        built.append(series)
+        return ps.walks.coefficient_residual(series, sums)
+
+    monkeypatch.setattr(cli_mod, "coefficient_residual", spy)
+    assert cli_mod.traces(graph, kind, 8).failure is None
+    assert len(built) == 8
+    for n, series in enumerate(built, 1):
+        # repr is exact for floats and tells -0.0 from 0.0.
+        assert repr(series.coeffs) == repr(ps.trace_series(graph, kind, n).coeffs)
+
+
 def test_trace_residual_failure_exits_2_after_output(runner, monkeypatch):
     from periodic_spectra import cli as cli_mod
 
@@ -389,23 +423,23 @@ def test_trace_check_is_relative_to_trace_scale(runner, monkeypatch):
     # kagome adjacency at n = 3: the trace scale is 3 * 4^3 = 192, so the limit is 1.92e-7
     from periodic_spectra import cli as cli_mod
 
-    exact = ps.walk_sums_for_kind
+    exact = ps.walks.walk_series
 
     def shifted(offset):
-        def sums(graph, kind, n):
-            counts = exact(graph, kind, n)
-            if n != 3:
-                return counts
-            by_index = {**counts.by_index, (0, 0): counts.value((0, 0)) + offset}
-            return ps.WalkClassCounts(n, counts.mode, counts.dim, by_index)
+        def series(graph, kind, n_max):
+            for counts in exact(graph, kind, n_max):
+                if counts.n == 3:
+                    by_index = {**counts.by_index, (0, 0): counts.value((0, 0)) + offset}
+                    counts = ps.WalkClassCounts(3, counts.mode, counts.dim, by_index)
+                yield counts
 
-        return sums
+        return series
 
     args = ["traces", "--builtin", "kagome", "--operator", "adjacency", "--n-max", "3"]
-    monkeypatch.setattr(cli_mod, "walk_sums_for_kind", shifted(1.5e-7))
+    monkeypatch.setattr(cli_mod, "walk_series", shifted(1.5e-7))
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.stderr
-    monkeypatch.setattr(cli_mod, "walk_sums_for_kind", shifted(2.5e-7))
+    monkeypatch.setattr(cli_mod, "walk_series", shifted(2.5e-7))
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert "n=3 coeff_residual=2.500e-07 " in result.stdout
@@ -415,13 +449,12 @@ def test_trace_check_is_relative_to_trace_scale(runner, monkeypatch):
 def test_trace_coefficient_mismatch_is_a_row_and_exit_2(runner, monkeypatch):
     from periodic_spectra import cli as cli_mod
 
-    def off_by_one(graph, kind, n, **kwargs):
-        sums = ps.walk_sums_for_kind(graph, kind, n, **kwargs)
-        return ps.WalkClassCounts(n, sums.mode, sums.dim, {**sums.by_index, (7, 7): 1.0})
+    def off_by_one(graph, kind, n_max):
+        for sums in ps.walks.walk_series(graph, kind, n_max):
+            yield ps.WalkClassCounts(sums.n, sums.mode, sums.dim, {**sums.by_index, (7, 7): 1.0})
 
-    # Both engines' callers see the wrong sums: the verb reports them, it does not abort first.
-    monkeypatch.setattr(cli_mod, "walk_sums_for_kind", off_by_one)
-    monkeypatch.setattr(ps.walks, "walk_sums_for_kind", off_by_one)
+    # The verb reports the wrong sums as rows; it does not abort first.
+    monkeypatch.setattr(cli_mod, "walk_series", off_by_one)
     result = runner.invoke(main, ["traces", "--builtin", "kagome", "--operator", "adjacency", "--n-max", "2"])
     assert result.exit_code == 2
     assert result.stdout.startswith("n=1 coeff_residual=1.000e+00 ")
@@ -430,21 +463,29 @@ def test_trace_coefficient_mismatch_is_a_row_and_exit_2(runner, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "verb, kind, per_n",
-    [("cycles", "adjacency", 1), ("cycles", "laplacian", 2), ("traces", "adjacency", 1), ("traces", "schrodinger", 1)],
+    "verb, kind, entries",
+    [
+        ("cycles", "adjacency", 1),
+        ("cycles", "laplacian", 2),
+        ("traces", "adjacency", 1),
+        ("traces", "schrodinger", 1),
+        ("verify", None, 1),
+    ],
 )
-def test_walks_enumerated_once_per_length(runner, monkeypatch, verb, kind, per_n):
-    from periodic_spectra import walks
+def test_walk_verbs_enter_the_recursion_once(runner, monkeypatch, verb, kind, entries):
+    # One series per (graph, mode) for all lengths, never one recursion per length.
+    from periodic_spectra import bounds, cli, walks
 
     calls = []
-    walk_sums = walks._walk_sums
+    series = walks.walk_series
 
-    def counted(graph, n, mode):
-        calls.append((n, mode))
-        return walk_sums(graph, n, mode)
+    def counted(graph, kind, n_max):
+        calls.append((id(graph), walks.WALK_KINDS[kind][1]))
+        return series(graph, kind, n_max)
 
-    monkeypatch.setattr(walks, "_walk_sums", counted)
-    result = invoke(runner, verb, "--builtin", "kagome", "--operator", kind, "--n-max", "3")
+    for module in (walks, cli, bounds):
+        monkeypatch.setattr(module, "walk_series", counted)
+    options = ["--operator", kind, "--n-max", "5"] if kind else []
+    result = invoke(runner, verb, "--builtin", "kagome", *options)
     assert result.exit_code == 0
-    assert len(calls) == 3 * per_n
-    assert len(set(calls)) == len(calls)
+    assert len(calls) == len(set(calls)) == entries

@@ -116,6 +116,12 @@ def test_classify_empty():
     assert (s.n_zero, s.n_plus, s.n_odd, s.b1, s.b2, s.t0) == (0, 0, 0, 0.0, 0.0, 0.0)
 
 
+def test_classify_past_float_range_raises_value_error():
+    # 2^1100 closed walks: float() of the exact count overflows.
+    with pytest.raises(ValueError, match="n=257"):
+        ps.classify(WalkClassCounts(257, "unit", 1, {(1,): 2**1100}))
+
+
 def test_classify_rejects_non_integers():
     with pytest.raises(EngineMismatchError):
         ps.classify(WalkClassCounts(1, "unit", 1, {(0,): 1.5}))
@@ -139,17 +145,25 @@ def _quotients(draw):
 @given(_quotients(), st.integers(1, 5))
 @settings(max_examples=100, deadline=None)
 def test_transfer_recursion_equals_enumeration(graph, n):
-    counts = ps.count_walks(graph, n)
-    assert counts.by_index == enumerate_walk_sums(graph, n, "unit")
-    assert all(type(c) is int for c in counts.by_index.values())
-    for mode, sums in (
-        ("schrodinger", ps.weighted_walk_sums(graph, n)),
-        ("normalized", ps.normalized_walk_sums(graph, n)),
+    # One pass of each series, checked against the depth-first search at every length up to n.
+    for kind, mode, view in (
+        ("adjacency", "unit", ps.count_walks),
+        ("schrodinger", "schrodinger", ps.weighted_walk_sums),
+        ("transition", "normalized", ps.normalized_walk_sums),
     ):
-        oracle = enumerate_walk_sums(graph, n, mode)
-        assert set(sums.by_index) == set(oracle)
-        for m, value in oracle.items():
-            assert sums.value(m) == pytest.approx(value, rel=1e-12, abs=0)
+        series = list(ps.walks.walk_series(graph, kind, n))
+        assert [sums.n for sums in series] == list(range(1, n + 1))
+        assert view(graph, n) == series[-1]
+        for length, sums in enumerate(series, 1):
+            oracle = enumerate_walk_sums(graph, length, mode)
+            assert (sums.mode, sums.dim) == (mode, graph.dim)
+            if mode == "unit":
+                assert sums.by_index == oracle
+                assert all(type(c) is int for c in sums.by_index.values())
+                continue
+            assert set(sums.by_index) == set(oracle)
+            for m, value in oracle.items():
+                assert sums.value(m) == pytest.approx(value, rel=1e-12, abs=0)
 
 
 def _int_matrix_power_trace(matrix, n):
