@@ -169,10 +169,10 @@ def classify(counts: WalkClassCounts) -> CycleClassSummary:
     b1 = sum(v for m, v in counts.by_index.items() if any(m))
     odd = sum(v for m, v in counts.by_index.items() if sum(m) % 2)
     exact = map(_round_count, (t0, b1, odd)) if counts.mode == "unit" else (None, None, None)
-    try:
-        return CycleClassSummary(counts.n, *exact, float(b1), 2.0 * odd, float(t0))
-    except OverflowError:
-        raise ValueError(f"walk sums of length n={counts.n} leave the float range") from None
+    totals = (b1, 2 * odd, t0)
+    if max(totals) > float(np.finfo(float).max):
+        raise ValueError(f"walk sums of length n={counts.n} leave the float range")
+    return CycleClassSummary(counts.n, *exact, *map(float, totals))
 
 
 #: Operator kind -> (trace kind whose walks stand for it, walk mode).  The

@@ -120,6 +120,9 @@ def test_classify_past_float_range_raises_value_error():
     # 2^1100 closed walks: float() of the exact count overflows.
     with pytest.raises(ValueError, match="n=257"):
         ps.classify(WalkClassCounts(257, "unit", 1, {(1,): 2**1100}))
+    # Two finite weighted sums whose total is not: a float sum would turn inf silently.
+    with pytest.raises(ValueError, match="n=2"):
+        ps.classify(WalkClassCounts(2, "schrodinger", 1, {(1,): 1e308, (-1,): 1e308}))
 
 
 def test_classify_rejects_non_integers():
