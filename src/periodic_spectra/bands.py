@@ -9,9 +9,9 @@ sorted bands, whose widths are both nonzero).
 
 Every fiber operator has real coefficients, so M(-k) = conj M(k) and the
 eigenvalues at -k equal those at k.  A sweep therefore solves at most one
-point of each pair {k, -k mod 2*pi} (:attr:`KGrid.half`); :func:`dispersion`
-solves the whole half and copies each solved row to its mirror, so its rows
-at k and -k are equal bit for bit.
+point of each pair {k, -k mod 2*pi} (:attr:`KGrid.half`, integer grid
+coordinates); :func:`dispersion` solves the whole half and copies each solved
+row to its mirror, so its rows at k and -k are equal bit for bit.
 
 :func:`band_structure` solves only the points that can still set a reported
 number, and folds each solved block into running band extremes and flat
@@ -63,8 +63,10 @@ class KGrid:
     """Uniform grid 2*pi*m/n on the torus; n even so both 0 and pi*(1,..,1) appear.
 
     The grid is closed under k -> -k mod 2*pi.  Sweeps solve at most
-    :attr:`half`, one point of each such pair; :func:`dispersion` fills the
-    row of -k with a copy of the eigenvalues solved at k.
+    :attr:`half`, one point of each such pair, given by its integer grid
+    coordinates m; :meth:`angles` forms every k = 2*pi*m/n, so the angles of
+    a solved point are bitwise its row of :attr:`points`.  :func:`dispersion`
+    fills the row of -k with a copy of the eigenvalues solved at k.
     """
 
     dim: int
@@ -79,31 +81,33 @@ class KGrid:
     @cached_property
     def points(self) -> np.ndarray:
         # Row-major over the axes, the last axis fastest.
-        return self._angles(self._mesh())
+        n, dim = self.points_per_dim, self.dim
+        return self.angles(np.indices((n,) * dim).reshape(dim, -1).T)
 
     @cached_property
     def half(self) -> tuple[np.ndarray, np.ndarray]:
-        """Time-reversal pairing: ``(points to solve, partner row of every grid point)``.
+        """Time-reversal pairing: ``(coordinates to solve, partner row of every grid point)``.
 
         The grid is closed under m -> -m mod n.  Of each pair {m, -m mod n} the
-        first in grid order is solved, so (n^d + 2^d)/2 points remain, in grid
-        order and starting with k = 0; each is bitwise equal to its row of
-        :attr:`points`.  ``partner[i]`` is the row, among the solved points, of
-        grid point i or of its mirror.
+        first in grid order is solved, so (n^d + 2^d)/2 points remain; ``coords``
+        holds their integer grid coordinates m, shape (npts_half, dim), in grid
+        order and starting with k = 0.  ``partner[i]`` is the row, among the
+        solved points, of grid point i or of its mirror.
         """
-        n = self.points_per_dim
-        mesh = self._mesh()
-        rows = np.arange(mesh.shape[1])
-        first = np.minimum(rows, np.ravel_multi_index(-mesh % n, (n,) * self.dim))
-        solved = first == rows
-        return self._angles(mesh[:, solved]), (np.cumsum(solved) - 1)[first]
+        n, dim = self.points_per_dim, self.dim
+        # The flat index of every grid point's mirror, built axis by axis from one table.
+        first = np.zeros(1, dtype=np.intp)
+        for _ in range(dim):
+            first = (first[:, None] * n + -np.arange(n) % n).ravel()
+        rows = np.arange(n**dim)
+        solved = np.minimum(first, rows, out=first) == rows
+        del rows  # a full-grid array, freed before the coordinates are built
+        coords = np.stack(np.unravel_index(np.flatnonzero(solved), (n,) * dim), axis=1)
+        return coords, (np.cumsum(solved) - 1)[first]
 
-    def _mesh(self) -> np.ndarray:
-        """Integer grid coordinates m, shape (dim, npts), in grid order."""
-        return np.indices((self.points_per_dim,) * self.dim).reshape(self.dim, -1)
-
-    def _angles(self, mesh: np.ndarray) -> np.ndarray:
-        return 2.0 * np.pi * np.ascontiguousarray(mesh.T, dtype=float) / self.points_per_dim
+    def angles(self, coords: np.ndarray) -> np.ndarray:
+        """Quasimomenta ``2*pi*m/n`` of the grid coordinates m, shape (npts, dim), C-contiguous."""
+        return 2.0 * np.pi * np.ascontiguousarray(coords, dtype=float) / self.points_per_dim
 
 
 @dataclass(frozen=True)
@@ -150,7 +154,7 @@ def dispersion(graph: FundamentalGraph, kind: str, grid: KGrid | None = None) ->
 
 def solve_half(graph: FundamentalGraph, kind: str, grid: KGrid) -> np.ndarray:
     """Sorted fiber eigenvalues at every point of ``grid.half``, shape (npts_half, nu)."""
-    return fiber_eigenvalues_grid(_fiber_operator(graph, kind, grid), grid.half[0])
+    return fiber_eigenvalues_grid(_fiber_operator(graph, kind, grid), grid.angles(grid.half[0]))
 
 
 def _fiber_operator(graph: FundamentalGraph, kind: str, grid: KGrid) -> LaurentMatrix:
@@ -362,14 +366,14 @@ def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None
     """
     grid = grid or KGrid(graph.dim)
     matrix = _fiber_operator(graph, kind, grid)
-    points, partner = grid.half
+    coords, partner = grid.half
 
     def solve(index: np.ndarray) -> np.ndarray:
         # One column per point, so the reductions below run along contiguous rows.
-        return fiber_eigenvalues_grid(matrix, points[index]).T.copy()
+        return fiber_eigenvalues_grid(matrix, grid.angles(coords[index])).T.copy()
 
     lip, rho, exact, hermitian = _operator_bounds(matrix)
-    n, npts = grid.points_per_dim, len(points)
+    n, npts = grid.points_per_dim, len(coords)
     h = 2.0 * np.pi / n
     slope, margin = lip * h, 1e-12 * (1.0 + rho)
     batch = max(1, BATCH_BYTES // (8 * matrix.size))
@@ -382,8 +386,8 @@ def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None
     s = 2 ** max(1, 4 - grid.dim)
     while n % s:
         s //= 2
-    # Rows of the half on the coarse lattice, in grid order (grid coordinates are exact: angles 2*pi*m/n).
-    coarse = np.flatnonzero((np.rint(points / h).astype(np.intp) % s == 0).all(axis=1))
+    # Rows of the half on the coarse lattice, in grid order.
+    coarse = np.flatnonzero((coords % s == 0).all(axis=1))
     top = solve(coarse)
     lo, hi = top.min(axis=1), top.max(axis=1)
     values = _candidate_values(top[:, 0])
@@ -421,7 +425,7 @@ def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None
     narrowest = min(np.min((hi - lo)[~flat] / 2, initial=np.inf), np.min(residual[loose], initial=np.inf))
     rest = not exact or slope + margin > narrowest
     for start in range(0, npts, batch):
-        c = np.rint(points[start : start + batch] / h).astype(np.intp)
+        c = coords[start : start + batch]
         off = (c % s).any(axis=1)
         part = start + np.flatnonzero(off)
         part = part if rest else part[unsure(c[off])]

@@ -57,7 +57,7 @@ TRACE_SAMPLE_POINTS = 20
 
 
 def _render_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON: insertion-ordered keys, floats at 12 significant digits."""
+    """Deterministic JSON: insertion-ordered keys, floats at 12 significant digits, exit 2 on inf or NaN."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -77,6 +77,8 @@ def _render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not np.isfinite(obj):
+            _fail(2, f"non-finite number {obj} in the output")
         return format_12g(obj)
     return _json_string(obj)
 

@@ -144,6 +144,9 @@ class FundamentalGraph:
                 raise GraphFormatError("inverse orientation missing or mispaired")
         if not self._connected():
             raise GraphFormatError("graph is not connected")
+        shifted = [v - d for v, d in zip(self.potential, self.degrees)]
+        if not math.isfinite(max(shifted) - min(shifted)):
+            raise GraphFormatError("potential values minus degrees (V - deg) must differ by a finite float")
 
     def _connected(self) -> bool:
         nv = len(self.labels)
@@ -519,54 +522,38 @@ def minimize_bridges(
 # -- bipartiteness of the periodic cover -------------------------------------
 
 
-def _solve_gf2(rows: np.ndarray, rhs: np.ndarray):
-    """One solution of A x = b over GF(2), or None if inconsistent."""
-    a = np.concatenate([rows % 2, (rhs % 2)[:, None]], axis=1).astype(np.uint8)
-    nrows, ncols = a.shape
-    ncols -= 1
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        hit = np.nonzero(a[r:, c])[0]
-        if hit.size == 0:
-            continue
-        a[[r, r + hit[0]]] = a[[r + hit[0], r]]
-        for rr in range(nrows):
-            if rr != r and a[rr, c]:
-                a[rr] ^= a[r]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    if np.any((a[:, :ncols].sum(axis=1) == 0) & (a[:, ncols] == 1)):
-        return None
-    x = np.zeros(ncols, dtype=np.uint8)
-    for rr, c in enumerate(pivots):
-        x[c] = a[rr, ncols]
-    return x
-
-
 def is_bipartite(graph: FundamentalGraph):
     """Bipartiteness of the periodic cover, not of the quotient alone.
 
     Looks for vertex parities ``p`` and a parity vector ``s`` in {0,1}^dim with
     ``p(tail) + p(head) + <s, index>`` odd on every edge; the quotient may have
     odd cycles with nonzero index that are not cycles of the cover.  Returns
-    ``(True, (parities, s))`` or ``(False, None)``.
+    ``(True, (parities, s))`` or ``(False, None)``.  Gauss-Jordan elimination
+    over GF(2) on one bitmask per edge (bit c for unknown c, the parities then
+    s, and the right-hand side above them) keeps the unique reduced row echelon
+    form, and the witness sets every free unknown to 0.
     """
     nv, d = graph.num_vertices, graph.dim
-    und = graph.unoriented()
-    rows = np.zeros((len(und), nv + d), dtype=np.uint8)
-    rhs = np.ones(len(und), dtype=np.uint8)
-    for r, e in enumerate(und):
-        rows[r, e.tail] ^= 1
-        rows[r, e.head] ^= 1
+    odd = 1 << (nv + d)
+    pivots: dict[int, int] = {}  # pivot column -> its row
+    for e in graph.unoriented():
+        row = odd ^ (1 << e.tail) ^ (1 << e.head)
         for s, t in enumerate(e.index):
-            rows[r, nv + s] ^= t % 2
-    solution = _solve_gf2(rows, rhs)
-    if solution is None:
-        return False, None
-    return True, (tuple(int(v) for v in solution[:nv]), tuple(int(v) for v in solution[nv:]))
+            row ^= (t % 2) << (nv + s)
+        for c, pivot in pivots.items():
+            if row >> c & 1:
+                row ^= pivot
+        if row == odd:
+            return False, None
+        if not row:
+            continue
+        c = (row & -row).bit_length() - 1
+        for other, pivot in pivots.items():
+            if pivot >> c & 1:
+                pivots[other] = pivot ^ row
+        pivots[c] = row
+    solution = [pivots[c] >> (nv + d) & 1 if c in pivots else 0 for c in range(nv + d)]
+    return True, (tuple(solution[:nv]), tuple(solution[nv:]))
 
 
 # -- cycle space -------------------------------------------------------------

@@ -55,9 +55,10 @@ def symbolic_operator(
     (x, y), divided by sqrt(deg_x deg_y) for the normalized kinds, with sign
     -1 for the Laplacians and +1 otherwise.  Then each vertex adds one
     diagonal constant: 0, deg_x (laplacian), V_x - deg_x (schrodinger) or 1
-    (normalized_laplacian).  ``normalize_potential`` applies only to the
-    Schrodinger kind and shifts the potential so that min(V - deg) = 0 (a
-    bandwidth-neutral energy shift used by the combinatorial engines).
+    (normalized_laplacian); each entry is summed in that order, then built
+    once.  ``normalize_potential`` applies only to the Schrodinger kind and
+    shifts the potential so that min(V - deg) = 0 (a bandwidth-neutral energy
+    shift used by the combinatorial engines).
     """
     if kind not in OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}; expected one of {OPERATOR_KINDS}")
@@ -72,14 +73,15 @@ def symbolic_operator(
         diagonal = shifted_loop_weights(graph, normalize=normalize_potential)
     else:
         diagonal = (float(kind == "normalized_laplacian"),) * nv
-    mat = LaurentMatrix.zeros(dim, nv)
+    sums: list[list[dict]] = [[{} for _ in range(nv)] for _ in range(nv)]
     for e in graph.edges:
         weight = sign / np.sqrt(deg[e.tail] * deg[e.head]) if normalized else sign
-        mat.entries[e.tail][e.head] += LaurentPoly.monomial(dim, e.index, weight)
+        terms = sums[e.tail][e.head]
+        terms[e.index] = terms.get(e.index, 0) + weight
     for x, value in enumerate(diagonal):
         if value:
-            mat.entries[x][x] += LaurentPoly.constant(dim, value)
-    return mat
+            sums[x][x][(0,) * dim] = sums[x][x].get((0,) * dim, 0) + value
+    return LaurentMatrix(dim, [[LaurentPoly(dim, terms) for terms in row] for row in sums])
 
 
 def worker_count(workers: int | None = None) -> int:

@@ -300,7 +300,7 @@ def full_band_table(graph, kind, grid, power=1, levels=()):
     ``(v, 0.0)``, and so does every band end within that margin of v.
     """
     matrix = ps.symbolic_operator(graph, kind)
-    lam = ps.fiber_eigenvalues_grid(matrix, grid.half[0])
+    lam = ps.fiber_eigenvalues_grid(matrix, grid.angles(grid.half[0]))
     if power != 1:
         lam = np.sort(lam**power, axis=1)
     table = ps.bands.table_from_eigenvalues(kind, grid, lam)
@@ -349,7 +349,7 @@ def assert_pruned_table_is_the_full_sweep(graph, kind, grid):
 
 def spy_solved_rows(monkeypatch, grid):
     """Rows of ``grid.half`` solved by each sweep call, one list per call; a point outside it raises."""
-    row = {point.tobytes(): i for i, point in enumerate(grid.half[0])}
+    row = {point.tobytes(): i for i, point in enumerate(grid.angles(grid.half[0]))}
     solved = []
     original = ps.bands.fiber_eigenvalues_grid
 

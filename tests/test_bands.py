@@ -190,7 +190,11 @@ def test_kgrid_half_keeps_one_point_of_each_pair(dim, n):
     kept = sorted(set(first))
     assert len(kept) == (n**dim + 2**dim) // 2
     assert kept[0] == 0
-    assert solved.tobytes() == grid.points[kept].tobytes()
+    assert solved.shape == (len(kept), dim) and solved.dtype.kind == "i"
+    assert solved.tolist() == [list(coords[i]) for i in kept]
+    angles = grid.angles(solved)
+    assert angles.flags.c_contiguous and grid.points.flags.c_contiguous
+    assert angles.tobytes() == grid.points[kept].tobytes()
     assert partner.tolist() == [kept.index(i) for i in first]
 
 
@@ -272,8 +276,7 @@ def coarse_rows(grid):
     stride = {1: 8, 2: 4}.get(grid.dim, 2)
     while grid.points_per_dim % stride:
         stride //= 2
-    coords = np.rint(grid.half[0] * grid.points_per_dim / (2 * np.pi)).astype(int)
-    return np.flatnonzero((coords % stride == 0).all(axis=1)).tolist()
+    return np.flatnonzero((grid.half[0] % stride == 0).all(axis=1)).tolist()
 
 
 @pytest.mark.parametrize("dim, n", [(1, 64), (1, 36), (2, 40), (2, 202), (3, 12), (4, 6)])
@@ -551,6 +554,20 @@ def test_complex_coefficients_are_not_mirrored(monkeypatch, sweep):
     monkeypatch.setattr(ps.bands, "symbolic_operator", lambda *args, **kwargs: matrix)
     with pytest.raises(EngineMismatchError, match="complex coefficients"):
         sweep(ps.builtin_graph("zd(1)"), "adjacency", ps.KGrid(1, 8))
+
+
+def test_kgrid_half_peaks_at_a_few_times_what_it_keeps():
+    # The pairing is built from one mirror table per axis: no full-grid coordinate
+    # temporaries, so its peak stays within a small multiple of coords plus partner.
+    grid = ps.KGrid(2, 1200)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        coords, partner = grid.half
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (coords.nbytes + partner.nbytes)
 
 
 def test_band_structure_memory_is_half_the_table(monkeypatch):

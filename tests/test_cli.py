@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import time
 import tracemalloc
@@ -387,6 +388,37 @@ def test_weights_past_the_float_range_are_input_errors(runner, tmp_path, verb):
     assert result.stdout == ""
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert "n=" in result.stderr
+
+
+def test_potentials_past_the_float_range_end_every_verb_cleanly(runner, tmp_path):
+    # V - deg spans 2e308, past the float range: every verb and kind ends with an error line.
+    vertices = [{"id": "a", "potential": 1e308}, {"id": "b", "potential": -1e308}]
+    edges = [{"from": "a", "to": "b", "index": [0]}, {"from": "a", "to": "b", "index": [1]}]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dimension": 1, "vertices": vertices, "edges": edges}))
+    for verb, command in main.commands.items():
+        kinds = ps.OPERATOR_KINDS if any(p.name == "kind" for p in command.params) else (None,)
+        for kind, fmt in itertools.product(kinds, ("text", "json", "csv")):
+            args = [verb, "--graph", str(path), "--format", fmt] + (["--operator", kind] if kind else [])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = runner.invoke(main, args)
+            assert result.exit_code in (1, 2), args
+            assert result.exception is None or isinstance(result.exception, SystemExit), args
+            assert "Traceback" not in result.stderr and result.stderr.startswith("error: "), args
+            assert not {"inf", "nan"} & set(result.stdout.lower().replace(",", " ").split()), args
+            assert [str(w.message) for w in caught] == [], args
+
+
+def test_json_refuses_a_non_finite_number(runner, monkeypatch, tmp_path):
+    monkeypatch.setattr(ps.bands, "total_bandwidth", lambda table: float("inf"))
+    out = tmp_path / "out.json"
+    for extra in ([], ["--out", str(out)]):
+        result = runner.invoke(main, ["bandwidth", "--builtin", "kagome", "--grid", "8", "--format", "json", *extra])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: non-finite number inf in the output\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ps.walks.TRACE_KINDS)

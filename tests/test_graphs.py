@@ -352,6 +352,66 @@ def test_is_bipartite(name, expected):
         assert lhs % 2 == 1
 
 
+def _two_colourable(graph, sign):
+    """Whether some vertex parities p make ``p(tail) + p(head) + <sign, index>`` odd on every edge."""
+    parity = [None] * graph.num_vertices
+    for root in range(graph.num_vertices):
+        if parity[root] is not None:
+            continue
+        parity[root], stack = 0, [root]
+        while stack:
+            v = stack.pop()
+            for e in graph.out_edges[v]:
+                want = (parity[v] + 1 + sum(s * t for s, t in zip(sign, e.index))) % 2
+                if parity[e.head] is None:
+                    parity[e.head] = want
+                    stack.append(e.head)
+                elif parity[e.head] != want:
+                    return False
+    return True
+
+
+def _random_covers(count):
+    """Seeded random quotients built bipartite from drawn parities, a third with one edge's parity flipped."""
+    rng = np.random.default_rng(31)
+    while count:
+        dim, nu = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+        parity, sign = rng.integers(0, 2, nu), rng.integers(0, 2, dim)
+        sign[int(rng.integers(dim))] = 1
+        labels = [f"v{i}" for i in range(nu)]
+        edges = []
+        for _ in range(int(rng.integers(nu, nu + 3 * dim + 2))):
+            a, b = int(rng.integers(nu)), int(rng.integers(nu))
+            index = rng.integers(-2, 3, dim)
+            if (parity[a] + parity[b] + index @ sign) % 2 == 0:
+                index[int(np.flatnonzero(sign)[0])] += 1
+            edges.append((labels[a], labels[b], tuple(int(v) for v in index)))
+        if rng.integers(3) == 0:
+            tail, head, index = edges[0]
+            edges[0] = (tail, head, (index[0] + 1, *index[1:]))
+        try:
+            yield ps.build_graph(dim, labels, edges, {})
+        except GraphFormatError:  # disconnected, or cycle indices short of Z^d
+            continue
+        count -= 1
+
+
+def test_is_bipartite_witness_on_random_covers():
+    flags = []
+    for g in _random_covers(300):
+        flag, witness = ps.is_bipartite(g)
+        flags.append(flag)
+        assert flag == any(_two_colourable(g, s) for s in itertools.product((0, 1), repeat=g.dim))
+        if not flag:
+            assert witness is None
+            continue
+        parity, sign = witness
+        assert len(parity) == g.num_vertices and len(sign) == g.dim
+        for e in g.unoriented():
+            assert (parity[e.tail] + parity[e.head] + sum(s * t for s, t in zip(sign, e.index))) % 2 == 1
+    assert 0 < flags.count(False) < flags.count(True)
+
+
 def test_hexagonal_witness_has_zero_sign_vector(hexagonal):
     _, (parity, sign) = ps.is_bipartite(hexagonal)
     assert parity[0] != parity[1]

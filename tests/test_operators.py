@@ -46,6 +46,25 @@ def test_symbolic_matches_direct_assembly(name, kind):
     for _ in range(4):
         k = RNG.uniform(0, 2 * np.pi, g.dim)
         assert np.abs(sym.eval(k) - numeric_fiber(g, kind, k)).max() < 1e-12
+    # The same polys, bit for bit and in key order, as a sum of one LaurentPoly per term:
+    # the edges in order, then each vertex's nonzero diagonal constant.
+    deg, normalized = g.degrees, kind in ("normalized_laplacian", "transition")
+    sign = -1.0 if kind in ("laplacian", "normalized_laplacian") else 1.0
+    diagonal = {
+        "laplacian": deg,
+        "schrodinger": [v - d for v, d in zip(g.potential, deg)],
+        "normalized_laplacian": [1.0] * g.num_vertices,
+    }.get(kind, [0.0] * g.num_vertices)
+    terms = ps.LaurentMatrix.zeros(g.dim, g.num_vertices).entries
+    for e in g.edges:
+        weight = sign / np.sqrt(deg[e.tail] * deg[e.head]) if normalized else sign
+        terms[e.tail][e.head] = terms[e.tail][e.head] + ps.LaurentPoly.monomial(g.dim, e.index, weight)
+    for x, value in enumerate(diagonal):
+        if value:
+            terms[x][x] = terms[x][x] + ps.LaurentPoly.constant(g.dim, value)
+    for got, want in zip(sym.entries, terms):
+        assert [repr(p) for p in got] == [repr(p) for p in want]
+        assert [list(p.coeffs.items()) for p in got] == [list(p.coeffs.items()) for p in want]
 
 
 def test_fiber_real_symmetric_at_zero(kagome):
