@@ -14,7 +14,8 @@ finds exactly (rank <= minimum <= Betti number).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .graphs import (
     CycleRecord,
@@ -124,9 +125,14 @@ def structural_constants(graph: FundamentalGraph) -> StructuralConstants:
     )
 
 
-def _closed_form_numerator(sc: StructuralConstants) -> float:
-    # Bipartite covers admit the stronger 4*rank numerator.
-    return 4.0 * sc.dim if sc.bipartite else 2.0 * sc.d_star
+def _closed_form_lower(sc: StructuralConstants, base: float, exponent: int) -> float:
+    # numerator / base**exponent; where that overflows, the exact quotient rounded once (0.0 or
+    # subnormal) is still a valid lower bound.  Bipartite covers admit the stronger 4*rank numerator.
+    numerator = 4.0 * sc.dim if sc.bipartite else 2.0 * sc.d_star
+    try:
+        return numerator / base**exponent
+    except OverflowError:
+        return float(Fraction(numerator) / Fraction(base) ** exponent)
 
 
 def _best_term(terms: list[BoundTerm]) -> tuple[float, int | None]:
@@ -163,37 +169,29 @@ def _report(kind, sc, lower_closed, terms, upper, upper_closed) -> BoundsReport:
     )
 
 
-def schrodinger_bounds(
-    graph: FundamentalGraph,
-    n_max: int | None = None,
-    kind: str = "schrodinger",
-) -> BoundsReport:
+def schrodinger_bounds(graph: FundamentalGraph, n_max: int | None = None) -> BoundsReport:
     """Bracket for the Schrodinger total bandwidth (laplacian when V = 0)."""
     sc = structural_constants(graph)
-    lower_closed = _closed_form_numerator(sc) / sc.v_star ** (sc.num_vertices - 1)
+    lower_closed = _closed_form_lower(sc, sc.v_star, sc.num_vertices - 1)
     terms = _terms(graph, "schrodinger", n_max, sc.v_star)
     upper = 4.0 * min(sc.bridges, sc.min_bridges, sc.betti)
-    return _report(kind, sc, lower_closed, terms, upper, upper)
+    return _report("schrodinger", sc, lower_closed, terms, upper, upper)
 
 
-def normalized_bounds(
-    graph: FundamentalGraph,
-    n_max: int | None = None,
-    kind: str = "normalized_laplacian",
-) -> BoundsReport:
+def normalized_bounds(graph: FundamentalGraph, n_max: int | None = None) -> BoundsReport:
     """Bracket for the normalized-Laplacian (equivalently transition) bandwidth."""
     sc = structural_constants(graph)
-    lower_closed = _closed_form_numerator(sc) / sc.kappa_plus**sc.num_vertices
+    lower_closed = _closed_form_lower(sc, sc.kappa_plus, sc.num_vertices)
     terms = _terms(graph, "transition", n_max, 1.0)
     upper_closed = 4.0 * sc.min_bridges / sc.kappa_minus
     upper = min(2.0 * sc.bridge_ratio, upper_closed)
-    return _report(kind, sc, lower_closed, terms, upper, upper_closed)
+    return _report("normalized_laplacian", sc, lower_closed, terms, upper, upper_closed)
 
 
 def adjacency_bounds(graph: FundamentalGraph, n_max: int | None = None) -> BoundsReport:
     """Bracket for the adjacency total bandwidth from pure walk counts."""
     sc = structural_constants(graph)
-    lower_closed = _closed_form_numerator(sc) / sc.kappa_plus ** (sc.num_vertices - 1)
+    lower_closed = _closed_form_lower(sc, sc.kappa_plus, sc.num_vertices - 1)
     terms = _terms(graph, "adjacency", n_max, sc.kappa_plus)
     upper = 4.0 * min(sc.bridges, sc.min_bridges, sc.betti)
     return _report("adjacency", sc, lower_closed, terms, upper, upper)
@@ -207,14 +205,11 @@ def bounds_for_kind(
     """Bracket for operator ``kind``, from the walks that stand for it.
 
     Laplacian bounds are Schrodinger bounds at V = 0; the transition operator
-    shares the normalized-Laplacian bracket.
+    shares the normalized-Laplacian bracket.  The report carries ``kind``.
     """
     work, trace_kind = walk_setting(graph, kind)
-    if trace_kind == "schrodinger":
-        return schrodinger_bounds(work, n_max, kind=kind)
-    if trace_kind == "transition":
-        return normalized_bounds(work, n_max, kind=kind)
-    return adjacency_bounds(work, n_max)
+    brackets = {"adjacency": adjacency_bounds, "schrodinger": schrodinger_bounds, "transition": normalized_bounds}
+    return replace(brackets[trace_kind](work, n_max), kind=kind)
 
 
 # -- lattice / witness report -------------------------------------------------

@@ -299,6 +299,9 @@ def cycles(graph: FundamentalGraph, kind: str, n_max: int | None) -> _Output:
     Integer columns count all closed walks; the weighted columns use the
     step weights of the chosen operator kind (laplacian and schrodinger
     share weights, as do normalized_laplacian and transition).
+    \f
+    The weights are those of the trace kind ``OPERATOR_KINDS[kind]``, taken
+    at zero potential for the laplacian (see :func:`walks.walk_setting`).
     """
     limit = n_max or graph.num_vertices
     weighted_graph, weight_kind = walk_setting(graph, kind)

@@ -23,7 +23,16 @@ from .errors import GraphFormatError, HermiticityError
 from .graphs import FundamentalGraph
 from .laurent import LaurentMatrix, LaurentPoly
 
-OPERATOR_KINDS = ("adjacency", "laplacian", "schrodinger", "normalized_laplacian", "transition")
+#: Operator kind -> the trace kind whose closed walks stand for it; the laplacian's
+#: are the Schrodinger walks at V = 0.  Walk sums are defined for trace kinds only.
+OPERATOR_KINDS = {
+    "adjacency": "adjacency",
+    "laplacian": "schrodinger",
+    "schrodinger": "schrodinger",
+    "normalized_laplacian": "transition",
+    "transition": "transition",
+}
+TRACE_KINDS = tuple(dict.fromkeys(OPERATOR_KINDS.values()))
 
 HERMITICITY_TOL = 1e-12
 
@@ -61,7 +70,7 @@ def symbolic_operator(
     shift used by the combinatorial engines).
     """
     if kind not in OPERATOR_KINDS:
-        raise ValueError(f"unknown operator kind {kind!r}; expected one of {OPERATOR_KINDS}")
+        raise ValueError(f"unknown operator kind {kind!r}; expected one of {tuple(OPERATOR_KINDS)}")
     dim, nv, deg = graph.dim, graph.num_vertices, graph.degrees
     normalized = kind in ("normalized_laplacian", "transition")
     if normalized and min(deg) < 1:

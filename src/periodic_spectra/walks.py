@@ -8,16 +8,17 @@ Tr M^n(k) = sum over closed n-walks of (step-weight product) * exp(i<index, k>),
 which this module reproduces purely combinatorially; reversal symmetry of the
 walk set makes the sum real (the cosine form).
 
-Three step-weight modes:
+Walks are weighed for the three trace kinds, ``TRACE_KINDS``; the operator
+kinds map onto them through ``operators.OPERATOR_KINDS``:
 
-* ``unit``        every oriented edge weighs 1 (adjacency powers)
+* ``adjacency``   every oriented edge weighs 1 (adjacency powers)
 * ``schrodinger`` the quotient graph gains one zero-index self-step per
                   vertex weighing v_x = V_x - deg_x, shifted so min v = 0;
                   edge steps weigh 1
-* ``normalized``  edge step from x weighs 1/deg_x (transition powers)
+* ``transition``  edge step from x weighs 1/deg_x (transition powers)
 
-The self-steps added in schrodinger mode are single steps, not edge pairs:
-the diagonal of the fiber matrix carries v_x exactly once.
+The Schrodinger self-steps are single steps, not edge pairs: the diagonal of
+the fiber matrix carries v_x exactly once.
 
 One exact transfer recursion, :func:`walk_series`, gives the sums index by
 index for every length up to N in one pass: from each of the nu base vertices
@@ -43,7 +44,7 @@ import numpy as np
 from .errors import EngineMismatchError, GraphFormatError
 from .graphs import FundamentalGraph, IndexVector
 from .laurent import LaurentMatrix, LaurentPoly
-from .operators import fiber_eigenvalues_grid, shifted_loop_weights, symbolic_operator
+from .operators import OPERATOR_KINDS, TRACE_KINDS, fiber_eigenvalues_grid, shifted_loop_weights, symbolic_operator
 
 INTEGER_TOL = 1e-6
 
@@ -56,10 +57,10 @@ ENGINE_ERROR_FACTOR = 64.0
 
 @dataclass(frozen=True)
 class WalkClassCounts:
-    """Per-index tallies of closed n-walks: exact int count (unit) or weighted sum."""
+    """Per-index tallies of closed n-walks: exact int count (adjacency) or weighted sum."""
 
     n: int
-    mode: str
+    kind: str
     dim: int
     by_index: dict[IndexVector, int | float]
 
@@ -71,8 +72,8 @@ class WalkClassCounts:
 class CycleClassSummary:
     """Classified totals for one walk length.
 
-    Integer counts are populated in unit mode only; the weighted totals are
-    meaningful in every mode (and collapse to the counts in unit mode):
+    Integer counts are populated for the adjacency kind only; the weighted
+    totals are meaningful for every kind (and are the counts for adjacency):
     ``b1`` sums weights over nonzero index, ``b2`` twice over odd component
     sum, ``t0`` over zero index.
     """
@@ -92,20 +93,20 @@ def walk_series(graph: FundamentalGraph, kind: str, n_max: int) -> Iterator[Walk
     A transfer recursion: from each base vertex, carry the summed weight of
     every (vertex, index) state one step further per length, and yield the
     states back at the base.  Step weights are scaled to integers over one
-    common denominator, so the arithmetic is exact: unit sums are ints, and
-    every other sum is rounded to a float once.
+    common denominator, so the arithmetic is exact: adjacency sums are ints,
+    and every other sum is rounded to a float once.
     """
-    mode = _walk_mode(kind)
+    _check_trace_kind(kind)
     if n_max < 1:
         raise ValueError("walk length must be positive")
-    if mode == "normalized" and min(graph.degrees) < 1:
+    if kind == "transition" and min(graph.degrees) < 1:
         raise GraphFormatError("normalized walks need every vertex degree >= 1")
     # (tail, head, index, exact weight); every float is a dyadic rational, so Fraction(v_x) is v_x.
     steps = [
-        (e.tail, e.head, e.index, Fraction(1, graph.degrees[e.tail]) if mode == "normalized" else 1)
+        (e.tail, e.head, e.index, Fraction(1, graph.degrees[e.tail]) if kind == "transition" else 1)
         for e in graph.edges
     ]
-    if mode == "schrodinger":
+    if kind == "schrodinger":
         loops = enumerate(shifted_loop_weights(graph, normalize=True))
         steps += [(x, x, (0,) * graph.dim, Fraction(w)) for x, w in loops if w != 0.0]
     den = math.lcm(*(Fraction(w).denominator for *_, w in steps))
@@ -126,10 +127,10 @@ def walk_series(graph: FundamentalGraph, kind: str, n_max: int) -> Iterator[Walk
                     sums[index] += weight
         try:
             # int / int rounds correctly, and raises OverflowError past the float range.
-            by_index = {m: s if mode == "unit" else s / den**n for m, s in sums.items() if s}
+            by_index = {m: s if kind == "adjacency" else s / den**n for m, s in sums.items() if s}
         except OverflowError:
             raise ValueError(f"walk sums of length n={n} leave the float range") from None
-        yield WalkClassCounts(n, mode, graph.dim, by_index)
+        yield WalkClassCounts(n, kind, graph.dim, by_index)
 
 
 def walk_sums_for_kind(graph: FundamentalGraph, kind: str, n: int) -> WalkClassCounts:
@@ -159,7 +160,7 @@ def normalized_walk_sums(graph: FundamentalGraph, n: int) -> WalkClassCounts:
 def _round_count(value: float) -> int:
     nearest = round(value)
     if abs(value - nearest) > INTEGER_TOL:
-        raise EngineMismatchError(f"unit-mode walk count {value!r} is not an integer")
+        raise EngineMismatchError(f"adjacency walk count {value!r} is not an integer")
     return int(nearest)
 
 
@@ -168,40 +169,25 @@ def classify(counts: WalkClassCounts) -> CycleClassSummary:
     t0 = counts.by_index.get((0,) * counts.dim, 0.0)
     b1 = sum(v for m, v in counts.by_index.items() if any(m))
     odd = sum(v for m, v in counts.by_index.items() if sum(m) % 2)
-    exact = map(_round_count, (t0, b1, odd)) if counts.mode == "unit" else (None, None, None)
+    exact = map(_round_count, (t0, b1, odd)) if counts.kind == "adjacency" else (None, None, None)
     totals = (b1, 2 * odd, t0)
     if max(totals) > float(np.finfo(float).max):
         raise ValueError(f"walk sums of length n={counts.n} leave the float range")
     return CycleClassSummary(counts.n, *exact, *map(float, totals))
 
 
-#: Operator kind -> (trace kind whose walks stand for it, walk mode).  The
-#: laplacian walks are the Schrodinger walks at zero potential (see
-#: :func:`walk_setting`); the normalized Laplacian shares the transition walks.
-#: Walk sums and trace series are defined for the trace kinds only.
-WALK_KINDS = {
-    "adjacency": ("adjacency", "unit"),
-    "schrodinger": ("schrodinger", "schrodinger"),
-    "laplacian": ("schrodinger", "schrodinger"),
-    "transition": ("transition", "normalized"),
-    "normalized_laplacian": ("transition", "normalized"),
-}
-TRACE_KINDS = tuple(kind for kind, (trace, _) in WALK_KINDS.items() if kind == trace)
-
-
-def _walk_mode(kind: str) -> str:
+def _check_trace_kind(kind: str) -> None:
     if kind not in TRACE_KINDS:
         raise ValueError(f"walk sums are defined for kinds {TRACE_KINDS}, not {kind!r}")
-    return WALK_KINDS[kind][1]
 
 
 def walk_setting(graph: FundamentalGraph, kind: str) -> tuple[FundamentalGraph, str]:
-    """The graph and trace kind whose closed walks stand for operator ``kind``."""
-    if kind not in WALK_KINDS:
+    """The graph and trace kind ``OPERATOR_KINDS[kind]`` whose walks stand for ``kind``."""
+    if kind not in OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
     if kind == "laplacian":
         graph = graph.with_potential([0.0] * graph.num_vertices)
-    return graph, WALK_KINDS[kind][0]
+    return graph, OPERATOR_KINDS[kind]
 
 
 def walk_matrix(graph: FundamentalGraph, kind: str) -> LaurentMatrix:
@@ -210,8 +196,8 @@ def walk_matrix(graph: FundamentalGraph, kind: str) -> LaurentMatrix:
     The Schrodinger potential is shifted so min(V - deg) = 0, matching
     :func:`weighted_walk_sums`.
     """
-    _walk_mode(kind)
-    return symbolic_operator(graph, kind, normalize_potential=(kind == "schrodinger"))
+    _check_trace_kind(kind)
+    return symbolic_operator(graph, kind, normalize_potential=True)
 
 
 def trace_scales(matrix: LaurentMatrix, n_max: int) -> np.ndarray:
@@ -281,10 +267,11 @@ def _power_traces(matrix: LaurentMatrix, points: np.ndarray, n_max: int) -> np.n
     lam = fiber_eigenvalues_grid(matrix, points, workers=1)
     # One power of the eigenvalues at a time: memory stays at two (npts, nu) arrays.
     traces = np.empty((n_max, lam.shape[0]))
-    power = lam.copy()
+    # Starting from ones, the last power formed is the n_max-th, which trace_scales keeps finite.
+    power = np.ones_like(lam)
     for row in traces:
-        row[:] = power.sum(axis=1)
         power *= lam
+        row[:] = power.sum(axis=1)
     return traces
 
 

@@ -31,11 +31,14 @@ from pathlib import Path
 from click.testing import CliRunner
 
 HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
+
+import periodic_spectra as ps  # noqa: E402  (the library in this checkout)
+
 GOLDEN = HERE / "golden"
 CASES_FILE = GOLDEN / "cli_cases.json"
 GRAPH_FILE = GOLDEN / "loop_potential.json"
 
-KINDS = ("adjacency", "laplacian", "schrodinger", "normalized_laplacian", "transition")
 FORMATS = ("text", "json", "csv")
 SOURCES = (["--builtin", "kagome"], ["--builtin", "fig4_chain"], ["--graph", "{graph}"])
 EXTRA = {
@@ -53,7 +56,7 @@ def case_args() -> list[list[str]]:
     cases = []
     for source in SOURCES:
         for verb, extra in EXTRA.items():
-            for kind in KINDS:
+            for kind in ps.OPERATOR_KINDS:
                 for fmt in FORMATS:
                     cases.append([verb, *source, "--operator", kind, "--format", fmt, *extra])
         for verb in PLAIN_VERBS:
@@ -163,7 +166,6 @@ def run_case(args: list[str], scratch: Path) -> dict:
 
 
 def main() -> None:
-    sys.path.insert(0, str(HERE.parent / "src"))
     with tempfile.TemporaryDirectory() as scratch:
         cases = [run_case(args, Path(scratch)) for args in case_args()]
     old = json.loads(CASES_FILE.read_text(encoding="utf-8")) if CASES_FILE.exists() else []

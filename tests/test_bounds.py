@@ -1,5 +1,8 @@
 """Closed-form brackets, structural constants, and lattice witnesses."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,16 @@ def test_adjacency_lower_no_information():
     report = ps.adjacency_bounds(ps.builtin_graph("hexagonal"), 1)
     assert report.lower_refined == 0.0
     assert report.refined_n is None
+
+
+def test_closed_form_lower_past_the_float_range():
+    # 4 / kappa**exponent: the exact quotient once the float expression overflows, the same bits before.
+    sc = ps.structural_constants(ps.builtin_graph("zd(1)"))
+    closed_form = ps.bounds._closed_form_lower
+    assert closed_form(sc, 2, 10) == 4.0 / 2**10
+    assert closed_form(sc, 2, 1050) == math.ldexp(4.0, -1050)
+    assert closed_form(sc, 2, 1100) == 0.0
+    assert closed_form(sc, 1e160, 2) == float(Fraction(4) / Fraction(1e160) ** 2) > 0.0
 
 
 def test_bounds_for_kind_dispatch(kagome):

@@ -7,6 +7,7 @@ import json
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -390,12 +391,12 @@ def test_weights_past_the_float_range_are_input_errors(runner, tmp_path, verb):
     assert "n=" in result.stderr
 
 
-def test_potentials_past_the_float_range_end_every_verb_cleanly(runner, tmp_path):
-    # V - deg spans 2e308, past the float range: every verb and kind ends with an error line.
-    vertices = [{"id": "a", "potential": 1e308}, {"id": "b", "potential": -1e308}]
-    edges = [{"from": "a", "to": "b", "index": [0]}, {"from": "a", "to": "b", "index": [1]}]
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"dimension": 1, "vertices": vertices, "edges": edges}))
+def _every_verb(runner, path):
+    """Run every verb in every format, and every kind where it takes one, on a graph file.
+
+    Each run must end without a traceback, a warning or a non-finite number on
+    stdout; yields each run's arguments and result.
+    """
     for verb, command in main.commands.items():
         kinds = ps.OPERATOR_KINDS if any(p.name == "kind" for p in command.params) else (None,)
         for kind, fmt in itertools.product(kinds, ("text", "json", "csv")):
@@ -403,11 +404,48 @@ def test_potentials_past_the_float_range_end_every_verb_cleanly(runner, tmp_path
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 result = runner.invoke(main, args)
-            assert result.exit_code in (1, 2), args
             assert result.exception is None or isinstance(result.exception, SystemExit), args
-            assert "Traceback" not in result.stderr and result.stderr.startswith("error: "), args
+            assert "Traceback" not in result.stderr, args
             assert not {"inf", "nan"} & set(result.stdout.lower().replace(",", " ").split()), args
             assert [str(w.message) for w in caught] == [], args
+            yield args, result
+
+
+def test_potentials_past_the_float_range_end_every_verb_cleanly(runner, tmp_path):
+    # V - deg spans 2e308, past the float range: every verb and kind ends with an error line.
+    vertices = [{"id": "a", "potential": 1e308}, {"id": "b", "potential": -1e308}]
+    edges = [{"from": "a", "to": "b", "index": [0]}, {"from": "a", "to": "b", "index": [1]}]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dimension": 1, "vertices": vertices, "edges": edges}))
+    for args, result in _every_verb(runner, path):
+        assert result.exit_code in (1, 2), args
+        assert result.stderr.startswith("error: "), args
+
+
+def test_a_closed_form_past_the_float_range_ends_every_verb_cleanly(runner, tmp_path):
+    # V - deg spans 1e160: v_star^2 in the Schrodinger closed form overflows, as do the walk weights at n = 2.
+    vertices = [{"id": "a", "potential": 1e160}, {"id": "b"}, {"id": "c"}]
+    edges = [
+        {"from": "a", "to": "b", "index": [0]},
+        {"from": "b", "to": "c", "index": [0]},
+        {"from": "c", "to": "a", "index": [1]},
+    ]
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({"dimension": 1, "vertices": vertices, "edges": edges}))
+    for args, result in _every_verb(runner, path):
+        assert result.exit_code in (0, 1, 2), args
+        assert result.exit_code == 0 or result.stderr.startswith("error: "), args
+    bounds = ["bounds", "--graph", str(path), "--operator", "schrodinger"]
+    result = runner.invoke(main, bounds)
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: walk weights leave the float range at n=2")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, [*bounds, "--n-max", "1", "--format", "json"])
+    assert result.exit_code == 0, result.stderr
+    assert [str(w.message) for w in caught] == []
+    lower = json.loads(result.stdout)["lower_closed_form"]
+    assert lower == float(Fraction(4) / Fraction(2 + 1e160) ** 2) > 0.0
 
 
 def test_json_refuses_a_non_finite_number(runner, monkeypatch, tmp_path):
@@ -462,7 +500,7 @@ def test_trace_check_is_relative_to_trace_scale(runner, monkeypatch):
             for counts in exact(graph, kind, n_max):
                 if counts.n == 3:
                     by_index = {**counts.by_index, (0, 0): counts.value((0, 0)) + offset}
-                    counts = ps.WalkClassCounts(3, counts.mode, counts.dim, by_index)
+                    counts = ps.WalkClassCounts(3, counts.kind, counts.dim, by_index)
                 yield counts
 
         return series
@@ -483,7 +521,7 @@ def test_trace_coefficient_mismatch_is_a_row_and_exit_2(runner, monkeypatch):
 
     def off_by_one(graph, kind, n_max):
         for sums in ps.walks.walk_series(graph, kind, n_max):
-            yield ps.WalkClassCounts(sums.n, sums.mode, sums.dim, {**sums.by_index, (7, 7): 1.0})
+            yield ps.WalkClassCounts(sums.n, sums.kind, sums.dim, {**sums.by_index, (7, 7): 1.0})
 
     # The verb reports the wrong sums as rows; it does not abort first.
     monkeypatch.setattr(cli_mod, "walk_series", off_by_one)
@@ -505,14 +543,14 @@ def test_trace_coefficient_mismatch_is_a_row_and_exit_2(runner, monkeypatch):
     ],
 )
 def test_walk_verbs_enter_the_recursion_once(runner, monkeypatch, verb, kind, entries):
-    # One series per (graph, mode) for all lengths, never one recursion per length.
+    # One series per (graph, kind) for all lengths, never one recursion per length.
     from periodic_spectra import bounds, cli, walks
 
     calls = []
     series = walks.walk_series
 
     def counted(graph, kind, n_max):
-        calls.append((id(graph), walks.WALK_KINDS[kind][1]))
+        calls.append((id(graph), kind))
         return series(graph, kind, n_max)
 
     for module in (walks, cli, bounds):

@@ -1,5 +1,7 @@
 """Closed-walk counts, weighted sums, and the dual-engine cross-check."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,14 +114,14 @@ def test_weighted_nonnegative_and_dominating(builtin):
 
 
 def test_classify_empty():
-    s = ps.classify(WalkClassCounts(1, "unit", 2, {}))
+    s = ps.classify(WalkClassCounts(1, "adjacency", 2, {}))
     assert (s.n_zero, s.n_plus, s.n_odd, s.b1, s.b2, s.t0) == (0, 0, 0, 0.0, 0.0, 0.0)
 
 
 def test_classify_past_float_range_raises_value_error():
     # 2^1100 closed walks: float() of the exact count overflows.
     with pytest.raises(ValueError, match="n=257"):
-        ps.classify(WalkClassCounts(257, "unit", 1, {(1,): 2**1100}))
+        ps.classify(WalkClassCounts(257, "adjacency", 1, {(1,): 2**1100}))
     # Two finite weighted sums whose total is not: a float sum would turn inf silently.
     with pytest.raises(ValueError, match="n=2"):
         ps.classify(WalkClassCounts(2, "schrodinger", 1, {(1,): 1e308, (-1,): 1e308}))
@@ -127,7 +129,7 @@ def test_classify_past_float_range_raises_value_error():
 
 def test_classify_rejects_non_integers():
     with pytest.raises(EngineMismatchError):
-        ps.classify(WalkClassCounts(1, "unit", 1, {(0,): 1.5}))
+        ps.classify(WalkClassCounts(1, "adjacency", 1, {(0,): 1.5}))
 
 
 @st.composite
@@ -159,7 +161,7 @@ def test_transfer_recursion_equals_enumeration(graph, n):
         assert view(graph, n) == series[-1]
         for length, sums in enumerate(series, 1):
             oracle = enumerate_walk_sums(graph, length, mode)
-            assert (sums.mode, sums.dim) == (mode, graph.dim)
+            assert (sums.kind, sums.dim) == (kind, graph.dim)
             if mode == "unit":
                 assert sums.by_index == oracle
                 assert all(type(c) is int for c in sums.by_index.values())
@@ -289,11 +291,25 @@ def test_walk_classes_kinds(kagome):
         ps.walk_classes(kagome, "laplacian", 2)
 
 
+@pytest.mark.parametrize("kind", ["laplacian", "normalized_laplacian"])
+def test_walk_engines_take_trace_kinds_only(kagome, kind):
+    # An operator kind that is not a trace kind is refused by name, not translated.
+    named = re.escape(str(ps.walks.TRACE_KINDS))
+    with pytest.raises(ValueError, match=named):
+        next(ps.walks.walk_series(kagome, kind, 2))
+    with pytest.raises(ValueError, match=named):
+        ps.walks.walk_matrix(kagome, kind)
+    with pytest.raises(ValueError, match=named):
+        ps.walk_classes(kagome, kind, 2)
+
+
 def test_walk_setting():
     g = ps.builtin_graph("fig4_chain").with_potential([0.5, 1.0, 1.5, 2.0])
-    zeroed, kind = ps.walks.walk_setting(g, "laplacian")
-    assert kind == "schrodinger" and zeroed.potential == (0.0,) * 4
-    assert ps.walks.walk_setting(g, "normalized_laplacian") == (g, "transition")
-    assert ps.walks.walk_setting(g, "adjacency") == (g, "adjacency")
+    assert ps.walks.TRACE_KINDS == ("adjacency", "schrodinger", "transition")
+    for kind, trace_kind in ps.OPERATOR_KINDS.items():
+        work, got = ps.walks.walk_setting(g, kind)
+        assert got == trace_kind
+        assert work.potential == ((0.0,) * 4 if kind == "laplacian" else g.potential)
+        assert work.edges == g.edges
     with pytest.raises(ValueError):
         ps.walks.walk_setting(g, "resolvent")
