@@ -21,15 +21,10 @@ lie inside every band and within every flat candidate's residual is never
 evaluated.  Min and max are exact, so every number of the table is the full
 sweep's, bit for bit.  :func:`power_band_structure` solves the whole half.
 
-A flat level v is exact when ``det(M(z) - v*I)`` vanishes identically in
-``z_s = exp(i k_s)``.  :func:`band_structure` proves that, in integer
-arithmetic, for each flat candidate of its coarse pass when the proof costs
-less than the points left to test (:func:`_flat_level`).  A certified level
-reports residual 0.0, every band end within the sweep's rounding margin of
-it reads v exactly, and it no longer stops the pruning: the sorted slots that
-it pins are exempt from the skip test.  Tables built by
-:func:`table_from_eigenvalues` (``dispersion``, ``power_band_structure``)
-keep the sampled residuals.
+:func:`band_structure` also proves flat candidates exact in integer
+arithmetic (:func:`_flat_level`); a certified level reports residual 0.0 and
+no longer stops the pruning.  Tables built by :func:`table_from_eigenvalues`
+(``dispersion``, ``power_band_structure``) keep the sampled residuals.
 """
 
 from __future__ import annotations
@@ -45,7 +40,7 @@ import numpy as np
 from .errors import EngineMismatchError
 from .graphs import FundamentalGraph
 from .laurent import LaurentMatrix
-from .operators import HERMITICITY_TOL, fiber_eigenvalues_grid, symbolic_operator
+from .operators import fiber_eigenvalues_grid, symbolic_operator
 
 DEFAULT_GRID_N = 64
 
@@ -161,8 +156,8 @@ def _fiber_operator(graph: FundamentalGraph, kind: str, grid: KGrid) -> LaurentM
     """The fiber operator of a sweep over ``grid``.
 
     The pairing holds only for real coefficients, where M(-k) = conj M(k) has
-    the spectrum of M(k) (and is Hermitian when M(k) is); a complex
-    coefficient raises :class:`EngineMismatchError` instead of being mirrored.
+    the spectrum of M(k); a complex coefficient raises
+    :class:`EngineMismatchError` instead of being mirrored.
     """
     if grid.dim != graph.dim:
         raise ValueError("grid dimension does not match the graph")
@@ -172,47 +167,32 @@ def _fiber_operator(graph: FundamentalGraph, kind: str, grid: KGrid) -> LaurentM
     return matrix
 
 
-def _operator_bounds(matrix: LaurentMatrix) -> tuple[float, float, bool, bool]:
-    """``(L, rho, exact, hermitian)``: bounds that hold for the fiber at every k.
+def _operator_bounds(matrix: LaurentMatrix) -> tuple[float, float]:
+    """``(L, margin)``: solved eigenvalues of one sorted slot at k and k' differ by at
+    most ``L * ||k - k'||_inf + margin``, at any index size.
 
-    Entry (i, j) weighs ``sum_m |c| * ||m||_1`` for ``L`` and ``sum_m |c|``
-    for ``rho``, or the weight of entry (j, i) if that is larger, so the
-    bounds hold for the Hermitian matrix of either triangle, the one that
-    ``eigvalsh`` reads.  The largest row sum of the weights bounds the
-    infinity norm, hence the 2-norm, of a Hermitian matrix, so
-    ``||M(k) - M(k')||_2 <= L * ||k - k'||_inf`` on the torus and
-    ``||M(k)||_2 <= rho``.
-
-    ``exact`` holds when no evaluated fiber can read a Hermiticity defect
-    above ``HERMITICITY_TOL``.  ``sum_m |c_ij(m) - conj c_ji(-m)|`` bounds
-    the defect of entry (i, j) at every k, and ``noise`` bounds what
-    ``LaurentMatrix.eval_grid`` adds to each entry by rounding: the phase
-    ``<m, k>`` (|k_s| < 2*pi, summed over ``dim`` axes), ``exp``, the product
-    with c and the running sum of the entry's terms.  Their total must stay
-    under half the tolerance, which absorbs the rounding of the check itself.
-    ``hermitian`` holds when that coefficient defect is exactly zero, so that
-    M(k) is Hermitian at every k in exact arithmetic.
+    Entry (i, j) weighs ``sum_m |c| * ||m||_1`` for ``L``, ``sum_m |c|`` for
+    ``rho``, and for ``noise`` a bound on what ``LaurentMatrix.eval_grid``
+    adds to it by rounding (the phase ``<m, k>`` with |k_s| < 2*pi over
+    ``dim`` axes, ``exp``, the product with c and the running sum), or the
+    weight of entry (j, i) if that is larger, so the bounds hold for the
+    triangle that ``eigvalsh`` reads.  The largest row sum of the weights
+    bounds the 2-norm of a Hermitian matrix, so ``||M(k) - M(k')||_2 <= L *
+    ||k - k'||_inf``, ``||M(k)||_2 <= rho``, and ``margin`` allows 1e-12 per
+    unit of ``1 + rho`` for two eigen-solves plus twice ``noise`` for two evaluations.
     """
-    size = matrix.size
-    slope, norm = np.zeros((size, size)), np.zeros((size, size))
-    defect, noise = np.zeros((size, size)), np.zeros((size, size))
+    slope, norm, noise = np.zeros((3, matrix.size, matrix.size))
     eps = np.finfo(float).eps
     for i, row in enumerate(matrix.entries):
         for j, poly in enumerate(row):
-            if not poly.coeffs:
-                continue
             slope[i, j] = sum(abs(c) * sum(map(abs, m)) for m, c in poly.coeffs.items())
             norm[i, j] = sum(map(abs, poly.coeffs.values()))
             noise[i, j] = eps * sum(
                 abs(c) * (np.pi * (matrix.dim + 1) * sum(map(abs, m)) + len(poly.coeffs) + 2)
                 for m, c in poly.coeffs.items()
             )
-            mirror = {tuple(-v for v in m): c.conjugate() for m, c in matrix.entries[j][i].coeffs.items()}
-            defect[i, j] = sum(abs(poly.coeffs.get(m, 0) - mirror.get(m, 0)) for m in poly.coeffs.keys() | mirror.keys())
-    lip = float(np.maximum(slope, slope.T).sum(axis=1).max())
-    rho = float(np.maximum(norm, norm.T).sum(axis=1).max())
-    exact = bool((defect + noise + noise.T <= HERMITICITY_TOL / 2).all())  # a NaN defect fails too
-    return lip, rho, exact, bool((defect == 0).all())
+    lip, rho, noise = (float(np.maximum(w, w.T).sum(axis=1).max()) for w in (slope, norm, noise))
+    return lip, 1e-12 * (1.0 + rho) + 2.0 * noise
 
 
 def _candidate_values(at_zero: np.ndarray) -> list[float]:
@@ -341,16 +321,13 @@ def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None
     One coarse pass solves the points of ``grid.half`` whose grid coordinates
     are all multiples of the stride s, a lattice closed under k -> -k, k = 0
     first.  Every other point is tested once against its nearest coarse
-    point, r <= s/2 steps of ``h = 2*pi/n`` away: the sorted eigenvalues move
-    by at most ``L * h * r`` (Weyl's inequality).  The point is skipped when
-    its coarse row, widened by that plus ``margin = 1e-12 * (1 + rho)`` for
-    the rounding of both solves, stays inside every band and within every
-    flat residual so far.  Each solved block is folded into those as it is
-    solved; they come from solved points, so they lie inside the final bands
-    and are at most the final residuals.  When ``L * h`` alone passes half
-    the narrowest band or the smallest residual, or when an evaluated fiber
-    could read a Hermiticity defect over the tolerance (``_operator_bounds``),
-    the rest is solved untested, so every fiber is checked.
+    point, r <= s/2 steps of ``h = 2*pi/n`` away, and skipped when the coarse
+    row, widened by ``L * h * r + margin`` (Weyl's inequality and rounding,
+    :func:`_operator_bounds`), stays inside every band and within every flat
+    residual so far.  Each solved block is folded into those as it is solved;
+    they come from solved points, so they lie inside the final bands and are
+    at most the final residuals.  When ``L * h + margin`` passes half the
+    narrowest band or the smallest residual, the rest is solved untested.
 
     A flat candidate of the coarse pass is proved flat, when that costs less
     than the points left to test (:func:`_flat_levels`).  A certified level v
@@ -372,10 +349,9 @@ def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None
         # One column per point, so the reductions below run along contiguous rows.
         return fiber_eigenvalues_grid(matrix, grid.angles(coords[index])).T.copy()
 
-    lip, rho, exact, hermitian = _operator_bounds(matrix)
+    lip, margin = _operator_bounds(matrix)
     n, npts = grid.points_per_dim, len(coords)
-    h = 2.0 * np.pi / n
-    slope, margin = lip * h, 1e-12 * (1.0 + rho)
+    slope = lip * (2.0 * np.pi / n)  # L * h
     batch = max(1, BATCH_BYTES // (8 * matrix.size))
     # A coarser lattice solves fewer points but tests the rest from farther.  Mean % of the half
     # solved on seeded nu = 6 regular quotients (adjacency / Schrodinger); 8>4>2>1 refines by levels:
@@ -392,7 +368,7 @@ def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None
     lo, hi = top.min(axis=1), top.max(axis=1)
     values = _candidate_values(top[:, 0])
     residual = np.array([_residual(top, value) for value in values])
-    certified = _flat_levels(matrix, values, residual, margin, npts - len(coarse)) if exact and hermitian else {}
+    certified = _flat_levels(matrix, values, residual, margin, npts - len(coarse))
     levels = list(certified.values())
     loose = [i for i in range(len(values)) if i not in certified]
 
@@ -423,7 +399,7 @@ def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None
     for v, _ in levels:
         flat |= np.maximum(np.abs(lo - v), np.abs(hi - v)) <= margin
     narrowest = min(np.min((hi - lo)[~flat] / 2, initial=np.inf), np.min(residual[loose], initial=np.inf))
-    rest = not exact or slope + margin > narrowest
+    rest = slope + margin > narrowest
     for start in range(0, npts, batch):
         c = coords[start : start + batch]
         off = (c % s).any(axis=1)

@@ -14,6 +14,7 @@ finds exactly (rank <= minimum <= Betti number).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -125,14 +126,19 @@ def structural_constants(graph: FundamentalGraph) -> StructuralConstants:
     )
 
 
-def _closed_form_lower(sc: StructuralConstants, base: float, exponent: int) -> float:
-    # numerator / base**exponent; where that overflows, the exact quotient rounded once (0.0 or
-    # subnormal) is still a valid lower bound.  Bipartite covers admit the stronger 4*rank numerator.
-    numerator = 4.0 * sc.dim if sc.bipartite else 2.0 * sc.d_star
+def _over_power(numerator: float, base: float, exponent: int, factor: int = 1) -> float:
+    # numerator / (factor * base**exponent); where the denominator leaves the float range, the
+    # exact quotient rounded once (tiny, subnormal or 0.0) is still a valid lower bound.
     try:
-        return numerator / base**exponent
+        if (denominator := factor * base**exponent) < math.inf:
+            return numerator / denominator
     except OverflowError:
-        return float(Fraction(numerator) / Fraction(base) ** exponent)
+        pass
+    return float(Fraction(numerator) / (factor * Fraction(base) ** exponent))
+
+
+def _closed_form_lower(sc: StructuralConstants, base: float, exponent: int) -> float:
+    return _over_power(4.0 * sc.dim if sc.bipartite else 2.0 * sc.d_star, base, exponent)  # bipartite: 4*rank
 
 
 def _best_term(terms: list[BoundTerm]) -> tuple[float, int | None]:
@@ -147,7 +153,7 @@ def _terms(graph: FundamentalGraph, kind: str, n_max: int | None, step: float) -
     """Refined-bound terms max(B_n1, B_n2) / (n * step^(n-1)) for n <= n_max."""
     n_max = graph.num_vertices if n_max is None else n_max
     return [
-        BoundTerm(n, b1, b2, max(b1, b2) / (n * step ** (n - 1)))
+        BoundTerm(n, b1, b2, _over_power(max(b1, b2), step, n - 1, n))
         for n, (b1, b2) in enumerate(walk_classes(graph, kind, n_max), 1)
     ]
 

@@ -14,7 +14,7 @@ class SearchCapExceeded(PeriodicGraphError):
 
 
 class HermiticityError(PeriodicGraphError):
-    """A fiber matrix failed its Hermiticity check; signals a bad assembly."""
+    """A fiber operator is not Hermitian coefficient by coefficient; signals a bad assembly."""
 
 
 class EngineMismatchError(PeriodicGraphError):

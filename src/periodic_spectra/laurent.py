@@ -10,6 +10,8 @@ symbolic layer.
 
 from __future__ import annotations
 
+import cmath
+from operator import neg
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -224,6 +226,24 @@ class LaurentMatrix:
                 acc += c * phases[column[m]]
             out[:, i, j] = acc
         return out
+
+    def hermitian_defect(self) -> str | None:
+        """The first term that keeps some M(k) from being Hermitian, or None.  By uniqueness of
+        Fourier series, every M(k) is Hermitian exactly when every coefficient is finite (NaN and
+        inf fail) and ``c_ij(m) == conj c_ji(-m)``; each pair i <= j is walked once."""
+        for i, row in enumerate(self.entries):
+            for j in range(i, self.size):
+                upper, lower, matched = row[j].coeffs, self.entries[j][i].coeffs, 0
+                for m, c in upper.items():
+                    mirror = lower.get(key := tuple(map(neg, m)))
+                    matched += mirror is not None
+                    if not (cmath.isfinite(c) and c == (mirror or 0j).conjugate()):
+                        return f"entry ({i}, {j}) has {c} at {m} but entry ({j}, {i}) has {mirror or 0j} at {key}"
+                if matched < len(lower):  # some term of (j, i) has no mirror
+                    for m, c in lower.items():
+                        if c != 0 and (key := tuple(map(neg, m))) not in upper:
+                            return f"entry ({j}, {i}) has {c} at {m} but entry ({i}, {j}) has 0j at {key}"
+        return None
 
     def frequency_radius(self) -> tuple[int, ...]:
         """R_s, the largest ``|m_s|`` over the terms of the entries, for each axis s."""

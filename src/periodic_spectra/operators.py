@@ -34,8 +34,6 @@ OPERATOR_KINDS = {
 }
 TRACE_KINDS = tuple(dict.fromkeys(OPERATOR_KINDS.values()))
 
-HERMITICITY_TOL = 1e-12
-
 # Bytes of complex fiber matrices that a sweep evaluates and solves at once.
 CHUNK_BYTES = 1 << 20
 
@@ -124,26 +122,25 @@ def fiber_eigenvalues_grid(
 ) -> np.ndarray:
     """Sorted fiber eigenvalues at every grid point, shape (npts, size).
 
-    The grid is streamed in chunks of :func:`chunk_points` points, about
-    ``CHUNK_BYTES`` of complex fiber matrices each.  A chunk is evaluated,
-    checked for Hermiticity (a defect above ``HERMITICITY_TOL``, or NaN, raises
-    :class:`HermiticityError`) and solved while it is still in cache; only
-    its eigenvalues are kept.  Memory is therefore the (npts, size) result,
-    2*size times smaller than the stack of fibers, plus a few chunks per
-    worker.  Chunks go to a pool of :func:`worker_count` threads; their
+    ``matrix`` must be Hermitian coefficient by coefficient, else
+    :class:`HermiticityError` names its first bad term before any point is
+    solved (:meth:`LaurentMatrix.hermitian_defect`).  The grid is streamed in
+    chunks of :func:`chunk_points` points, about ``CHUNK_BYTES`` of complex
+    fiber matrices each, each evaluated and solved while it is still in
+    cache; only its eigenvalues are kept.  Memory is therefore the (npts,
+    size) result, 2*size times smaller than the stack of fibers, plus a few
+    chunks per worker.  Chunks go to a pool of :func:`worker_count` threads; their
     boundaries do not depend on the worker count, and neither do the results.
     """
+    if (defect := matrix.hermitian_defect()) is not None:
+        raise HermiticityError(f"fiber operator is not Hermitian: {defect}")
     points = np.asarray(points, dtype=float)
     out = np.empty((points.shape[0], matrix.size))
     step = chunk_points(matrix.size)
     starts = range(0, points.shape[0], step)
 
     def solve(start: int) -> None:
-        stack = matrix.eval_grid(points[start : start + step])
-        defect = float(np.abs(stack - stack.conj().transpose(0, 2, 1)).max())
-        if not defect <= HERMITICITY_TOL:  # a NaN defect fails too
-            raise HermiticityError(f"fiber matrix deviates from Hermitian by {defect:.3e}")
-        out[start : start + step] = np.linalg.eigvalsh(stack)
+        out[start : start + step] = np.linalg.eigvalsh(matrix.eval_grid(points[start : start + step]))
 
     nworkers = min(worker_count(workers), len(starts))
     if nworkers <= 1:

@@ -31,7 +31,9 @@ import pytest
 
 import periodic_spectra as ps
 from periodic_spectra.errors import HermiticityError
-from periodic_spectra.operators import HERMITICITY_TOL
+
+# Largest entry-wise Hermiticity defect that the dense oracle below accepts.
+HERMITICITY_TOL = 1e-12
 
 BUILTIN_NAMES = [
     "kagome",
@@ -296,7 +298,7 @@ def full_band_table(graph, kind, grid, power=1, levels=()):
     With ``power``, each row is raised to it and re-sorted, as
     ``power_band_structure`` does.  ``levels`` are certified flat levels,
     reported as ``band_structure`` reports them: the candidate within the
-    sweep's rounding margin ``1e-12 * (1 + rho)`` of each level v reads
+    sweep's rounding margin (``bands._operator_bounds``) of each level v reads
     ``(v, 0.0)``, and so does every band end within that margin of v.
     """
     matrix = ps.symbolic_operator(graph, kind)
@@ -306,7 +308,7 @@ def full_band_table(graph, kind, grid, power=1, levels=()):
     table = ps.bands.table_from_eigenvalues(kind, grid, lam)
     if not levels:
         return table
-    margin = 1e-12 * (1.0 + ps.bands._operator_bounds(matrix)[1])
+    margin = ps.bands._operator_bounds(matrix)[1]
     lows, highs = lam.min(axis=0), lam.max(axis=0)
     candidates = list(table.flat_candidates)
     for v in levels:

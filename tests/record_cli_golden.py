@@ -10,13 +10,16 @@ usage and input errors.  Longer walks run ``cycles`` and ``traces`` to
 ``--n-max 8`` and ``verify`` to its witness at n = 40 on ``z_cycle(40)``.
 Two band sweeps are large enough that the torus sweep solves them in several
 chunks: kagome at ``--grid 160`` and a dispersion dump of a 96-vertex ring
-(see :func:`ring_graph_text`).
+(see :func:`ring_graph_text`).  A 2-vertex graph with the edge index 193
+(see :func:`wide_graph_text`) runs ``bandwidth`` at ``--grid 20000``, where
+the pruned sweep skips points of a wide-index operator.
 ``test_cli_golden.py`` reruns each recorded case and requires the same bytes.
 The recorder prints the arguments of every case whose recorded bytes change
 (new cases included), and their count.
 
 Placeholders in the recorded arguments are filled in per run: ``{graph}``
-with the graph file above, ``{ring}`` with the ring graph, ``{broken}`` with
+with the graph file above, ``{ring}`` with the ring graph, ``{wide}`` with the
+wide-index graph, ``{broken}`` with
 a file that is not JSON, ``{out}``/``{disp}`` with output files in a scratch
 directory and ``{missing}`` with a path in a directory that does not exist.
 """
@@ -102,6 +105,11 @@ def case_args() -> list[list[str]]:
         ["bands", "--builtin", "kagome", "--grid", "160", "--format", "json"],
         ["bands", "--graph", "{ring}", "--operator", "schrodinger", "--grid", "16",
          "--dispersion-out", "{disp}"],
+        # a wide edge index: the pruned sweep still tests the points it skips
+        *(
+            ["bandwidth", "--graph", "{wide}", "--operator", kind, "--grid", "20000", "--format", "json"]
+            for kind in ("adjacency", "schrodinger")
+        ),
     ]
     return cases
 
@@ -123,6 +131,20 @@ def ring_graph_text(nu: int = 96) -> str:
     return json.dumps({"dimension": 1, "vertices": vertices, "edges": edges})
 
 
+def wide_graph_text(index: int = 193) -> str:
+    """A rank-1 graph file: edges a-b of index 0 and of index ``index``, and a loop of index 1 at a.
+
+    Its fiber has the frequency ``index``, so the rounding of its evaluation
+    grows with it while its eigenvalues stay those of small indices.
+    """
+    edges = [
+        {"from": "a", "to": "b", "index": [0]},
+        {"from": "a", "to": "b", "index": [index]},
+        {"from": "a", "to": "a", "index": [1]},
+    ]
+    return json.dumps({"dimension": 1, "vertices": [{"id": "a"}, {"id": "b"}], "edges": edges})
+
+
 def run_case(args: list[str], scratch: Path) -> dict:
     """Run one recorded command line; return what it printed and wrote."""
     from periodic_spectra.cli import main
@@ -131,9 +153,12 @@ def run_case(args: list[str], scratch: Path) -> dict:
     broken.write_text("{broken", encoding="utf-8")
     ring = scratch / "ring.json"
     ring.write_text(ring_graph_text(), encoding="utf-8")
+    wide = scratch / "wide.json"
+    wide.write_text(wide_graph_text(), encoding="utf-8")
     paths = {
         "graph": str(GRAPH_FILE),
         "ring": str(ring),
+        "wide": str(wide),
         "broken": str(broken),
         "out": str(scratch / "out.txt"),
         "disp": str(scratch / "disp.csv"),

@@ -9,10 +9,10 @@ import pytest
 import periodic_spectra as ps
 from periodic_spectra.bands import dispersion_csv, merge_intervals
 from periodic_spectra.errors import EngineMismatchError, HermiticityError
-from periodic_spectra.operators import HERMITICITY_TOL
 
 from conftest import (
     BUILTIN_NAMES,
+    HERMITICITY_TOL,
     assert_pruned_table_is_the_full_sweep,
     assert_tables_identical,
     certified_levels,
@@ -423,8 +423,7 @@ def test_pinned_slots_hold_between_grid_points(graph):
     pinned_columns = 0
     for kind in ps.OPERATOR_KINDS:
         matrix = ps.symbolic_operator(graph, kind)
-        lip, rho = ps.bands._operator_bounds(matrix)[:2]
-        margin = 1e-12 * (1.0 + rho)
+        lip, margin = ps.bands._operator_bounds(matrix)
         row = ps.fiber_eigenvalues_grid(matrix, near * h).T
         lam = ps.fiber_eigenvalues_grid(matrix, grid.points).T
         reach = lip * h * np.abs(coords - near).max(axis=1) + margin
@@ -516,19 +515,19 @@ def _defect_matrix(diagonal, upper, lower):
     "matrix",
     [
         # All coefficients real; the defect |e^{8ik} - 1| vanishes on the coarse
-        # stride-8 lattice and at every even point, so only odd points show it.
+        # stride-8 lattice and at every even point, so a point-wise check would
+        # see it only at odd points.  The coefficients show it.
         _defect_matrix({}, {(8,): 1.0}, {(0,): 1.0}),
         # Dispersive bands 2cos(k) +- 1 leave room to prune, and the defect
-        # 1e-9 * (1 - e^{8ik}) * (2cos(2k) - sqrt 2) shows only at k = 2*pi*m/16
+        # 1e-9 * (1 - e^{8ik}) * (2cos(2k) - sqrt 2) is nonzero only at k = 2*pi*m/16
         # with m = 3, 5, 11, 13, the points farthest from the band edges.
         _defect_matrix(
             {(1,): 1.0, (-1,): 1.0},
             {(0,): 1.0 - 1e-9 * 2**0.5, (2,): 1e-9, (-2,): 1e-9, (6,): -1e-9, (10,): -1e-9, (8,): 1e-9 * 2**0.5},
             {(0,): 1.0},
         ),
-        # Coefficient defect exactly HERMITICITY_TOL, (tol/2)(1 - e^{8ik}) in
-        # exact arithmetic: rounding the sum with cos(2k) reads it just over
-        # the tolerance at m = 3, 5, the points the pruning could skip.
+        # Coefficient defect exactly HERMITICITY_TOL, (tol/2)(1 - e^{8ik}): under
+        # a point-wise tolerance at the points it reaches, yet not Hermitian.
         _defect_matrix(
             {(1,): 1.0, (-1,): 1.0},
             {(-2,): 0.5, (0,): HERMITICITY_TOL / 2, (2,): 0.5, (8,): -HERMITICITY_TOL / 2},
@@ -544,6 +543,35 @@ def test_defect_between_solved_points_still_raises(monkeypatch, matrix):
         ps.band_structure(graph, "adjacency", grid)
     with pytest.raises(HermiticityError):
         ps.power_band_structure(graph, "adjacency", 2, grid)
+
+
+def test_defect_that_rounds_away_at_every_grid_point_raises(monkeypatch):
+    # M01 = e^{8ik}, M10 = 1: on the grid 2*pi*m/8, e^{8ik} is 1 up to rounding, so every
+    # evaluated fiber is Hermitian within 1e-12, but the operator is not.
+    matrix = _defect_matrix({}, {(8,): 1.0}, {(0,): 1.0})
+    grid = ps.KGrid(1, 8)
+    with pytest.raises(HermiticityError, match=r"entry \(0, 1\) has \(1\+0j\) at \(8,\)"):
+        ps.fiber_eigenvalues_grid(matrix, grid.points)
+    monkeypatch.setattr(ps.bands, "symbolic_operator", lambda *args, **kwargs: matrix)
+    with pytest.raises(HermiticityError):
+        ps.band_structure(ps.builtin_graph("zd(1)"), "adjacency", grid)
+
+
+def wide_index_graph(index):
+    # Edges a-b of index 0 and of index ``index``, and a loop of index 1 at a.
+    return ps.build_graph(1, ["a", "b"], [("a", "b", (0,)), ("a", "b", (index,)), ("a", "a", (1,))])
+
+
+@pytest.mark.parametrize("kind", ["adjacency", "schrodinger"])
+def test_wide_index_operator_is_pruned(monkeypatch, kind):
+    # The rounding of a wide index's phases enters the margin, not a switch: the sweep
+    # still skips most points, and its table is the full sweep's.
+    grid = ps.KGrid(1, 20000)
+    graph = wide_index_graph(193)
+    solved = spy_solved_rows(monkeypatch, grid)
+    solved.append([])
+    assert_pruned_table_is_the_full_sweep(graph, kind, grid)
+    assert len(set(solved[0])) <= 0.35 * len(grid.half[0])
 
 
 @pytest.mark.parametrize("sweep", [ps.band_structure, ps.dispersion])

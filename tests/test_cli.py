@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import time
 import tracemalloc
 import warnings
@@ -446,6 +447,36 @@ def test_a_closed_form_past_the_float_range_ends_every_verb_cleanly(runner, tmp_
     assert [str(w.message) for w in caught] == []
     lower = json.loads(result.stdout)["lower_closed_form"]
     assert lower == float(Fraction(4) / Fraction(2 + 1e160) ** 2) > 0.0
+
+
+@pytest.mark.parametrize("kind", ["laplacian", "schrodinger"])
+def test_refined_terms_past_the_float_range_end_cleanly(runner, tmp_path, kind):
+    # Degrees 5 and 1: rho = 5 but step = v_star = 9, so n * 9^(n-1) leaves the float range
+    # from n = 322 on while the walk sums stay finite; those terms are the exact quotient,
+    # rounded once, and every other term keeps the bits of the float expression.
+    graph = ps.build_graph(1, ["a", "b"], [("a", "b", (0,)), ("a", "a", (1,)), ("a", "a", (1,))])
+    path = tmp_path / "steep_loops.json"
+    path.write_text(json.dumps(ps.graph_to_dict(graph)))
+    result = runner.invoke(main, ["bounds", "--graph", str(path), "--operator", kind, "--n-max", "340", "--format", "json"])
+    assert result.exit_code == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert len(json.loads(result.stdout)["terms"]) == 340
+    report = ps.bounds_for_kind(graph, kind, n_max=340)
+    step = report.constants.v_star
+    assert step == 9.0
+    past = 0
+    for term in report.terms:
+        top = max(term.b1, term.b2)
+        try:
+            denominator = term.n * step ** (term.n - 1)
+        except OverflowError:
+            denominator = math.inf
+        if denominator < math.inf:
+            assert term.value == top / denominator
+        else:
+            past += 1
+            assert term.value == float(Fraction(top) / (term.n * Fraction(step) ** (term.n - 1))) > 0.0
+    assert past == 19
 
 
 def test_json_refuses_a_non_finite_number(runner, monkeypatch, tmp_path):

@@ -96,6 +96,26 @@ def test_nan_coefficient_fails_hermiticity_check():
         ps.fiber_eigenvalues_grid(bad, [[0.3], [0.0]])
 
 
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 0)])
+def test_term_without_a_mirror_fails_hermiticity_check(i, j):
+    # One exp(ik) term in either triangle, beside a Hermitian pair of constants.
+    bad = ps.LaurentMatrix.zeros(1, 2)
+    bad.entries[0][1] = ps.LaurentPoly(1, {(0,): 1.0})
+    bad.entries[1][0] = ps.LaurentPoly(1, {(0,): 1.0})
+    bad.entries[i][j] = ps.LaurentPoly(1, {(0,): 1.0, (1,): 1.0})
+    assert bad.hermitian_defect() == f"entry ({i}, {j}) has (1+0j) at (1,) but entry ({j}, {i}) has 0j at (-1,)"
+    with pytest.raises(HermiticityError):
+        ps.fiber_eigenvalues_grid(bad, [[0.3]])
+
+
+def test_inf_coefficient_fails_hermiticity_check():
+    # inf equals its own conjugate, but no fiber that holds it is a finite Hermitian matrix.
+    bad = ps.symbolic_operator(ps.builtin_graph("kagome"), "adjacency")
+    bad.entries[2][1].coeffs[(0, 0)] = bad.entries[1][2].coeffs[(0, 0)] = float("inf") + 0j
+    with pytest.raises(HermiticityError, match=r"entry \(1, 2\) has \(inf\+0j\) at \(0, 0\)"):
+        ps.fiber_eigenvalues_grid(bad, [[0.3, 0.0]])
+
+
 def test_eigenvalues_diagonal():
     lam = eigenvalues(np.diag([3.0, 1.0, 2.0]))
     assert lam.tolist() == [1.0, 2.0, 3.0]
@@ -370,16 +390,22 @@ def test_streamed_sweep_with_more_workers_than_cores(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_nonhermitian_chunk_past_the_first_raises(workers):
+def test_nonhermitian_operator_raises_before_any_solve(monkeypatch, workers):
     bad = ps.LaurentMatrix.zeros(1, 2)
-    # M01 = 1 - exp(ik) with M10 = 0: Hermitian at k = 0 only.
+    # M01 = 1 - exp(ik) with M10 = 0: Hermitian at k = 0 only, the first chunks' points.
     bad.entries[0][1] = ps.LaurentPoly(1, {(0,): 1.0, (1,): -1.0})
     step = ps.operators.chunk_points(2)
     points = np.zeros((5 * step + 3, 1))
     points[-1] = 0.3
-    with pytest.raises(HermiticityError, match=r"deviates from Hermitian by 2\.989e-01"):
+    calls = []
+    original = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda stack: calls.append(len(stack)) or original(stack))
+    with pytest.raises(HermiticityError, match=r"entry \(0, 1\) has \(1\+0j\) at \(0,\) but entry \(1, 0\) has 0j"):
         within(60, ps.fiber_eigenvalues_grid, bad, points, workers=workers)
-    assert ps.fiber_eigenvalues_grid(bad, points[:-1], workers=workers).shape == (5 * step + 2, 2)
+    assert calls == []
+    # The spy sees every point of a Hermitian operator.
+    ps.fiber_eigenvalues_grid(ps.LaurentMatrix.identity(1, 2), points, workers=workers)
+    assert sum(calls) == len(points)
 
 
 def test_sweep_memory_is_bounded_by_chunks(monkeypatch):
