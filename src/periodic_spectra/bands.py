@@ -29,6 +29,7 @@ no longer stops the pruning.  Tables built by :func:`table_from_eigenvalues`
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -47,6 +48,9 @@ DEFAULT_GRID_N = 64
 # Bytes of eigenvalues that band_structure solves and folds at once after its
 # coarse pass, and that one block of its skip test gathers; bounds its temporaries.
 BATCH_BYTES = 1 << 20
+
+# Bytes of eigenvalues that table_from_eigenvalues reduces at once; small enough to stay in cache.
+REDUCE_BYTES = 1 << 17
 
 
 def default_flat_tol(value: float) -> float:
@@ -211,13 +215,14 @@ def _residual(columns: np.ndarray, value: float) -> float:
 
 
 def _flat_candidates(lam: np.ndarray) -> tuple[tuple[float, float], ...]:
-    out = []
-    # One scratch array for every candidate: the eigenvalue table is the sweep's largest array.
-    distance = np.empty_like(lam)
-    for value in _candidate_values(lam[0]):
-        np.abs(np.subtract(lam, value, out=distance), out=distance)
-        out.append((value, float(distance.min(axis=1).max())))
-    return tuple(out)
+    values = _candidate_values(lam[0])
+    residual = np.zeros(len(values))
+    # Transposed blocks of REDUCE_BYTES, so each nearest-eigenvalue search runs along contiguous rows.
+    step = max(1, REDUCE_BYTES // (8 * lam.shape[1]))
+    for start in range(0, len(lam), step):
+        block = lam[start : start + step].T.copy()
+        np.maximum(residual, [_residual(block, value) for value in values], out=residual)
+    return tuple(zip(values, residual.tolist()))
 
 
 def _rank(rows: list[list[int]]) -> int:
@@ -480,50 +485,68 @@ def format_12g(value: float) -> str:
 CSV_BLOCK_ROWS = 1 << 14
 
 
-def dispersion_csv_blocks(points: np.ndarray, lam: np.ndarray, partner: np.ndarray | None = None) -> Iterator[str]:
+def _texts(values: np.ndarray) -> np.ndarray:
+    """:data:`FLOAT_12G` text of each entry, as an object array.
+
+    Each distinct value is formatted once; values are told apart by their
+    bits, so -0.0 and NaN payloads keep their own text.
+    """
+    bits, where = np.unique(values.view(np.uint64), return_inverse=True)
+    return np.array([FLOAT_12G % value for value in bits.view(float).tolist()], dtype=object)[where]
+
+
+def dispersion_csv_blocks(
+    points: np.ndarray | KGrid, lam: np.ndarray, partner: np.ndarray | None = None
+) -> Iterator[str]:
     """The text of :func:`dispersion_csv` in pieces: the header line, then
     :data:`CSV_BLOCK_ROWS` rows at a time, each piece ending with a newline.
 
-    With ``partner`` (as from :attr:`KGrid.half`), ``lam`` holds the solved
-    half and point i takes row ``partner[i]``, expanded one block at a time.
-    A writer that takes each piece as it comes holds one block, never the
-    whole text, plus the text of each distinct row of ``lam`` once it is used.
+    ``points`` holds the quasimomenta, shape (npts, d), or is the
+    :class:`KGrid` itself, whose points are then taken block by block from
+    their integer grid coordinates through one text table of the n angles
+    :meth:`KGrid.angles` forms per axis (bitwise the entries of
+    :attr:`KGrid.points`, which is never built).  With ``partner`` (as from
+    :attr:`KGrid.half`), ``lam`` holds the solved half and point i takes row
+    ``partner[i]``; without it, row i.
 
-    Each distinct angle and each distinct row of eigenvalues is formatted
-    once per call.  Without ``partner``, rows are told apart by their bits,
-    so -0.0 and NaN payloads keep their own text; with it, by ``partner``.
+    Each block is formatted from its own rows through one ``%`` template, so
+    a writer that takes each piece as it comes holds ``lam``, ``partner`` and
+    one block, and nothing else that grows with the number of rows.
     """
-    points, lam = np.asarray(points, dtype=float), np.asarray(lam, dtype=float)
-    dim, nu = points.shape[1], lam.shape[1]
+    lam = np.asarray(lam, dtype=float)
+    if isinstance(points, KGrid):
+        n, dim = points.points_per_dim, points.dim
+        npts, table = n**dim, _texts(points.angles(np.arange(n)))
+
+        def angles(start: int, stop: int) -> list[np.ndarray]:
+            return [table[m] for m in np.unravel_index(np.arange(start, stop), (n,) * dim)]
+
+    else:
+        points = np.asarray(points, dtype=float)
+        npts, dim = points.shape
+
+        def angles(start: int, stop: int) -> list[np.ndarray]:
+            return [_texts(column) for column in points[start:stop].T]
+
+    nu = lam.shape[1]
     header = [f"k{s + 1}" for s in range(dim)] + [f"lambda{j + 1}" for j in range(nu)]
     yield ",".join(header) + "\n"
-    if partner is None:
-        first: dict[bytes, int] = {}
-        keys = np.ascontiguousarray(lam).view(np.dtype((np.void, 8 * nu))).ravel().tolist()
-        partner = np.array([first.setdefault(key, i) for i, key in enumerate(keys)], dtype=np.intp)
-        del first, keys  # the generator would hold them while the text is formatted
-    eigen = ",".join([FLOAT_12G] * nu)
-    row = ",".join(["%s"] * (dim + 1)) + "\n"
-    texts: list[str | None] = [None] * len(lam)
-    angles: dict[int, str] = {}
-    for start in range(0, len(points), CSV_BLOCK_ROWS):
-        block = slice(start, start + CSV_BLOCK_ROWS)
-        rows = partner[block]
-        new = [key for key in np.unique(rows).tolist() if texts[key] is None]
-        for key, values in zip(new, lam[new].tolist()):
-            texts[key] = eigen % tuple(values)
-        cells = []
-        for axis in range(dim):
-            bits, where = np.unique(points[block, axis].view(np.uint64), return_inverse=True)
-            names = [
-                angles[key] if key in angles else angles.setdefault(key, FLOAT_12G % value)
-                for key, value in zip(bits.tolist(), bits.view(float).tolist())
-            ]
-            cells.append(np.array(names, dtype=object)[where].tolist())
-        cells.append([texts[key] for key in rows.tolist()])
-        yield "".join(row % cell for cell in zip(*cells))
+    row = ",".join(["%s"] * dim + [FLOAT_12G] * nu) + "\n"
+    for start in range(0, npts, CSV_BLOCK_ROWS):
+        stop = min(start + CSV_BLOCK_ROWS, npts)
+        cells = np.empty((stop - start, dim + nu), dtype=object)
+        for axis, column in enumerate(angles(start, stop)):
+            cells[:, axis] = column
+        cells[:, dim:] = lam[start:stop] if partner is None else lam[partner[start:stop]]
+        yield (row * (stop - start)) % tuple(cells.ravel().tolist())
 
 
 def dispersion_csv(points: np.ndarray, lam: np.ndarray) -> str:
-    """One row per grid point: quasimomentum components then the eigenvalues."""
-    return "".join(dispersion_csv_blocks(points, lam))
+    """One row per grid point: quasimomentum components then the eigenvalues.
+
+    Each block is freed once it is written into a buffer, so the call holds
+    the buffer and the returned copy of it, not every block plus their join.
+    """
+    text = io.StringIO()
+    text.writelines(dispersion_csv_blocks(points, lam))
+    return text.getvalue()

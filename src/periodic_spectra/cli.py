@@ -215,10 +215,10 @@ def bands(graph: FundamentalGraph, kind: str, grid_n: int, dispersion_out: str |
     grid = bands_mod.KGrid(graph.dim, grid_n)
     if dispersion_out:
         # The dump needs every row: solve the whole half once, reduce it, and
-        # expand each row to its mirror one CSV block at a time.
+        # expand each row to its mirror, with its angles, one CSV block at a time.
         lam = bands_mod.solve_half(graph, kind, grid)
         table = bands_mod.table_from_eigenvalues(kind, grid, lam)
-        _write(dispersion_out, bands_mod.dispersion_csv_blocks(grid.points, lam, grid.half[1]))
+        _write(dispersion_out, bands_mod.dispersion_csv_blocks(grid, lam, grid.half[1]))
     else:
         table = bands_mod.band_structure(graph, kind, grid)
     doc = {

@@ -193,8 +193,12 @@ class LaurentMatrix:
                 out[i, j] = self.entries[i][j].eval(k)
         return out
 
-    def eval_grid(self, points: np.ndarray) -> np.ndarray:
+    def eval_grid(self, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Stack of fiber matrices, shape (npts, size, size).
+
+        With ``out``, a complex array of that shape, the stack is written
+        into it (zeroed first) and ``out`` is returned, so a caller can
+        evaluate many chunks into one stack.
 
         ``exp(i<m, k>)`` is computed once for each distinct frequency m of the
         whole matrix, one contiguous row of the phase table per frequency.
@@ -205,7 +209,13 @@ class LaurentMatrix:
         range.
         """
         points = np.asarray(points, dtype=float)
-        out = np.zeros((points.shape[0], self.size, self.size), dtype=complex)
+        shape = (points.shape[0], self.size, self.size)
+        if out is None:
+            out = np.zeros(shape, dtype=complex)
+        elif out.shape != shape or out.dtype != complex:
+            raise ValueError(f"out must be a complex array of shape {shape}")
+        else:
+            out.fill(0)
         terms = [
             (i, j, sorted(p.coeffs.items()))
             for i, row in enumerate(self.entries)

@@ -129,8 +129,10 @@ def fiber_eigenvalues_grid(
     fiber matrices each, each evaluated and solved while it is still in
     cache; only its eigenvalues are kept.  Memory is therefore the (npts,
     size) result, 2*size times smaller than the stack of fibers, plus a few
-    chunks per worker.  Chunks go to a pool of :func:`worker_count` threads; their
-    boundaries do not depend on the worker count, and neither do the results.
+    chunks per worker.  Chunks go to a pool of :func:`worker_count` threads,
+    worker w taking chunks w, w + workers, ...; their boundaries do not depend
+    on the worker count, and neither do the results.  Each worker evaluates
+    all its chunks into one stack of fibers, allocated before the pool starts.
     """
     if (defect := matrix.hermitian_defect()) is not None:
         raise HermiticityError(f"fiber operator is not Hermitian: {defect}")
@@ -138,16 +140,17 @@ def fiber_eigenvalues_grid(
     out = np.empty((points.shape[0], matrix.size))
     step = chunk_points(matrix.size)
     starts = range(0, points.shape[0], step)
+    nworkers = max(1, min(worker_count(workers), len(starts)))
+    stacks = [np.empty((min(step, len(points)), matrix.size, matrix.size), dtype=complex) for _ in range(nworkers)]
 
-    def solve(start: int) -> None:
-        out[start : start + step] = np.linalg.eigvalsh(matrix.eval_grid(points[start : start + step]))
+    def solve(w: int) -> None:
+        for start in starts[w::nworkers]:
+            chunk = points[start : start + step]
+            out[start : start + step] = np.linalg.eigvalsh(matrix.eval_grid(chunk, out=stacks[w][: len(chunk)]))
 
-    nworkers = min(worker_count(workers), len(starts))
-    if nworkers <= 1:
-        for start in starts:
-            solve(start)
+    if nworkers == 1:
+        solve(0)
     else:
-        # map cancels the chunks not yet started once one of them raises.
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(solve, starts))
+            list(pool.map(solve, range(nworkers)))
     return out

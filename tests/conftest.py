@@ -22,6 +22,8 @@ points a sweep solves.
 and compare Laurent polynomials.
 ``eval_entries_termwise`` evaluates a symbolic matrix one entry and one term
 at a time, the reference for the bits of ``LaurentMatrix.eval_grid``.
+``row_cache_csv`` formats a dispersion dump through a cache of row texts, the
+reference for the bytes of ``bands.dispersion_csv_blocks``.
 """
 
 import itertools
@@ -373,6 +375,45 @@ def assert_tables_identical(got, want):
     assert np.array(got.flat_candidates).tobytes() == np.array(want.flat_candidates).tobytes()
     for tol in (None, 1e-3, 1.0, 10.0):
         assert ps.flat_bands(got, tol) == ps.flat_bands(want, tol), tol
+
+
+def row_cache_csv(points, lam, partner=None, block_rows=1 << 14):
+    """The dispersion CSV formatted row by row with a cache of row texts, the
+    reference for the bytes of ``bands.dispersion_csv_blocks``.
+
+    Each distinct row of ``lam`` (told apart by its bits, or by ``partner``)
+    and each distinct angle (by its bits) is formatted once, and every row
+    reuses those texts; with ``partner``, point i takes row ``partner[i]``.
+    """
+    points, lam = np.asarray(points, dtype=float), np.asarray(lam, dtype=float)
+    dim, nu = points.shape[1], lam.shape[1]
+    header = [f"k{s + 1}" for s in range(dim)] + [f"lambda{j + 1}" for j in range(nu)]
+    pieces = [",".join(header) + "\n"]
+    if partner is None:
+        first = {}
+        keys = np.ascontiguousarray(lam).view(np.dtype((np.void, 8 * nu))).ravel().tolist()
+        partner = np.array([first.setdefault(key, i) for i, key in enumerate(keys)], dtype=np.intp)
+    eigen = ",".join(["%.12g"] * nu)
+    row = ",".join(["%s"] * (dim + 1)) + "\n"
+    texts = [None] * len(lam)
+    angles = {}
+    for start in range(0, len(points), block_rows):
+        block = slice(start, start + block_rows)
+        rows = partner[block]
+        new = [key for key in np.unique(rows).tolist() if texts[key] is None]
+        for key, values in zip(new, lam[new].tolist()):
+            texts[key] = eigen % tuple(values)
+        cells = []
+        for axis in range(dim):
+            bits, where = np.unique(points[block, axis].view(np.uint64), return_inverse=True)
+            names = [
+                angles[key] if key in angles else angles.setdefault(key, "%.12g" % value)
+                for key, value in zip(bits.tolist(), bits.view(float).tolist())
+            ]
+            cells.append(np.array(names, dtype=object)[where].tolist())
+        cells.append([texts[key] for key in rows.tolist()])
+        pieces.append("".join(row % cell for cell in zip(*cells)))
+    return "".join(pieces)
 
 
 def schrodinger_shift(graph):

@@ -105,6 +105,9 @@ def case_args() -> list[list[str]]:
         ["bands", "--builtin", "kagome", "--grid", "160", "--format", "json"],
         ["bands", "--graph", "{ring}", "--operator", "schrodinger", "--grid", "16",
          "--dispersion-out", "{disp}"],
+        # dumps that span several CSV blocks: three blocks in 2-D, two in 3-D
+        ["bands", "--builtin", "kagome", "--grid", "182", "--dispersion-out", "{disp}"],
+        ["bands", "--builtin", "zd(3)", "--grid", "26", "--dispersion-out", "{disp}"],
         # a wide edge index: the pruned sweep still tests the points it skips
         *(
             ["bandwidth", "--graph", "{wide}", "--operator", kind, "--grid", "20000", "--format", "json"]

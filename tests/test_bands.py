@@ -19,6 +19,7 @@ from conftest import (
     full_band_table,
     random_graph,
     regular_graph,
+    row_cache_csv,
     spy_solved_rows,
 )
 
@@ -170,6 +171,52 @@ def test_dispersion_csv_blocks_match_one_shot_formatting():
     assert text.count("\n") == npts + 1 and ",-0," in text and ",0," in text
     assert ",inf," in text and ",nan," in text and "\n-0," in text
     assert dispersion_csv(points[:0], lam[:0]) == "k1,k2,lambda1,lambda2,lambda3\n"
+
+
+# Values whose text the dump must keep apart or get right: signed zeros, two NaN payloads,
+# infinities, subnormals and the ends of the normal range.
+SPECIAL_VALUES = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308, -1e-300]
+    + np.array([0x7FF8000000000001, 0xFFF0000000000002], dtype=np.uint64).view(float).tolist()
+)
+
+
+@pytest.mark.parametrize("npts", [1, 63, 64, 65, 129])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_dispersion_csv_blocks_match_the_row_cache(monkeypatch, dim, npts):
+    monkeypatch.setattr(ps.bands, "CSV_BLOCK_ROWS", 64)
+    rng = np.random.default_rng(10 * npts + dim)
+    points = rng.choice([*SPECIAL_VALUES, *rng.uniform(0.0, 2 * np.pi, 5)], size=(npts, dim))
+    distinct = rng.choice([*SPECIAL_VALUES, *rng.normal(scale=1e3, size=20)], size=(npts // 2 + 1, 3))
+    partner = rng.integers(0, len(distinct), npts)
+    lam = distinct[partner]
+    want = row_cache_csv(points, lam)
+    assert row_cache_csv(points, distinct, partner) == want
+    assert dispersion_csv(points, lam) == want
+    assert "".join(ps.bands.dispersion_csv_blocks(points, distinct, partner)) == want
+
+
+@pytest.mark.parametrize("dim, n", [(1, 2), (1, 130), (2, 8), (2, 16), (3, 4), (3, 6)])
+def test_grid_dump_matches_the_row_cache(monkeypatch, dim, n):
+    # 64-row blocks: one full block, several, and several plus a partial one.
+    monkeypatch.setattr(ps.bands, "CSV_BLOCK_ROWS", 64)
+    grid = ps.KGrid(dim, n)
+    coords, partner = grid.half
+    rng = np.random.default_rng(n + dim)
+    half = rng.choice([*SPECIAL_VALUES, *rng.normal(size=20)], size=(len(coords), 2))
+    want = row_cache_csv(grid.points, half, partner)
+    assert "".join(ps.bands.dispersion_csv_blocks(grid, half, partner)) == want
+    assert "".join(ps.bands.dispersion_csv_blocks(grid, half[partner])) == want
+    assert want.count("\n") == n**dim + 1
+
+
+def test_special_values_keep_their_text():
+    points = np.zeros((len(SPECIAL_VALUES), 1))
+    text = dispersion_csv(points, SPECIAL_VALUES[:, None])
+    assert text.splitlines()[1:] == [
+        "0,0", "0,-0", "0,inf", "0,-inf", "0,nan", "0,4.94065645841e-324", "0,-2.5e-310",
+        "0,2.22507385851e-308", "0,1.79769313486e+308", "0,-1e-300", "0,nan", "0,nan",
+    ]
 
 
 def test_dispersion_grid_mismatch(fig4):

@@ -145,12 +145,13 @@ def test_bands_without_dump_never_expands_the_table(runner, monkeypatch, tmp_pat
 
 
 def test_bands_dump_streams_to_the_file(runner, monkeypatch, tmp_path):
-    # The grid and its solved half are built beforehand, so the traced peak is the
-    # band reduction's scratch copy of the half plus the text held at once by the dump.
+    # The grid's pairing and its solved half are built beforehand, so the traced peak is
+    # what the band reduction and the dump hold at once.
     grid = ps.KGrid(2, 300)
+    pairing = grid.half
     half = ps.bands.solve_half(ps.builtin_graph("kagome"), "laplacian", grid)
-    points, lam = grid.points, half[grid.half[1]]
-    monkeypatch.setattr(ps.bands, "KGrid", lambda *args: grid)
+    expected = ps.bands.dispersion_csv(grid.points, half[pairing[1]]).encode()
+    monkeypatch.setattr(ps.KGrid, "half", property(lambda self: pairing))
     monkeypatch.setattr(ps.bands, "solve_half", lambda *args: half)
     monkeypatch.setattr(ps.bands, "CSV_BLOCK_ROWS", 1024)
     disp = tmp_path / "disp.csv"
@@ -164,9 +165,27 @@ def test_bands_dump_streams_to_the_file(runner, monkeypatch, tmp_path):
     finally:
         tracemalloc.stop()
     assert result.exit_code == 0
+    assert disp.read_bytes() == expected
+    # At most the size of the solved half plus a few blocks of text: no row texts,
+    # grid points or scratch table kept for the whole dump.
+    block = len(expected) * 1024 // 300**2
+    assert peak < half.nbytes + 4 * block, (peak, half.nbytes, block)
+
+
+@pytest.mark.parametrize("builtin, grid_n", [("kagome", 40), ("zd(3)", 8)])
+def test_bands_dump_never_builds_the_grid_points(runner, monkeypatch, tmp_path, builtin, grid_n):
+    graph = ps.builtin_graph(builtin)
+    points, lam = ps.dispersion(graph, "laplacian", ps.KGrid(graph.dim, grid_n))
+
+    def refuse(self):
+        raise AssertionError("KGrid.points built by bands --dispersion-out")
+
+    monkeypatch.setattr(ps.KGrid, "points", property(refuse))
+    monkeypatch.setattr(ps.bands, "CSV_BLOCK_ROWS", 100)
+    disp = tmp_path / "disp.csv"
+    result = invoke(runner, "bands", "--builtin", builtin, "--grid", str(grid_n), "--dispersion-out", str(disp))
+    assert result.exit_code == 0
     assert disp.read_bytes() == ps.bands.dispersion_csv(points, lam).encode()
-    # Holding the whole text once would exceed the file's size.
-    assert peak < disp.stat().st_size
 
 
 def test_byte_identical_reruns(runner):

@@ -352,6 +352,19 @@ def test_eval_grid_is_split_invariant(graph, kind):
         np.testing.assert_allclose(fiber, numeric_fiber(graph, kind, k), rtol=0, atol=1e-12)
 
 
+def test_eval_grid_into_a_reused_stack():
+    # A stack left holding another evaluation is zeroed first: entries with no term read 0.
+    matrix = ps.symbolic_operator(ring_quotient(10, 2, 5), "schrodinger")
+    points = np.random.default_rng(12).uniform(0, 2 * np.pi, (9, 2))
+    stack = np.full((len(points), matrix.size, matrix.size), np.nan + 1j, dtype=complex)
+    assert matrix.eval_grid(points, out=stack) is stack
+    assert stack.tobytes() == matrix.eval_grid(points).tobytes()
+    assert (stack == 0).any()
+    for bad in (stack[:-1], stack.real.copy()):
+        with pytest.raises(ValueError):
+            matrix.eval_grid(points, out=bad)
+
+
 def within(seconds, fn, *args, **kwargs):
     """Run ``fn`` in a daemon thread; fail if it has not returned after ``seconds``."""
     box = {}
