@@ -39,7 +39,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import EngineMismatchError
-from .graphs import FundamentalGraph
+from .graphs import FundamentalGraph, _rank
 from .laurent import LaurentMatrix
 from .operators import fiber_eigenvalues_grid, symbolic_operator
 
@@ -55,6 +55,14 @@ REDUCE_BYTES = 1 << 17
 
 def default_flat_tol(value: float) -> float:
     return 1e-8 * (1.0 + abs(value))
+
+
+def mirrors(shape: tuple[int, ...]) -> np.ndarray:
+    """Flat index of the mirror ``-m mod shape`` of every point m of a row-major index box."""
+    first = np.zeros(1, dtype=np.intp)
+    for n in shape:
+        first = (first[:, None] * n + -np.arange(n) % n).ravel()
+    return first
 
 
 @dataclass(frozen=True)
@@ -94,10 +102,7 @@ class KGrid:
         solved points, of grid point i or of its mirror.
         """
         n, dim = self.points_per_dim, self.dim
-        # The flat index of every grid point's mirror, built axis by axis from one table.
-        first = np.zeros(1, dtype=np.intp)
-        for _ in range(dim):
-            first = (first[:, None] * n + -np.arange(n) % n).ravel()
+        first = mirrors((n,) * dim)
         rows = np.arange(n**dim)
         solved = np.minimum(first, rows, out=first) == rows
         del rows  # a full-grid array, freed before the coordinates are built
@@ -223,25 +228,6 @@ def _flat_candidates(lam: np.ndarray) -> tuple[tuple[float, float], ...]:
         block = lam[start : start + step].T.copy()
         np.maximum(residual, [_residual(block, value) for value in values], out=residual)
     return tuple(zip(values, residual.tolist()))
-
-
-def _rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix, by fraction-free (Bareiss) elimination; ``rows`` is overwritten.
-
-    Every entry below the pivots stays a minor of the input, so each division is exact.
-    """
-    rank, last = 0, 1
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            row = rows[r]
-            rows[r] = [(top[col] * a - row[col] * b) // last for a, b in zip(row, top)]
-        last, rank = top[col], rank + 1
-    return rank
 
 
 def _flat_level(matrix: LaurentMatrix, value: float) -> tuple[float, int]:

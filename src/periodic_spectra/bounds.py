@@ -8,7 +8,11 @@ constants, and a refinement that scans walk lengths n and keeps the best
 term, with the walk classes read off one eigen-solve of the walk matrix
 (:func:`walks.walk_classes`).  Upper bounds multiply the fewest bridges over
 all gauges, which the spanning-tree search of :func:`graphs.minimize_bridges`
-finds exactly (rank <= minimum <= Betti number).
+finds exactly (rank <= minimum <= Betti number).  The search and the
+bipartiteness test do not depend on the kind or the potential: each graph
+keeps their results (:attr:`graphs.FundamentalGraph.fewest_bridges`,
+:attr:`graphs.FundamentalGraph.bipartition`), so the brackets of every kind
+share them.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ from .graphs import (
     betti_number,
     bridge_count,
     cycle_basis,
-    is_bipartite,
-    minimize_bridges,
 )
 from .walks import classify, walk_classes, walk_series, walk_setting
 
@@ -103,7 +105,7 @@ def structural_constants(graph: FundamentalGraph) -> StructuralConstants:
     kappa_minus, kappa_plus = min(deg), max(deg)
     shifted = [graph.potential[x] - deg[x] for x in range(graph.num_vertices)]
     v_plus = max(shifted) - min(shifted)
-    _, min_bridges = minimize_bridges(graph)
+    _, min_bridges = graph.fewest_bridges
     per_vertex_bridges = [0] * graph.num_vertices
     for e in graph.edges:
         if any(e.index):
@@ -122,7 +124,7 @@ def structural_constants(graph: FundamentalGraph) -> StructuralConstants:
         bridges=bridge_count(graph),
         min_bridges=min_bridges,
         bridge_ratio=float(bridge_ratio),
-        bipartite=is_bipartite(graph)[0],
+        bipartite=graph.bipartition[0],
     )
 
 
@@ -257,7 +259,7 @@ def verify_index_lattice(graph: FundamentalGraph) -> IndexLatticeReport:
                 break
 
     witness_n = witness_odd = bip_witness = None
-    bipartite = is_bipartite(graph)[0]
+    bipartite = graph.bipartition[0]
     for n, counts in enumerate(walk_series(graph, "adjacency", graph.num_vertices), 1):
         n_odd = classify(counts).n_odd
         if witness_n is None and n_odd >= n * _d_star(graph.dim):

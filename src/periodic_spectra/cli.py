@@ -37,9 +37,7 @@ from .graphs import (
     builtin_graph,
     gauge_transform,
     graph_to_dict,
-    is_bipartite,
     load_graph,
-    minimize_bridges,
     vertex_degrees,
 )
 from .operators import OPERATOR_KINDS, fiber_eigenvalues_grid
@@ -180,7 +178,7 @@ def _fixed4(values) -> str:
 def info(graph: FundamentalGraph) -> _Output:
     """Structural constants, bipartiteness, and bridge data."""
     sc = bounds_mod.structural_constants(graph)
-    bip, witness = is_bipartite(graph)
+    bip, witness = graph.bipartition
     doc = {
         "dimension": graph.dim,
         "vertices": graph.num_vertices,
@@ -357,7 +355,7 @@ def traces(graph: FundamentalGraph, kind: str, n_max: int | None) -> _Output:
 @_verb()
 def embed(graph: FundamentalGraph) -> _Output:
     """Find a gauge with the fewest bridges; print the gauge and new indices."""
-    gauge, count = minimize_bridges(graph)
+    gauge, count = graph.fewest_bridges
     moved = gauge_transform(graph, gauge)
     doc = {
         "bridges_before": bridge_count(graph),

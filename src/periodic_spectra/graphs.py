@@ -189,6 +189,16 @@ class FundamentalGraph:
         return tuple(tuple(lst) for lst in out)
 
     @cached_property
+    def fewest_bridges(self) -> tuple["Gauge", int]:
+        """:func:`minimize_bridges` at its default cap, searched once per graph."""
+        return minimize_bridges(self)
+
+    @cached_property
+    def bipartition(self):
+        """:func:`is_bipartite`'s verdict and witness, tested once per graph."""
+        return is_bipartite(self)
+
+    @cached_property
     def _ordinals(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
@@ -212,7 +222,10 @@ class FundamentalGraph:
             if len(values) != self.num_vertices:
                 raise GraphFormatError("potential must list one value per vertex")
             pot = [_as_potential(v, lab) for v, lab in zip(values, self.labels)]
-        return FundamentalGraph(self.dim, self.labels, tuple(pot), self.edges)
+        graph = FundamentalGraph(self.dim, self.labels, tuple(pot), self.edges)
+        # Neither the gauge search nor the bipartiteness test reads the potential.
+        graph.__dict__.update((k, v) for k, v in self.__dict__.items() if k in ("fewest_bridges", "bipartition"))
+        return graph
 
 
 def build_graph(
@@ -385,6 +398,64 @@ def gauge_transform(graph: FundamentalGraph, gauge: Gauge) -> FundamentalGraph:
     return FundamentalGraph(graph.dim, graph.labels, graph.potential, tuple(new_edges))
 
 
+def _offset(edge: tuple[int, int, IndexVector], shift: Sequence[IndexVector]) -> IndexVector:
+    """Shift of head's component, relative to tail's, that gives ``edge`` index 0."""
+    tail, head, idx = edge
+    return tuple(shift[tail][s] - t - shift[head][s] for s, t in enumerate(idx))
+
+
+def _unavoidable(plain: list, comp: list[int], shift: list[IndexVector], forced: list[bool]) -> int:
+    """Bridges of every spanning tree through a forest, forced edges counted.
+
+    ``comp`` and ``shift`` give each vertex's component and shift; the forest
+    edges have index 0.  Between two components one relative shift is
+    chosen, so of the edges joining them at most those sharing the most
+    common offset get index 0.
+    """
+    count = sum(forced)
+    between: dict[tuple[int, int], dict[IndexVector, int]] = {}
+    for j, edge in enumerate(plain):
+        if forced[j]:
+            continue
+        a, b, off = comp[edge[0]], comp[edge[1]], _offset(edge, shift)
+        if a == b:
+            count += any(off)
+            continue
+        if a > b:
+            a, b, off = b, a, _neg(off)
+        tally = between.setdefault((a, b), {})
+        tally[off] = tally.get(off, 0) + 1
+    for tally in between.values():
+        count += sum(tally.values()) - max(tally.values())
+    return count
+
+
+def bridge_floor(graph: FundamentalGraph) -> int:
+    """A lower bound on the bridges of every gauge, proven without a search.
+
+    Loops with nonzero index are bridges in every gauge.  Every cycle index
+    of the loopless multigraph is a signed sum of the indices of its bridges,
+    since zero-index edges add nothing, so it has at least as many bridges as
+    the rank of its cycle indices.  The edges joining two vertices are all
+    bridges but those sharing one offset (:func:`_unavoidable` of the forest
+    without edges).  The floor is the loop bridges plus the larger bound.
+    """
+    nv, zero = graph.num_vertices, (0,) * graph.dim
+    und = graph.unoriented()
+    plain = [(e.tail, e.head, e.index) for e in und if not e.is_loop()]
+    # Shifts of a breadth-first spanning tree at index 0: the offsets they leave are its fundamental cycle indices.
+    shift: list = [zero] + [None] * (nv - 1)
+    queue = [0]
+    for v in queue:
+        for e in graph.out_edges[v]:
+            if shift[e.head] is None:
+                shift[e.head] = tuple(a - t for a, t in zip(shift[v], e.index))
+                queue.append(e.head)
+    rank = _rank([list(_offset(edge, shift)) for edge in plain])
+    roots = _unavoidable(plain, list(range(nv)), [zero] * nv, [False] * len(plain))
+    return sum(1 for e in und if e.is_loop() and any(e.index)) + max(rank, roots)
+
+
 def minimize_bridges(
     graph: FundamentalGraph,
     cap: int = DEFAULT_SEARCH_CAP,
@@ -401,10 +472,15 @@ def minimize_bridges(
     The trees are grown depth first, edge by edge, and a branch is cut once
     the bridges it cannot avoid reach the best count so far, which starts at
     the given gauge's; when nothing beats the given gauge it is returned as
-    the zero gauge.  ``cap`` bounds the work, counted in edge scans: every
-    partial forest the search visits scans each edge once for its bound, and
-    passing ``cap`` scans raises :class:`SearchCapExceeded`.  The count
-    satisfies ``dim <= count <= bridge_count``.
+    the zero gauge.  A count that reaches :func:`bridge_floor` is optimal, so
+    the search never starts when the given gauge meets the floor, and stops
+    at the first tree that does: the tree it would return after finishing,
+    since only a strictly smaller count replaces the best.  ``cap`` bounds
+    the work, counted in edge scans: every partial forest the search visits
+    scans each edge once for its bound, and passing ``cap`` scans raises
+    :class:`SearchCapExceeded`.  The count satisfies
+    ``dim <= count <= bridge_count``.  :attr:`FundamentalGraph.fewest_bridges`
+    keeps the default-cap result of each graph.
     """
     nv, d = graph.num_vertices, graph.dim
     und = graph.unoriented()
@@ -418,40 +494,13 @@ def minimize_bridges(
     zero = (0,) * d
     best_count = sum(1 for _, _, idx in plain if any(idx))
     best_shifts: tuple[IndexVector, ...] = (zero,) * nv
+    floor = bridge_floor(graph) - loop_bridges
 
     # Partial forest: component label and shift per vertex; its edges have index 0.
     comp = list(range(nv))
     shift = [zero] * nv
     # Edges this branch leaves out of the tree and keeps as bridges (see "skip").
     forced = [False] * len(plain)
-
-    def offset(j: int) -> IndexVector:
-        """Shift of head's component, relative to tail's, that gives edge j index 0."""
-        tail, head, idx = plain[j]
-        return tuple(shift[tail][s] - t - shift[head][s] for s, t in enumerate(idx))
-
-    def unavoidable() -> int:
-        """Bridges of every spanning tree through the forest, forced edges counted.
-
-        Between two components one relative shift is chosen, so of the edges
-        joining them at most those sharing the most common offset get index 0.
-        """
-        count = sum(forced)
-        between: dict[tuple[int, int], dict[IndexVector, int]] = {}
-        for j, (tail, head, _) in enumerate(plain):
-            if forced[j]:
-                continue
-            a, b, off = comp[tail], comp[head], offset(j)
-            if a == b:
-                count += any(off)
-                continue
-            if a > b:
-                a, b, off = b, a, tuple(-v for v in off)
-            tally = between.setdefault((a, b), {})
-            tally[off] = tally.get(off, 0) + 1
-        for tally in between.values():
-            count += sum(tally.values()) - max(tally.values())
-        return count
 
     def connectable(start: int) -> bool:
         """Whether the forest plus edges ``plain[start:]`` still spans the graph."""
@@ -475,7 +524,7 @@ def minimize_bridges(
     # Entries: ("visit", i, joined), ("restore", saved), ("skip", i, joined),
     # ("unforce", i); a join pushes its restore and the branch without the edge
     # below the branch with it.
-    stack: list[tuple] = [("visit", 0, 0)] if nv > 1 else []
+    stack: list[tuple] = [("visit", 0, 0)] if best_count > floor else []
     scans = 0
     while stack:
         step = stack.pop()
@@ -498,18 +547,20 @@ def minimize_bridges(
         scans += len(plain)
         if scans > cap:
             raise SearchCapExceeded(f"gauge search passed its cap of {cap} edge scans")
-        if unavoidable() >= best_count:
+        if _unavoidable(plain, comp, shift, forced) >= best_count:
             continue
         if joined == nv - 1:
-            best_count = sum(any(offset(j)) for j in range(len(plain)))
+            best_count = sum(any(_offset(edge, shift)) for edge in plain)
             best_shifts = tuple(shift)
+            if best_count == floor:
+                break
             continue
         tail, head, _ = plain[i]
         if comp[tail] == comp[head]:
             stack.append(("visit", i + 1, joined))
             continue
         # Join head's component to tail's so that edge i gets index 0.
-        off = offset(i)
+        off = _offset(plain[i], shift)
         moved = [v for v in range(nv) if comp[v] == comp[head]]
         stack += [("skip", i, joined), ("restore", [(v, comp[v], shift[v]) for v in moved])]
         for v in moved:
@@ -633,6 +684,25 @@ def _generates_lattice(columns: Iterable[Sequence[int]], dim: int) -> bool:
             return False
         live.remove(hits[0])
     return True
+
+
+def _rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix, by fraction-free (Bareiss) elimination; ``rows`` is overwritten.
+
+    Every entry below the pivots stays a minor of the input, so each division is exact.
+    """
+    rank, last = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            row = rows[r]
+            rows[r] = [(top[col] * a - row[col] * b) // last for a, b in zip(row, top)]
+        last, rank = top[col], rank + 1
+    return rank
 
 
 def index_lattice_check(graph: FundamentalGraph) -> bool:

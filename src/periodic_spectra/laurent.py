@@ -31,7 +31,7 @@ class LaurentPoly:
         self.dim = int(dim)
         self.coeffs: dict[IndexVector, complex] = {}
         for m, c in (coeffs or {}).items():
-            key = tuple(int(v) for v in m)
+            key = tuple(map(int, m))
             if len(key) != self.dim:
                 raise ValueError(f"frequency {key} has length {len(key)}, expected {self.dim}")
             c = complex(c)

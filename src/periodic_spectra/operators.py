@@ -14,6 +14,7 @@ on the diagonal; no kind is built from another.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -82,7 +83,7 @@ def symbolic_operator(
         diagonal = (float(kind == "normalized_laplacian"),) * nv
     sums: list[list[dict]] = [[{} for _ in range(nv)] for _ in range(nv)]
     for e in graph.edges:
-        weight = sign / np.sqrt(deg[e.tail] * deg[e.head]) if normalized else sign
+        weight = sign / math.sqrt(deg[e.tail] * deg[e.head]) if normalized else sign
         terms = sums[e.tail][e.head]
         terms[e.index] = terms.get(e.index, 0) + weight
     for x, value in enumerate(diagonal):

@@ -41,6 +41,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .bands import mirrors
 from .errors import EngineMismatchError, GraphFormatError
 from .graphs import FundamentalGraph, IndexVector
 from .laurent import LaurentMatrix, LaurentPoly
@@ -185,7 +186,7 @@ def walk_setting(graph: FundamentalGraph, kind: str) -> tuple[FundamentalGraph, 
     """The graph and trace kind ``OPERATOR_KINDS[kind]`` whose walks stand for ``kind``."""
     if kind not in OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    if kind == "laplacian":
+    if kind == "laplacian" and any(graph.potential):
         graph = graph.with_potential([0.0] * graph.num_vertices)
     return graph, OPERATOR_KINDS[kind]
 
@@ -226,11 +227,14 @@ def walk_classes(graph: FundamentalGraph, kind: str, n_max: int) -> tuple[tuple[
     ``B_n1 = T_n(0) - T_n0``, where the zero-index sum ``T_n0`` is the mean of
     ``T_n`` over a grid of ``n_max * R_s + 1`` points on each axis s (R_s the
     largest ``|m_s|`` over the terms of M, ``LaurentMatrix.frequency_radius``),
-    exact because it resolves every frequency of ``T_n`` on that axis.  The
-    values equal :func:`classify` of the exact walk sums.  The sweep streams
-    the grid in chunks (see :func:`fiber_eigenvalues_grid`), so memory is the
-    grid points, the eigenvalues, one power of them and the (n_max, npts)
-    traces, never the stack of fibers.
+    exact because it resolves every frequency of ``T_n`` on that axis.  M has
+    real coefficients, so ``T_n(-k) = T_n(k)``: of each mirror pair of grid
+    points (:func:`bands.mirrors`) the first is solved and counted twice, or
+    once when it is its own mirror.  The values equal :func:`classify` of the
+    exact walk sums.  The sweep streams the points in chunks (see
+    :func:`fiber_eigenvalues_grid`), so memory is the points, the
+    eigenvalues, one power of them and the (n_max, npts) traces, never the
+    stack of fibers.
 
     The error of each value is of order ``n * nu * eps`` times the trace
     scale ``nu * rho^n`` of :func:`trace_scales`: eigenvalue rounding,
@@ -246,13 +250,17 @@ def walk_classes(graph: FundamentalGraph, kind: str, n_max: int) -> tuple[tuple[
     coeffs = [c for row in matrix.entries for p in row for c in p.coeffs.values()]
     integral = all(c.imag == 0.0 and c.real == round(c.real) for c in coeffs)
     scales = trace_scales(matrix, n_max)
-    axes = [2.0 * np.pi * np.arange(n_max * r + 1) / (n_max * r + 1) for r in matrix.frequency_radius()]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, graph.dim)
+    shape = tuple(n_max * r + 1 for r in matrix.frequency_radius())
+    # T_n(k) = T_n(-k): one point of each pair {m, -m mod shape}, weighted by the pair's size.
+    mirror = mirrors(shape)
+    kept = np.flatnonzero(np.arange(mirror.size) <= mirror)
+    weights = np.where(mirror[kept] == kept, 1.0, 2.0)
+    box = 2.0 * np.pi * np.stack(np.unravel_index(kept, shape), axis=1) / shape
     special = np.array([[0.0] * graph.dim, [np.pi] * graph.dim])
-    points = np.vstack([special, grid])
-    # T_n at every point, one row per n; columns: k = 0, k = pi*(1,..,1), the grid.
-    traces = _power_traces(matrix, points, n_max)
-    t_zero, t_pi, mean = traces[:, 0], traces[:, 1], traces[:, 2:].mean(axis=1)
+    # T_n at every point, one row per n; columns: k = 0, k = pi*(1,..,1), the half box.
+    traces = _power_traces(matrix, np.vstack([special, box]), n_max)
+    # einsum rather than a BLAS product, whose first call adds about 1 MB of work buffers to peak memory.
+    t_zero, t_pi, mean = traces[:, 0], traces[:, 1], np.einsum("nk,k->n", traces[:, 2:], weights) / mirror.size
     n = np.arange(1, n_max + 1)
     errs = ENGINE_ERROR_FACTOR * n * matrix.size * np.finfo(float).eps * scales
     return tuple(

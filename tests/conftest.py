@@ -3,14 +3,18 @@
 ``numeric_fiber`` assembles fiber matrices directly from the edge list with
 plain numpy, bypassing the symbolic layer entirely, so tests can pit the two
 construction paths against each other.  ``box_min_bridges`` is the exhaustive
-gauge search over a shift box, the reference for the spanning-tree search.
+gauge search over a shift box, the reference for the spanning-tree search,
+and ``exhaustive_tree_search`` is that search run to its end without the
+floor that stops ``minimize_bridges``, the reference for its answer.
 ``enumerate_walk_sums`` is the depth-first search over every closed walk,
 the reference for the package's transfer recursion.
 ``assert_trace_matches_walks`` holds the symbolic trace series to the exact
 walk sums, the comparison the ``traces`` verb makes.
+``full_box_walk_classes`` takes the walk classes' zero-index mean over the
+whole index box, the reference for ``walk_classes``' half box.
 ``unchecked_graph`` builds quotients the parsers reject (sublattice indices);
-``random_graph`` builds seeded random connected quotients and ``regular_graph``
-seeded regular ones.  ``full_band_table`` is the unpruned sweep, the
+``random_graph`` builds seeded random connected quotients, ``regular_graph``
+seeded regular ones and ``loopless_graph`` seeded loopless ones.  ``full_band_table`` is the unpruned sweep, the
 reference for every band table; ``assert_tables_identical`` compares two
 tables bit for bit, and ``assert_pruned_table_is_the_full_sweep`` holds
 ``band_structure`` to the unpruned sweep with its certified flat levels
@@ -172,6 +176,97 @@ def box_min_bridges(graph, radius):
     return best
 
 
+def exhaustive_tree_search(graph):
+    """``(gauge, count)`` of the spanning-tree gauge search run to its end, with no floor and no cap.
+
+    The search that ``minimize_bridges`` ran before it stopped at a proven
+    floor: trees grow depth first, edge by edge, a branch is cut once the
+    bridges it cannot avoid reach the best count so far, and only a strictly
+    smaller count replaces the best, which starts at the given gauge's.
+    """
+    nv, d = graph.num_vertices, graph.dim
+    und = graph.unoriented()
+    loop_bridges = sum(1 for e in und if e.is_loop() and any(e.index))
+    plain = sorted(((e.tail, e.head, e.index) for e in und if not e.is_loop()), key=lambda edge: any(edge[2]))
+    zero = (0,) * d
+    best_count = sum(1 for _, _, idx in plain if any(idx))
+    best_shifts = (zero,) * nv
+    comp = list(range(nv))
+    shift = [zero] * nv
+    forced = [False] * len(plain)
+
+    def offset(j):
+        tail, head, idx = plain[j]
+        return tuple(shift[tail][s] - t - shift[head][s] for s, t in enumerate(idx))
+
+    def unavoidable():
+        count = sum(forced)
+        between = {}
+        for j, (tail, head, _) in enumerate(plain):
+            if forced[j]:
+                continue
+            a, b, off = comp[tail], comp[head], offset(j)
+            if a == b:
+                count += any(off)
+                continue
+            if a > b:
+                a, b, off = b, a, tuple(-v for v in off)
+            tally = between.setdefault((a, b), {})
+            tally[off] = tally.get(off, 0) + 1
+        return count + sum(sum(t.values()) - max(t.values()) for t in between.values())
+
+    def connectable(start):
+        root = {c: c for c in comp}
+
+        def find(c):
+            while root[c] != c:
+                c = root[c]
+            return c
+
+        pieces = len(root)
+        for tail, head, _ in plain[start:]:
+            a, b = find(comp[tail]), find(comp[head])
+            if a != b:
+                root[a] = b
+                pieces -= 1
+        return pieces == 1
+
+    stack = [("visit", 0, 0)] if nv > 1 else []
+    while stack:
+        step = stack.pop()
+        if step[0] == "restore":
+            for v, c, vec in step[1]:
+                comp[v], shift[v] = c, vec
+            continue
+        if step[0] == "unforce":
+            forced[step[1]] = False
+            continue
+        _, i, joined = step
+        if step[0] == "skip":
+            if connectable(i + 1):
+                forced[i] = True
+                stack += [("unforce", i), ("visit", i + 1, joined)]
+            continue
+        if unavoidable() >= best_count:
+            continue
+        if joined == nv - 1:
+            best_count = sum(any(offset(j)) for j in range(len(plain)))
+            best_shifts = tuple(shift)
+            continue
+        tail, head, _ = plain[i]
+        if comp[tail] == comp[head]:
+            stack.append(("visit", i + 1, joined))
+            continue
+        off = offset(i)
+        moved = [v for v in range(nv) if comp[v] == comp[head]]
+        stack += [("skip", i, joined), ("restore", [(v, comp[v], shift[v]) for v in moved])]
+        for v in moved:
+            comp[v] = comp[tail]
+            shift[v] = tuple(a + b for a, b in zip(shift[v], off))
+        stack.append(("visit", i + 1, joined + 1))
+    return ps.Gauge(best_shifts), loop_bridges + best_count
+
+
 def enumerate_walk_sums(graph, n, mode, normalize=True):
     """Closed n-walk sums by index from a depth-first search over every walk.
 
@@ -240,6 +335,29 @@ def assert_walk_classes_match(graph, n_max):
                     assert value == pytest.approx(want, rel=1e-9)
 
 
+def full_box_walk_classes(graph, kind, n_max):
+    """``walk_classes`` with ``T_n0`` the plain mean over every point of the index box.
+
+    The box has ``n_max * R_s + 1`` points on axis s; the same snap and error
+    bound as the engine.  Returns the classes and the bound of each n.
+    """
+    matrix = ps.walks.walk_matrix(graph, kind)
+    coeffs = [c for row in matrix.entries for p in row for c in p.coeffs.values()]
+    integral = all(c.imag == 0.0 and c.real == round(c.real) for c in coeffs)
+    axes = [2.0 * np.pi * np.arange(n_max * r + 1) / (n_max * r + 1) for r in matrix.frequency_radius()]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, graph.dim)
+    special = np.array([[0.0] * graph.dim, [np.pi] * graph.dim])
+    traces = ps.walks._power_traces(matrix, np.vstack([special, grid]), n_max)
+    n = np.arange(1, n_max + 1)
+    errs = ps.walks.ENGINE_ERROR_FACTOR * n * matrix.size * np.finfo(float).eps * ps.walks.trace_scales(matrix, n_max)
+    snap = ps.walks._snap
+    classes = [
+        (snap(zero - avg, err, integral), snap(zero - pi, err, integral))
+        for zero, avg, pi, err in zip(traces[:, 0], traces[:, 2:].mean(axis=1), traces[:, 1], errs)
+    ]
+    return classes, errs
+
+
 def random_graph(seed: int, dim: int | None = None) -> ps.FundamentalGraph:
     """A random connected quotient of rank ``dim`` (1 or 2, drawn from the seed, by default).
 
@@ -292,6 +410,31 @@ def regular_graph(seed: int, nu: int, dim: int) -> ps.FundamentalGraph:
             idx[rng.integers(dim)] = 1
             edges.append((labels[v], labels[v], tuple(int(x) for x in idx)))
     return ps.build_graph(dim, labels, edges, dict(zip(labels, (float(v) for v in rng.uniform(-1, 1, nu)))))
+
+
+def loopless_graph(seed: int, nu: int, dim: int) -> ps.FundamentalGraph:
+    """A seeded 6-regular quotient on ``nu`` >= 3 vertices with no loops and a random potential.
+
+    The union of three random Hamiltonian cycles (multi-edges allowed), every
+    edge index drawn from {-1, 0, 1}^dim, redrawn until the cycle indices
+    generate Z^dim.  With no loop to force a bridge, these are the inputs
+    where ``graphs.bridge_floor`` is weakest.
+    """
+    rng = np.random.default_rng([seed, nu, 7])
+    labels = [f"v{i}" for i in range(nu)]
+    while True:
+        edges = []
+        for _ in range(3):
+            perm = rng.permutation(nu)
+            edges += [
+                (labels[perm[i]], labels[perm[(i + 1) % nu]], tuple(int(v) for v in rng.integers(-1, 2, dim)))
+                for i in range(nu)
+            ]
+        potential = dict(zip(labels, (float(v) for v in rng.uniform(-1, 1, nu))))
+        try:
+            return ps.build_graph(dim, labels, edges, potential)
+        except ps.GraphFormatError:
+            continue
 
 
 def full_band_table(graph, kind, grid, power=1, levels=()):

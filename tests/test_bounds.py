@@ -8,7 +8,7 @@ import pytest
 
 import periodic_spectra as ps
 
-from conftest import BIPARTITE_BUILTINS, BUILTIN_NAMES
+from conftest import BIPARTITE_BUILTINS, BUILTIN_NAMES, random_graph
 
 RNG = np.random.default_rng(404)
 
@@ -137,6 +137,20 @@ def test_bounds_for_kind_dispatch(kagome):
         assert report.lower <= report.upper
     with pytest.raises(ValueError):
         ps.bounds_for_kind(kagome, "resolvent")
+
+
+@pytest.mark.parametrize("graph", [ps.builtin_graph("kagome"), random_graph(3)], ids=["zero-potential", "potential"])
+def test_brackets_share_one_gauge_search_and_one_bipartiteness_test(monkeypatch, graph):
+    calls = []
+    for name in ("minimize_bridges", "is_bipartite"):
+        original = getattr(ps.graphs, name)
+        monkeypatch.setattr(ps.graphs, name, lambda g, _f=original, _n=name: calls.append(_n) or _f(g))
+    # a fresh graph object, so no fact is known yet
+    graph = ps.FundamentalGraph(graph.dim, graph.labels, graph.potential, graph.edges)
+    for kind in ps.OPERATOR_KINDS:
+        ps.bounds_for_kind(graph, kind, n_max=3)
+    ps.verify_index_lattice(graph)
+    assert sorted(calls) == ["is_bipartite", "minimize_bridges"]
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

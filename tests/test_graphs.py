@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 import periodic_spectra as ps
 from periodic_spectra.errors import GraphFormatError, SearchCapExceeded
 
-from conftest import BUILTIN_NAMES, box_min_bridges, unchecked_graph
+from conftest import (
+    BUILTIN_NAMES,
+    box_min_bridges,
+    exhaustive_tree_search,
+    loopless_graph,
+    random_graph,
+    regular_graph,
+    unchecked_graph,
+)
 
 HEX_FILE = json.dumps(
     {
@@ -316,11 +324,71 @@ def test_minimize_bridges_depth_is_not_recursion():
 
 def test_minimize_bridges_cap():
     # the cap counts edge scans: a tree on square_diag's 4 vertices takes 4
-    # visited forests, each scanning its 6 edges
-    g = ps.builtin_graph("square_diag")
+    # visited forests, each scanning its 6 edges.  Its given gauge meets the
+    # floor and needs no search, so move x2 off it: 4 bridges against 2.
+    square = ps.builtin_graph("square_diag")
+    g = ps.gauge_transform(square, ps.Gauge.from_labels(square, {"x2": (1, 0)}))
+    assert ps.bridge_count(g) > ps.graphs.bridge_floor(g) == 2
     with pytest.raises(SearchCapExceeded):
         ps.minimize_bridges(g, cap=10)
     assert ps.minimize_bridges(g, cap=100)[1] == 2
+
+
+def _assert_search_is_exhaustive(g):
+    """minimize_bridges returns the exhaustive search's gauge and count, never below the floor."""
+    gauge, count = ps.minimize_bridges(g)
+    assert (gauge, count) == exhaustive_tree_search(g)
+    assert ps.graphs.bridge_floor(g) <= count
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ["zd(3)", "z_cycle(10)", "z_cycle(11)"])
+def test_minimize_bridges_is_the_exhaustive_search_builtins(name):
+    g = ps.builtin_graph(name)
+    _assert_search_is_exhaustive(g)
+    # moved gauges no longer meet the floor, so the search runs
+    rng = np.random.default_rng(49)
+    for _ in range(3):
+        _assert_search_is_exhaustive(ps.gauge_transform(g, _random_gauge(g, rng)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_minimize_bridges_is_the_exhaustive_search_random(seed):
+    _assert_search_is_exhaustive(random_graph(seed))
+    _assert_search_is_exhaustive(regular_graph(seed, 3 + seed % 6, 1 + seed % 2))
+
+
+@pytest.mark.parametrize("seed, nu, dim", [(0, 4, 1), (1, 5, 2), (2, 6, 3), (3, 7, 2), (4, 8, 1), (5, 8, 2), (6, 10, 1)])
+def test_minimize_bridges_is_the_exhaustive_search_loopless(seed, nu, dim):
+    _assert_search_is_exhaustive(loopless_graph(seed, nu, dim))
+
+
+def test_bridge_floor_takes_the_larger_bound(kagome):
+    # z_cycle: one cycle of rank 1, no vertex pair joined twice
+    assert ps.graphs.bridge_floor(ps.builtin_graph("z_cycle(10)")) == 1
+    # kagome: cycle rank 2, but each of its three vertex pairs has two edges with distinct offsets
+    assert ps.graphs.bridge_floor(kagome) == 3
+    # zd(2): its two loops are bridges in every gauge
+    assert ps.graphs.bridge_floor(ps.builtin_graph("zd(2)")) == 2
+
+
+@pytest.mark.parametrize("name", ["kagome", "hexagonal", "z_cycle(200)", "square_diag", "fig4_chain"])
+def test_minimize_bridges_at_the_floor_does_no_search(name):
+    # the given gauge meets the floor: no edge scan, and the zero gauge comes back
+    g = ps.builtin_graph(name)
+    assert ps.minimize_bridges(g, cap=0) == (ps.Gauge.zero(g), ps.bridge_count(g))
+
+
+def test_graph_facts_are_computed_once(monkeypatch, kagome):
+    calls = []
+    for name in ("minimize_bridges", "is_bipartite"):
+        original = getattr(ps.graphs, name)
+        monkeypatch.setattr(ps.graphs, name, lambda g, _f=original, _n=name: calls.append(_n) or _f(g))
+    assert kagome.fewest_bridges == kagome.fewest_bridges == (ps.Gauge.zero(kagome), 3)
+    assert kagome.bipartition == kagome.bipartition == ps.is_bipartite(kagome)
+    # a new potential keeps the facts already found, which do not read it
+    moved = kagome.with_potential([1.0, 2.0, 3.0])
+    assert (moved.fewest_bridges, moved.bipartition) == (kagome.fewest_bridges, kagome.bipartition)
+    assert calls == ["minimize_bridges", "is_bipartite"]
 
 
 # -- bipartiteness ------------------------------------------------------------

@@ -16,6 +16,7 @@ from conftest import (
     assert_trace_matches_walks,
     assert_walk_classes_match,
     box_min_bridges,
+    loopless_graph,
     max_diff,
     numeric_fiber,
     random_graph,
@@ -23,6 +24,9 @@ from conftest import (
 )
 
 SEEDS = list(range(10))
+
+# (seed, nu, dim) of the loopless quotients (``conftest.loopless_graph``), nu <= 10.
+LOOPLESS = [(0, 4, 1), (1, 6, 2), (2, 5, 3), (3, 8, 2), (4, 10, 1)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -93,6 +97,33 @@ def test_random_graph_sandwich(seed):
         assert report.lower <= sigma + 2e-2
         assert sigma <= report.upper + 2e-2
         assert ps.spectrum_measure(table) <= sigma + 1e-12
+
+
+@pytest.mark.parametrize("seed, nu, dim", LOOPLESS)
+def test_loopless_graph_gauge_invariance(seed, nu, dim):
+    g = loopless_graph(seed, nu, dim)
+    rng = np.random.default_rng(seed)
+    shifts = [tuple(int(v) for v in rng.integers(-2, 3, dim)) for _ in g.labels]
+    moved = ps.gauge_transform(g, ps.Gauge(tuple(shifts)))
+    assert np.array_equal(ps.cycle_basis(g)[1], ps.cycle_basis(moved)[1])
+    assert max_diff(ps.trace_series(moved, "adjacency", 3), ps.trace_series(g, "adjacency", 3)) < 1e-9
+    assert ps.minimize_bridges(moved)[1] == ps.minimize_bridges(g)[1]
+    for kind in ("laplacian", "normalized_laplacian"):
+        want, got = ps.bounds_for_kind(g, kind, n_max=4), ps.bounds_for_kind(moved, kind, n_max=4)
+        assert got.constants.min_bridges == want.constants.min_bridges
+        assert got.lower == pytest.approx(want.lower, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed, nu, dim", LOOPLESS)
+def test_loopless_graph_sandwich(seed, nu, dim):
+    g = loopless_graph(seed, nu, dim)
+    grid = ps.KGrid(dim, 32 if dim < 3 else 8)
+    for kind in ("laplacian", "schrodinger", "normalized_laplacian", "adjacency"):
+        table = ps.band_structure(g, kind, grid)
+        sigma = ps.total_bandwidth(table)
+        report = ps.bounds_for_kind(g, kind)
+        assert report.lower <= sigma + 2e-2
+        assert sigma <= report.upper + 2e-2
 
 
 @pytest.mark.parametrize("seed", SEEDS[:5])

@@ -11,7 +11,15 @@ import periodic_spectra as ps
 from periodic_spectra.errors import EngineMismatchError
 from periodic_spectra.walks import WalkClassCounts
 
-from conftest import assert_walk_classes_match, enumerate_walk_sums, max_abs_frequency, max_diff, unchecked_graph
+from conftest import (
+    assert_walk_classes_match,
+    enumerate_walk_sums,
+    full_box_walk_classes,
+    loopless_graph,
+    max_abs_frequency,
+    max_diff,
+    unchecked_graph,
+)
 
 RNG = np.random.default_rng(31)
 
@@ -283,6 +291,49 @@ def test_walk_classes_grid_is_sized_per_axis(monkeypatch, wide_index):
     monkeypatch.setattr(ps.walks, "fiber_eigenvalues_grid", spy)
     assert_walk_classes_match(wide_index, 2)
     assert sizes and max(sizes) <= 2 + 203 * 3 * 3
+
+
+def _half_box_graphs():
+    """Graphs whose index boxes have even and odd sides in 1-, 2- and 3-D, at n_max 3 and 4."""
+    # frequency radii (1, 2): at n_max 3 the box is 4 x 7, an even side and an odd one
+    mixed = ps.build_graph(2, ["a", "b"], [("a", "b", (0, 0)), ("a", "b", (2, 1)), ("a", "b", (1, 1))])
+    return [
+        ("z_cycle(4)", ps.builtin_graph("z_cycle(4)")),
+        ("kagome", ps.builtin_graph("kagome")),
+        ("mixed", mixed.with_potential([0.3, -0.7])),
+        ("loopless-2d", loopless_graph(1, 4, 2)),
+        ("zd(3)", ps.builtin_graph("zd(3)")),
+        ("loopless-3d", loopless_graph(2, 3, 3)),
+    ]
+
+
+@pytest.mark.parametrize("n_max", [3, 4])
+@pytest.mark.parametrize("name, graph", _half_box_graphs())
+def test_walk_classes_half_box_equals_full_box(monkeypatch, name, graph, n_max):
+    solved = []
+    original = ps.walks.fiber_eigenvalues_grid
+
+    def spy(matrix, points, **kwargs):
+        solved.append(len(points))
+        return original(matrix, points, **kwargs)
+
+    for kind in ps.walks.TRACE_KINDS:
+        shape = [n_max * r + 1 for r in ps.walks.walk_matrix(graph, kind).frequency_radius()]
+        box, own_mirrors = np.prod(shape), np.prod([2 - n % 2 for n in shape])
+        with monkeypatch.context() as patch:
+            patch.setattr(ps.walks, "fiber_eigenvalues_grid", spy)
+            half = ps.walk_classes(graph, kind, n_max)
+        # k = 0, k = pi, and one point of each mirror pair of the box
+        assert solved.pop() == 2 + (box + own_mirrors) // 2
+        full, errs = full_box_walk_classes(graph, kind, n_max)
+        for got, want, err in zip(half, full, errs):
+            assert got[1] == want[1]
+            assert abs(got[0] - want[0]) <= err, (name, kind)
+
+
+def test_walk_setting_keeps_a_zero_potential_graph(fig4):
+    assert ps.walks.walk_setting(fig4, "laplacian") == (fig4, "schrodinger")
+    assert ps.walks.walk_setting(fig4, "laplacian")[0] is fig4
 
 
 def test_walk_classes_kinds(kagome):
