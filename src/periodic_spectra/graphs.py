@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -119,6 +119,8 @@ class FundamentalGraph:
     labels: tuple[str, ...]
     potential: tuple[float, ...]
     edges: tuple[OrientedEdge, ...]
+    # Facts that do not read the potential, shared with every with_potential copy.
+    _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -188,15 +190,20 @@ class FundamentalGraph:
             out[e.tail].append(e)
         return tuple(tuple(lst) for lst in out)
 
-    @cached_property
-    def fewest_bridges(self) -> tuple["Gauge", int]:
-        """:func:`minimize_bridges` at its default cap, searched once per graph."""
-        return minimize_bridges(self)
+    def _shared(self, name: str, compute):
+        if name not in self._facts:
+            self._facts[name] = compute(self)
+        return self._facts[name]
 
-    @cached_property
+    @property
+    def fewest_bridges(self) -> tuple["Gauge", int]:
+        """:func:`minimize_bridges` at its default cap, searched once per graph and its potentials."""
+        return self._shared("fewest_bridges", minimize_bridges)
+
+    @property
     def bipartition(self):
-        """:func:`is_bipartite`'s verdict and witness, tested once per graph."""
-        return is_bipartite(self)
+        """:func:`is_bipartite`'s verdict and witness, tested once per graph and its potentials."""
+        return self._shared("bipartition", is_bipartite)
 
     @cached_property
     def _ordinals(self) -> dict[str, int]:
@@ -223,8 +230,7 @@ class FundamentalGraph:
                 raise GraphFormatError("potential must list one value per vertex")
             pot = [_as_potential(v, lab) for v, lab in zip(values, self.labels)]
         graph = FundamentalGraph(self.dim, self.labels, tuple(pot), self.edges)
-        # Neither the gauge search nor the bipartiteness test reads the potential.
-        graph.__dict__.update((k, v) for k, v in self.__dict__.items() if k in ("fewest_bridges", "bipartition"))
+        object.__setattr__(graph, "_facts", self._facts)
         return graph
 
 

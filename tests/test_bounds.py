@@ -147,7 +147,8 @@ def test_brackets_share_one_gauge_search_and_one_bipartiteness_test(monkeypatch,
         monkeypatch.setattr(ps.graphs, name, lambda g, _f=original, _n=name: calls.append(_n) or _f(g))
     # a fresh graph object, so no fact is known yet
     graph = ps.FundamentalGraph(graph.dim, graph.labels, graph.potential, graph.edges)
-    for kind in ps.OPERATOR_KINDS:
+    # laplacian first: its bracket reads the zero-potential copy, which shares the facts
+    for kind in ("laplacian", *ps.OPERATOR_KINDS):
         ps.bounds_for_kind(graph, kind, n_max=3)
     ps.verify_index_lattice(graph)
     assert sorted(calls) == ["is_bipartite", "minimize_bridges"]

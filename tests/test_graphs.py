@@ -322,6 +322,21 @@ def test_minimize_bridges_depth_is_not_recursion():
     assert count == 1
 
 
+def test_minimize_bridges_deep_search_is_not_recursion():
+    # x100 moved off the floor: the search joins about 199 edges before its
+    # first tree, on its own stack, where one frame per join would overflow
+    cycle = ps.builtin_graph("z_cycle(200)")
+    g = ps.gauge_transform(cycle, ps.Gauge.from_labels(cycle, {"x100": (1,)}))
+    assert ps.bridge_count(g) > ps.graphs.bridge_floor(g) == 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        gauge, count = ps.minimize_bridges(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert count == ps.bridge_count(ps.gauge_transform(g, gauge)) == 1
+
+
 def test_minimize_bridges_cap():
     # the cap counts edge scans: a tree on square_diag's 4 vertices takes 4
     # visited forests, each scanning its 6 edges.  Its given gauge meets the
@@ -384,10 +399,11 @@ def test_graph_facts_are_computed_once(monkeypatch, kagome):
         original = getattr(ps.graphs, name)
         monkeypatch.setattr(ps.graphs, name, lambda g, _f=original, _n=name: calls.append(_n) or _f(g))
     assert kagome.fewest_bridges == kagome.fewest_bridges == (ps.Gauge.zero(kagome), 3)
-    assert kagome.bipartition == kagome.bipartition == ps.is_bipartite(kagome)
-    # a new potential keeps the facts already found, which do not read it
+    # a copy with a new potential shares the facts, which do not read it,
+    # whichever of the two asks first
     moved = kagome.with_potential([1.0, 2.0, 3.0])
-    assert (moved.fewest_bridges, moved.bipartition) == (kagome.fewest_bridges, kagome.bipartition)
+    assert moved.bipartition == moved.bipartition == ps.is_bipartite(kagome)
+    assert (kagome.fewest_bridges, kagome.bipartition) == (moved.fewest_bridges, moved.bipartition)
     assert calls == ["minimize_bridges", "is_bipartite"]
 
 
