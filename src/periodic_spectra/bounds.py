@@ -29,6 +29,7 @@ from .graphs import (
     betti_number,
     bridge_count,
     cycle_basis,
+    index_lattice_check,
 )
 from .walks import classify, walk_classes, walk_series, walk_setting
 
@@ -246,11 +247,12 @@ class IndexLatticeReport:
 
 
 def verify_index_lattice(graph: FundamentalGraph) -> IndexLatticeReport:
-    """Fill an :class:`IndexLatticeReport`; one cycle basis and one exact
-    span test (:func:`graphs._generates_lattice`) answer both lattice questions."""
+    """Fill an :class:`IndexLatticeReport`; :func:`index_lattice_check` gives
+    ``lattice_ok``, and exact span tests (:func:`graphs._generates_lattice`)
+    of the cycle basis's subsets give ``basis_subset``."""
+    lattice_ok = index_lattice_check(graph)
     cycles, _ = cycle_basis(graph)
     indices = [c.index for c in cycles]
-    lattice_ok = _generates_lattice(indices, graph.dim)
     basis_subset = None
     if lattice_ok:
         for combo in itertools.combinations(range(len(cycles)), graph.dim):

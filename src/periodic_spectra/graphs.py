@@ -8,6 +8,13 @@ depend on the chosen embedding (gauge); cycle indices do not, and the library
 keeps the two notions separate: gauge transforms reshuffle edge indices while
 every derived spectral quantity stays fixed.
 
+The cycle facts of a graph all read the fundamental cycles of one
+breadth-first spanning tree, built once per graph: the cycle that a non-tree
+edge closes has the index ``p(tail) + index - p(head)``, where the tree
+potential p sums the indices along the tree from vertex 0.  Connectivity (the
+tree reaches every vertex), the lattice check, the rank in
+:func:`bridge_floor` and :func:`cycle_basis` read it.
+
 The module also ships a small zoo of built-in lattices (hexagonal, kagome,
 hypercubic, a diamond chain, a decorated square lattice, cycle quotients of
 the integer line) with their standard index assignments.
@@ -36,8 +43,9 @@ BUILTIN_NAMES = ("zd(d)", "z_cycle(nu)", "hexagonal", "kagome", "fig4_chain", "s
 # search on a 2-CPU x86-64 machine.
 DEFAULT_SEARCH_CAP = 20_000_000
 
-# Largest |m_s| of an edge index component.  A cycle index sums at most nu of
-# them, which stays exact in the int64 arrays of :func:`cycle_basis`.
+# Largest |m_s| of an edge index component.  Tree potentials and cycle indices
+# are Python ints; a fundamental cycle index sums at most nu components, which
+# stays exact in the int64 matrix of :func:`cycle_basis`.
 MAX_INDEX_COMPONENT = 2**31 - 1
 
 
@@ -101,8 +109,7 @@ class CycleRecord:
                 raise ValueError("cycle edges do not chain head-to-tail")
         if self.edges[-1].head != self.edges[0].tail:
             raise ValueError("cycle does not return to its initial vertex")
-        total = tuple(int(s) for s in np.sum([e.index for e in self.edges], axis=0))
-        if total != self.index:
+        if tuple(map(sum, zip(*(e.index for e in self.edges)))) != self.index:
             raise ValueError("cycle index does not equal the sum of edge indices")
 
 
@@ -137,32 +144,18 @@ class FundamentalGraph:
         if len(self.edges) % 2:
             raise GraphFormatError("oriented edges must come in inverse pairs")
         for j in range(0, len(self.edges), 2):
+            # The inverse must equal the reversed stored orientation, so validating that one covers both.
             e, back = self.edges[j], self.edges[j + 1]
-            for half in (e, back):
-                if not (0 <= half.tail < nv and 0 <= half.head < nv):
-                    raise GraphFormatError("edge endpoint out of range")
-                _as_index(half.index, self.dim)
+            if not (0 <= e.tail < nv and 0 <= e.head < nv):
+                raise GraphFormatError("edge endpoint out of range")
+            _as_index(e.index, self.dim)
             if back != e.reversed() or e.pair_id != j // 2:
                 raise GraphFormatError("inverse orientation missing or mispaired")
-        if not self._connected():
+        if None in self._tree[1]:
             raise GraphFormatError("graph is not connected")
         shifted = [v - d for v, d in zip(self.potential, self.degrees)]
         if not math.isfinite(max(shifted) - min(shifted)):
             raise GraphFormatError("potential values minus degrees (V - deg) must differ by a finite float")
-
-    def _connected(self) -> bool:
-        nv = len(self.labels)
-        seen = {0}
-        stack = [0]
-        adj: dict[int, list[int]] = {v: [] for v in range(nv)}
-        for e in self.edges:
-            adj[e.tail].append(e.head)
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == nv
 
     # -- basic shape -------------------------------------------------------
 
@@ -189,6 +182,37 @@ class FundamentalGraph:
         for e in self.edges:
             out[e.tail].append(e)
         return tuple(tuple(lst) for lst in out)
+
+    @cached_property
+    def _tree(self) -> tuple[tuple[OrientedEdge | None, ...], tuple[IndexVector | None, ...]]:
+        """Breadth-first spanning tree from vertex 0 (a FIFO over ``out_edges``).
+
+        Per vertex, the tree edge oriented into it (None at vertex 0) and its
+        tree potential p, with p(0) = 0 and p(head) = p(tail) + index along
+        tree edges.  Both are None at vertices the tree does not reach.
+        """
+        parent: list[OrientedEdge | None] = [None] * self.num_vertices
+        p: list[IndexVector | None] = [(0,) * self.dim] + [None] * (self.num_vertices - 1)
+        queue = [0]
+        for v in queue:
+            for e in self.out_edges[v]:
+                if p[e.head] is None:
+                    parent[e.head] = e
+                    p[e.head] = tuple(a + t for a, t in zip(p[v], e.index))
+                    queue.append(e.head)
+        return tuple(parent), tuple(p)
+
+    @cached_property
+    def _chords(self) -> tuple[tuple[OrientedEdge, IndexVector], ...]:
+        """Each non-tree unoriented edge e, in stored order, with the index
+        ``p(tail) + index(e) - p(head)`` of the fundamental cycle it closes."""
+        parent, p = self._tree
+        tree = {e.pair_id for e in parent if e is not None}
+        return tuple(
+            (e, tuple(a + t - b for a, t, b in zip(p[e.tail], e.index, p[e.head])))
+            for e in self.unoriented()
+            if e.pair_id not in tree
+        )
 
     def _shared(self, name: str, compute):
         if name not in self._facts:
@@ -247,8 +271,6 @@ def build_graph(
     do not describe a rank-``dim`` periodic graph.
     """
     labels = tuple(str(v) for v in vertices)
-    if len(set(labels)) != len(labels):
-        raise GraphFormatError("duplicate vertex label")
     ordinals = {lab: i for i, lab in enumerate(labels)}
     pot = [0.0] * len(labels)
     for lab, v in (potential or {}).items():
@@ -381,13 +403,6 @@ class Gauge:
     def zero(cls, graph: FundamentalGraph) -> "Gauge":
         return cls(((0,) * graph.dim,) * graph.num_vertices)
 
-    @classmethod
-    def from_labels(cls, graph: FundamentalGraph, shifts: Mapping[str, Iterable[int]]) -> "Gauge":
-        vecs = [(0,) * graph.dim] * graph.num_vertices
-        for lab, vec in shifts.items():
-            vecs[graph.ordinal(lab)] = _as_index(vec, graph.dim, "gauge shift")
-        return cls(tuple(vecs))
-
 
 def gauge_transform(graph: FundamentalGraph, gauge: Gauge) -> FundamentalGraph:
     """Re-index every edge by ``shift[head] - shift[tail]``; spectra are unchanged."""
@@ -449,15 +464,8 @@ def bridge_floor(graph: FundamentalGraph) -> int:
     nv, zero = graph.num_vertices, (0,) * graph.dim
     und = graph.unoriented()
     plain = [(e.tail, e.head, e.index) for e in und if not e.is_loop()]
-    # Shifts of a breadth-first spanning tree at index 0: the offsets they leave are its fundamental cycle indices.
-    shift: list = [zero] + [None] * (nv - 1)
-    queue = [0]
-    for v in queue:
-        for e in graph.out_edges[v]:
-            if shift[e.head] is None:
-                shift[e.head] = tuple(a - t for a, t in zip(shift[v], e.index))
-                queue.append(e.head)
-    rank = _rank([list(_offset(edge, shift)) for edge in plain])
+    # The fundamental cycles of the loopless multigraph span its cycle indices.
+    rank = _rank([list(index) for e, index in graph._chords if not e.is_loop()])
     roots = _unavoidable(plain, list(range(nv)), [zero] * nv, [False] * len(plain))
     return sum(1 for e in und if e.is_loop() and any(e.index)) + max(rank, roots)
 
@@ -617,52 +625,30 @@ def is_bipartite(graph: FundamentalGraph):
 
 
 def cycle_basis(graph: FundamentalGraph) -> tuple[list[CycleRecord], np.ndarray]:
-    """Fundamental cycles of a BFS spanning tree, plus their dim x beta index matrix.
+    """Fundamental cycles of the graph's BFS spanning tree, plus their dim x beta index matrix.
 
-    One cycle per non-tree unoriented edge; each is proper (no backtracking)
-    and visits no interior vertex twice.
+    One cycle per non-tree unoriented edge, in stored order: the edge, then
+    the tree path from its head back to its tail.  Each is proper (no
+    backtracking) and visits no interior vertex twice.
     """
-    nv = graph.num_vertices
-    parent_edge: list[OrientedEdge | None] = [None] * nv
-    depth = [-1] * nv
-    depth[0] = 0
-    queue = [0]
-    tree_pairs: set[int] = set()
-    while queue:
-        v = queue.pop(0)
-        for e in graph.out_edges[v]:
-            if depth[e.head] == -1:
-                depth[e.head] = depth[v] + 1
-                parent_edge[e.head] = e  # oriented parent -> child
-                tree_pairs.add(e.pair_id)
-                queue.append(e.head)
+    parent = graph._tree[0]
 
-    def tree_path(a: int, b: int) -> list[OrientedEdge]:
-        """Oriented edges from a to b inside the tree."""
-        up_a: list[OrientedEdge] = []
-        up_b: list[OrientedEdge] = []
-        while depth[a] > depth[b]:
-            e = parent_edge[a]
-            up_a.append(e.reversed())
-            a = e.tail
-        while depth[b] > depth[a]:
-            e = parent_edge[b]
-            up_b.append(e)
-            b = e.tail
-        while a != b:
-            e_a, e_b = parent_edge[a], parent_edge[b]
-            up_a.append(e_a.reversed())
-            up_b.append(e_b)
-            a, b = e_a.tail, e_b.tail
-        return up_a + up_b[::-1]
+    def climb(v: int) -> list[OrientedEdge]:
+        """Tree edges from vertex 0 down to v, listed from v up."""
+        up = []
+        while parent[v] is not None:
+            up.append(parent[v])
+            v = parent[v].tail
+        return up
 
     cycles: list[CycleRecord] = []
-    for e in graph.unoriented():
-        if e.pair_id in tree_pairs:
-            continue
-        edges = (e,) if e.is_loop() else (e, *tree_path(e.head, e.tail))
-        index = tuple(int(v) for v in np.sum([c.index for c in edges], axis=0))
-        cycles.append(CycleRecord(tuple(edges), index, len(edges)))
+    for e, index in graph._chords:
+        rise, fall = climb(e.head), climb(e.tail)
+        while rise and fall and rise[-1] is fall[-1]:  # above the lowest common ancestor
+            rise.pop()
+            fall.pop()
+        edges = (e, *(f.reversed() for f in rise), *reversed(fall))
+        cycles.append(CycleRecord(edges, index, len(edges)))
     matrix = np.zeros((graph.dim, len(cycles)), dtype=np.int64)
     for j, c in enumerate(cycles):
         matrix[:, j] = c.index
@@ -712,12 +698,12 @@ def _rank(rows: list[list[int]]) -> int:
 
 
 def index_lattice_check(graph: FundamentalGraph) -> bool:
-    """True iff the basis-cycle indices generate the full lattice Z^dim.
+    """True iff the fundamental cycle indices of the graph's spanning tree generate Z^dim.
 
     Decided exactly by :func:`_generates_lattice`; every valid rank-``dim``
     periodic graph passes, and the graph builders reject all others.
     """
-    return _generates_lattice((c.index for c in cycle_basis(graph)[0]), graph.dim)
+    return _generates_lattice((index for _, index in graph._chords), graph.dim)
 
 
 # -- builtin lattices --------------------------------------------------------

@@ -46,10 +46,6 @@ class LaurentPoly:
     def constant(cls, dim: int, value: complex) -> "LaurentPoly":
         return cls(dim, {(0,) * dim: value})
 
-    @classmethod
-    def monomial(cls, dim: int, m: Iterable[int], value: complex = 1.0) -> "LaurentPoly":
-        return cls(dim, {tuple(int(v) for v in m): value})
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly":
@@ -101,28 +97,15 @@ class LaurentPoly:
             raise ValueError("frequency length mismatch")
         return self.coeffs.get(key, 0j)
 
-    def eval(self, k) -> complex:
-        k = np.asarray(k, dtype=float)
-        if k.shape != (self.dim,):
-            raise ValueError(f"quasimomentum must have length {self.dim}")
-        if not self.coeffs:
-            return 0j
-        freqs, values = self._arrays()
-        return complex(np.exp(1j * (freqs @ k)) @ values)
-
     def eval_grid(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at many quasimomenta at once; ``points`` is (npts, dim)."""
         points = np.asarray(points, dtype=float)
         if not self.coeffs:
             return np.zeros(points.shape[0], dtype=complex)
-        freqs, values = self._arrays()
-        return np.exp(1j * (points @ freqs.T)) @ values
-
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         items = sorted(self.coeffs.items())
         freqs = np.array([m for m, _ in items], dtype=float).reshape(len(items), self.dim)
         values = np.array([c for _, c in items], dtype=complex)
-        return freqs, values
+        return np.exp(1j * (points @ freqs.T)) @ values
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{m}: {c:.6g}" for m, c in sorted(self.coeffs.items()))
@@ -185,13 +168,6 @@ class LaurentMatrix:
         for i in range(self.size):
             acc = acc + self.entries[i][i]
         return acc
-
-    def eval(self, k) -> np.ndarray:
-        out = np.zeros((self.size, self.size), dtype=complex)
-        for i in range(self.size):
-            for j in range(self.size):
-                out[i, j] = self.entries[i][j].eval(k)
-        return out
 
     def eval_grid(self, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Stack of fiber matrices, shape (npts, size, size).

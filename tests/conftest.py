@@ -94,7 +94,7 @@ def eigenvalues(matrix, herm_tol=HERMITICITY_TOL):
 
 def evaluate_fiber(matrix, k, herm_tol=HERMITICITY_TOL):
     """A symbolic fiber evaluated at one quasimomentum; aborts if not Hermitian."""
-    return _hermitian(matrix.eval(k), herm_tol)
+    return _hermitian(matrix.eval_grid([k])[0], herm_tol)
 
 
 def support(poly):

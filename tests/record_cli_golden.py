@@ -13,9 +13,13 @@ chunks: kagome at ``--grid 160`` and a dispersion dump of a 96-vertex ring
 (see :func:`ring_graph_text`).  A 2-vertex graph with the edge index 193
 (see :func:`wide_graph_text`) runs ``bandwidth`` at ``--grid 20000``, where
 the pruned sweep skips points of a wide-index operator.
+A written file larger than ``DIGEST_BYTES`` is kept as its sha256, its length
+in bytes and its first ``HEAD_LINES`` lines (see :func:`file_record`), so the
+large dumps are pinned byte for byte without being committed in full.
 ``test_cli_golden.py`` reruns each recorded case and requires the same bytes.
 The recorder prints the arguments of every case whose recorded bytes change
-(new cases included), and their count.
+(new cases included), and their count.  A file recorded before in full counts
+as unchanged only when the new digest is the digest of that full text.
 
 Placeholders in the recorded arguments are filled in per run: ``{graph}``
 with the graph file above, ``{ring}`` with the ring graph, ``{wide}`` with the
@@ -26,6 +30,7 @@ directory and ``{missing}`` with a path in a directory that does not exist.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 import tempfile
@@ -41,6 +46,10 @@ import periodic_spectra as ps  # noqa: E402  (the library in this checkout)
 GOLDEN = HERE / "golden"
 CASES_FILE = GOLDEN / "cli_cases.json"
 GRAPH_FILE = GOLDEN / "loop_potential.json"
+
+# Written files above this many bytes are recorded as a digest.
+DIGEST_BYTES = 64 * 1024
+HEAD_LINES = 5
 
 FORMATS = ("text", "json", "csv")
 SOURCES = (["--builtin", "kagome"], ["--builtin", "fig4_chain"], ["--graph", "{graph}"])
@@ -148,6 +157,14 @@ def wide_graph_text(index: int = 193) -> str:
     return json.dumps({"dimension": 1, "vertices": [{"id": "a"}, {"id": "b"}], "edges": edges})
 
 
+def file_record(text: str) -> str | dict:
+    """A written file as recorded: its text, or above ``DIGEST_BYTES`` a digest."""
+    data = text.encode("utf-8")
+    if len(data) <= DIGEST_BYTES:
+        return text
+    return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data), "head": text.split("\n")[:HEAD_LINES]}
+
+
 def run_case(args: list[str], scratch: Path) -> dict:
     """Run one recorded command line; return what it printed and wrote."""
     from periodic_spectra.cli import main
@@ -189,7 +206,7 @@ def run_case(args: list[str], scratch: Path) -> dict:
         "exit_code": result.exit_code,
         "stdout": portable(result.stdout),
         "stderr": portable(result.stderr),
-        "files": {name: portable(text) for name, text in files.items()},
+        "files": {name: file_record(portable(text)) for name, text in files.items()},
     }
 
 
@@ -197,6 +214,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as scratch:
         cases = [run_case(args, Path(scratch)) for args in case_args()]
     old = json.loads(CASES_FILE.read_text(encoding="utf-8")) if CASES_FILE.exists() else []
+    for case in old:  # full texts recorded before compare by their digest
+        case["files"] = {name: file_record(text) if isinstance(text, str) else text for name, text in case["files"].items()}
     recorded = {json.dumps(case["args"]): case for case in old}
     changed = [case["args"] for case in cases if recorded.get(json.dumps(case["args"])) != case]
     for args in changed:

@@ -5,6 +5,7 @@ import itertools
 import json
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,63 @@ def test_parse_rejects_sublattice_indices():
     assert not ps.index_lattice_check(g)
 
 
+def _pair(tail, head, index, pair_id=0):
+    return [ps.OrientedEdge(tail, head, index, pair_id), ps.OrientedEdge(head, tail, tuple(-v for v in index), pair_id)]
+
+
+# A valid rank-1 quotient on vertices a, b: edge a-b of index 0 and a unit loop at a.
+_VALID = dict(dim=1, labels=("a", "b"), potential=(0.0, 0.0), edges=(*_pair(0, 1, (0,)), *_pair(0, 0, (1,), 1)))
+_LOOP = _pair(0, 0, (1,), 1)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(dim=0), "lattice rank"),
+        (dict(labels=(), potential=()), "at least one vertex"),
+        (dict(labels=("a", "a")), "duplicate vertex label"),
+        (dict(potential=(0.0,)), "one value per vertex"),
+        (dict(potential=(0.0, float("inf"))), "finite"),
+        (dict(potential=(1e308, -1e308)), "differ by a finite float"),
+        (dict(edges=_VALID["edges"][:3]), "inverse pairs"),
+        (dict(edges=(*_pair(0, 2, (0,)), *_LOOP)), "endpoint out of range"),
+        (dict(edges=(*_pair(-1, 1, (0,)), *_LOOP)), "endpoint out of range"),
+        (dict(edges=(ps.OrientedEdge(0, 1, 5, 0), ps.OrientedEdge(1, 0, 5, 0), *_LOOP)), "list of 1 integers"),
+        (dict(edges=(*_pair(0, 1, (0, 0)), *_LOOP)), "length 2, expected 1"),
+        (dict(edges=(*_pair(0, 1, (0.5,)), *_LOOP)), "integers"),
+        (dict(edges=(*_pair(0, 1, (2**31,)), *_LOOP)), "exceeds"),
+        # the inverse orientation is checked against the validated stored one
+        (dict(edges=(_pair(0, 1, (0,))[0], ps.OrientedEdge(1, 1, (0,), 0), *_LOOP)), "mispaired"),
+        (dict(edges=(_pair(0, 1, (0,))[0], ps.OrientedEdge(1, 0, (0.5,), 0), *_LOOP)), "mispaired"),
+        (dict(edges=(_pair(0, 1, (0,))[0], ps.OrientedEdge(1, 0, (0, 0), 0), *_LOOP)), "mispaired"),
+        (dict(edges=(_pair(0, 1, (0,))[0], ps.OrientedEdge(1, 0, (2**31,), 0), *_LOOP)), "mispaired"),
+        (dict(edges=(_pair(0, 1, (0,))[0], _LOOP[0], _pair(0, 1, (0,))[1], _LOOP[1])), "mispaired"),
+        (dict(edges=(*_pair(0, 1, (0,), 1), *_LOOP)), "mispaired"),
+        (dict(edges=(*_pair(0, 0, (1,)), *_pair(1, 1, (1,), 1))), "not connected"),
+    ],
+)
+def test_graph_construction_rejections(change, message):
+    ps.FundamentalGraph(**_VALID)
+    with pytest.raises(GraphFormatError, match=message):
+        ps.FundamentalGraph(**{**_VALID, **change})
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, potential, message",
+    [
+        (["a", "a"], [("a", "a", (1,))], None, "duplicate vertex label"),
+        (["a"], [("a", "a", (1,))], {"b": 1.0}, "unknown vertex label"),
+        # disconnected: an isolated vertex, and a second component made only of loops
+        (["a", "b", "c"], [("a", "a", (1,)), ("a", "b", (0,))], None, "graph is not connected"),
+        (["a", "b"], [("a", "a", (1,)), ("b", "b", (1,))], None, "graph is not connected"),
+        (["a", "b"], [("b", "b", (1,))], None, "graph is not connected"),
+    ],
+)
+def test_build_graph_rejections(vertices, edges, potential, message):
+    with pytest.raises(GraphFormatError, match=message):
+        ps.build_graph(1, vertices, edges, potential)
+
+
 # -- builtin zoo --------------------------------------------------------------
 
 EXPECTED_SHAPE = {
@@ -200,7 +258,7 @@ def test_gauge_maps_between_hexagonal_embeddings(hexagonal):
         ["v1", "v2"],
         [("v1", "v2", (-1, -1)), ("v1", "v2", (0, -1)), ("v1", "v2", (-1, 0))],
     )
-    gauge = ps.Gauge.from_labels(hexagonal, {"v1": (1, 1), "v2": (0, 0)})
+    gauge = ps.Gauge(((1, 1), (0, 0)))
     moved = ps.gauge_transform(hexagonal, gauge)
     assert [e.index for e in moved.unoriented()] == [e.index for e in other.unoriented()]
 
@@ -326,7 +384,7 @@ def test_minimize_bridges_deep_search_is_not_recursion():
     # x100 moved off the floor: the search joins about 199 edges before its
     # first tree, on its own stack, where one frame per join would overflow
     cycle = ps.builtin_graph("z_cycle(200)")
-    g = ps.gauge_transform(cycle, ps.Gauge.from_labels(cycle, {"x100": (1,)}))
+    g = ps.gauge_transform(cycle, ps.Gauge(tuple((int(v == 99),) for v in range(200))))
     assert ps.bridge_count(g) > ps.graphs.bridge_floor(g) == 1
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 50)
@@ -342,7 +400,7 @@ def test_minimize_bridges_cap():
     # visited forests, each scanning its 6 edges.  Its given gauge meets the
     # floor and needs no search, so move x2 off it: 4 bridges against 2.
     square = ps.builtin_graph("square_diag")
-    g = ps.gauge_transform(square, ps.Gauge.from_labels(square, {"x2": (1, 0)}))
+    g = ps.gauge_transform(square, ps.Gauge(((0, 0), (1, 0), (0, 0), (0, 0))))
     assert ps.bridge_count(g) > ps.graphs.bridge_floor(g) == 2
     with pytest.raises(SearchCapExceeded):
         ps.minimize_bridges(g, cap=10)
@@ -530,6 +588,60 @@ def test_z_cycle_basis_single_wrap():
     cycles, matrix = ps.cycle_basis(ps.builtin_graph("z_cycle(4)"))
     assert len(cycles) == 1
     assert cycles[0].index == (1,)
+    assert matrix.tolist() == [[1]]
+
+
+def _tree_graphs():
+    graphs = [ps.builtin_graph(name) for name in BUILTIN_NAMES + ["zd(3)", "z_cycle(11)"]]
+    for seed in range(10):
+        graphs += [random_graph(seed), regular_graph(seed, 3 + seed % 6, 1 + seed % 2), loopless_graph(seed, 4 + seed % 5, 1 + seed % 3)]
+    # cycle indices short of Z^d
+    graphs += [
+        unchecked_graph(2, ["a"], [("a", "a", (2, 0))]),
+        unchecked_graph(1, ["a", "b"], [("a", "b", (0,)), ("a", "a", (0,))]),
+        unchecked_graph(2, ["a", "b", "c"], [("a", "b", (1, 0)), ("b", "c", (0, 2)), ("c", "a", (0, 0)), ("a", "c", (1, 2))]),
+    ]
+    return graphs
+
+
+@pytest.mark.parametrize("graph", _tree_graphs())
+def test_spanning_tree_gives_the_cycle_basis_indices(graph):
+    parent, potential = graph._tree
+    # breadth first from vertex 0, first edge wins, in out_edges order
+    first = {0: None}
+    queue = deque([0])
+    while queue:
+        for e in graph.out_edges[queue.popleft()]:
+            if e.head not in first:
+                first[e.head] = e
+                queue.append(e.head)
+    assert parent == tuple(first[v] for v in range(graph.num_vertices))
+    for e in filter(None, parent):
+        assert potential[e.head] == tuple(a + t for a, t in zip(potential[e.tail], e.index))
+    # one chord per basis cycle, whose index it carries
+    cycles, _ = ps.cycle_basis(graph)
+    indices = [index for _, index in graph._chords]
+    assert [e for e, _ in graph._chords] == [c.edges[0] for c in cycles]
+    assert indices == [tuple(int(v) for v in np.sum([e.index for e in c.edges], axis=0)) for c in cycles]
+    assert ps.index_lattice_check(graph) == ps.graphs._generates_lattice(indices, graph.dim)
+
+
+def test_build_graph_makes_no_cycle_record(monkeypatch):
+    made = []
+    monkeypatch.setattr(ps.graphs.CycleRecord, "__post_init__", lambda record: made.append(record))
+    for name in BUILTIN_NAMES:
+        ps.builtin_graph(name)
+    for seed in range(3):
+        random_graph(seed)
+        loopless_graph(seed, 6, 2)
+    assert made == []
+    ps.cycle_basis(ps.builtin_graph("kagome"))
+    assert len(made) == 4
+
+
+def test_cycle_basis_of_a_long_cycle():
+    cycles, matrix = ps.cycle_basis(ps.builtin_graph("z_cycle(3000)"))
+    assert [(c.length, c.index) for c in cycles] == [(3000, (1,))]
     assert matrix.tolist() == [[1]]
 
 

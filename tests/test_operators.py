@@ -45,7 +45,7 @@ def test_symbolic_matches_direct_assembly(name, kind):
     sym = ps.symbolic_operator(g, kind)
     for _ in range(4):
         k = RNG.uniform(0, 2 * np.pi, g.dim)
-        assert np.abs(sym.eval(k) - numeric_fiber(g, kind, k)).max() < 1e-12
+        assert np.abs(sym.eval_grid([k])[0] - numeric_fiber(g, kind, k)).max() < 1e-12
     # The same polys, bit for bit and in key order, as a sum of one LaurentPoly per term:
     # the edges in order, then each vertex's nonzero diagonal constant.
     deg, normalized = g.degrees, kind in ("normalized_laplacian", "transition")
@@ -58,7 +58,7 @@ def test_symbolic_matches_direct_assembly(name, kind):
     terms = ps.LaurentMatrix.zeros(g.dim, g.num_vertices).entries
     for e in g.edges:
         weight = sign / np.sqrt(deg[e.tail] * deg[e.head]) if normalized else sign
-        terms[e.tail][e.head] = terms[e.tail][e.head] + ps.LaurentPoly.monomial(g.dim, e.index, weight)
+        terms[e.tail][e.head] = terms[e.tail][e.head] + ps.LaurentPoly(g.dim, {e.index: weight})
     for x, value in enumerate(diagonal):
         if value:
             terms[x][x] = terms[x][x] + ps.LaurentPoly.constant(g.dim, value)
@@ -243,8 +243,8 @@ def test_schrodinger_equals_minus_laplacian_plus_potential(fig4):
         ham = ps.symbolic_operator(g, "schrodinger")
         for _ in range(3):
             k = RNG.uniform(0, 2 * np.pi, g.dim)
-            expect = -lap.eval(k) + np.diag(g.potential)
-            assert np.abs(ham.eval(k) - expect).max() < 1e-12
+            expect = -lap.eval_grid([k])[0] + np.diag(g.potential)
+            assert np.abs(ham.eval_grid([k])[0] - expect).max() < 1e-12
 
 
 def test_normalized_laplacian_equals_identity_minus_transition(fig4):
