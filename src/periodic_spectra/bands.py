@@ -171,7 +171,7 @@ def _fiber_operator(graph: FundamentalGraph, kind: str, grid: KGrid) -> LaurentM
     if grid.dim != graph.dim:
         raise ValueError("grid dimension does not match the graph")
     matrix = symbolic_operator(graph, kind)
-    if any(c.imag != 0 for row in matrix.entries for p in row for c in p.coeffs.values()):
+    if not matrix.real:
         raise EngineMismatchError("fiber operator has complex coefficients; eigenvalues at k and -k may differ")
     return matrix
 
@@ -180,27 +180,17 @@ def _operator_bounds(matrix: LaurentMatrix) -> tuple[float, float]:
     """``(L, margin)``: solved eigenvalues of one sorted slot at k and k' differ by at
     most ``L * ||k - k'||_inf + margin``, at any index size.
 
-    Entry (i, j) weighs ``sum_m |c| * ||m||_1`` for ``L``, ``sum_m |c|`` for
-    ``rho``, and for ``noise`` a bound on what ``LaurentMatrix.eval_grid``
-    adds to it by rounding (the phase ``<m, k>`` with |k_s| < 2*pi over
-    ``dim`` axes, ``exp``, the product with c and the running sum), or the
-    weight of entry (j, i) if that is larger, so the bounds hold for the
-    triangle that ``eigvalsh`` reads.  The largest row sum of the weights
+    The weights of each entry (i, j) are read once off the term table
+    (``LaurentMatrix.weights``): ``sum_m |c| * ||m||_1`` for ``L``, ``sum_m |c|``
+    for ``rho``, and for ``noise`` a bound on what ``LaurentMatrix.eval_grid``
+    adds to the entry by rounding.  Each is taken as the larger of entries
+    (i, j) and (j, i), so the bounds hold for the triangle that ``eigvalsh``
+    reads.  The largest row sum of the weights
     bounds the 2-norm of a Hermitian matrix, so ``||M(k) - M(k')||_2 <= L *
     ||k - k'||_inf``, ``||M(k)||_2 <= rho``, and ``margin`` allows 1e-12 per
     unit of ``1 + rho`` for two eigen-solves plus twice ``noise`` for two evaluations.
     """
-    slope, norm, noise = np.zeros((3, matrix.size, matrix.size))
-    eps = np.finfo(float).eps
-    for i, row in enumerate(matrix.entries):
-        for j, poly in enumerate(row):
-            slope[i, j] = sum(abs(c) * sum(map(abs, m)) for m, c in poly.coeffs.items())
-            norm[i, j] = sum(map(abs, poly.coeffs.values()))
-            noise[i, j] = eps * sum(
-                abs(c) * (np.pi * (matrix.dim + 1) * sum(map(abs, m)) + len(poly.coeffs) + 2)
-                for m, c in poly.coeffs.items()
-            )
-    lip, rho, noise = (float(np.maximum(w, w.T).sum(axis=1).max()) for w in (slope, norm, noise))
+    lip, rho, noise = (float(np.maximum(w, w.T).sum(axis=1).max()) for w in matrix.weights)
     return lip, 1e-12 * (1.0 + rho) + 2.0 * noise
 
 
@@ -234,8 +224,8 @@ def _flat_level(matrix: LaurentMatrix, value: float) -> tuple[float, int]:
     """``(v, mu)``: ``value`` rounded to the grid of the coefficients, and the
     multiplicity of v as an eigenvalue of M(k) at every k (0: v is not flat).
 
-    Every coefficient is a dyadic rational, ``a * 2**-e`` with a common e,
-    so ``2**e * (M(z) - v*I)``, its rows scaled by ``z**R`` to clear negative
+    Every coefficient is a dyadic rational, ``a * 2**-e`` with a common e
+    (``LaurentMatrix.dyadic_terms``), so ``2**e * (M(z) - v*I)``, its rows scaled by ``z**R`` to clear negative
     powers (``LaurentMatrix.frequency_radius``), is a matrix of integer
     polynomials in z whenever v lies on the grid ``2**-e * Z``, where every
     rational flat level lies.  Each of its minors has degree at most
@@ -246,21 +236,15 @@ def _flat_level(matrix: LaurentMatrix, value: float) -> tuple[float, int]:
     eigenvalue of the Hermitian M(k) with multiplicity at least
     ``mu = nu - rank`` at every k.
     """
-    size, radius = matrix.size, matrix.frequency_radius()
-    terms = [
-        (i, j, m, c.real.as_integer_ratio())
-        for i, row in enumerate(matrix.entries)
-        for j, poly in enumerate(row)
-        for m, c in poly.coeffs.items()
-    ]
-    scale = max((den for *_, (_, den) in terms), default=1)  # 2**e
+    size, radius = matrix.size, matrix.frequency_radius
+    scale, terms = matrix.dyadic_terms  # 2**e, and each term's a
     num, den = value.as_integer_ratio()
     level = (2 * num * scale + den) // (2 * den)  # the integer nearest value * 2**e
     # Entry (i, j) of 2**e * z**R * (M(z) - v*I), as {exponent: integer coefficient}.
     entries = [[{radius: -level} if i == j else {} for j in range(size)] for i in range(size)]
-    for i, j, m, (num, den) in terms:
-        key = tuple(a + r for a, r in zip(m, radius))
-        entries[i][j][key] = entries[i][j].get(key, 0) + num * (scale // den)
+    for i, j, m, a in terms:
+        key = tuple(x + r for x, r in zip(m, radius))
+        entries[i][j][key] = entries[i][j].get(key, 0) + a
     axes = [range(-size * r, size * r + 1) for r in radius]
     powers = [{x: [x**p for p in range(2 * r + 1)] for x in axis} for axis, r in zip(axes, radius)]
     rank = 0
@@ -287,7 +271,7 @@ def _flat_levels(
     """
     tried = [c for c, value in enumerate(values) if residual[c] < default_flat_tol(value)]
     size = matrix.size
-    if not tried or len(tried) * size**3 * math.prod(2 * size * r + 1 for r in matrix.frequency_radius()) > budget:
+    if not tried or len(tried) * size**3 * math.prod(2 * size * r + 1 for r in matrix.frequency_radius) > budget:
         return {}
     out = {}
     for c in tried:

@@ -138,8 +138,6 @@ class FundamentalGraph:
             raise GraphFormatError("duplicate vertex label")
         if len(self.potential) != len(self.labels):
             raise GraphFormatError("potential must list one value per vertex")
-        if not all(math.isfinite(v) for v in self.potential):
-            raise GraphFormatError("potential values must be finite")
         nv = len(self.labels)
         if len(self.edges) % 2:
             raise GraphFormatError("oriented edges must come in inverse pairs")
@@ -153,6 +151,11 @@ class FundamentalGraph:
                 raise GraphFormatError("inverse orientation missing or mispaired")
         if None in self._tree[1]:
             raise GraphFormatError("graph is not connected")
+        self._check_potential()
+
+    def _check_potential(self) -> None:
+        if not all(math.isfinite(v) for v in self.potential):
+            raise GraphFormatError("potential values must be finite")
         shifted = [v - d for v, d in zip(self.potential, self.degrees)]
         if not math.isfinite(max(shifted) - min(shifted)):
             raise GraphFormatError("potential values minus degrees (V - deg) must differ by a finite float")
@@ -244,7 +247,7 @@ class FundamentalGraph:
         return self.edges[::2]
 
     def with_potential(self, values: Sequence[float] | Mapping[str, float]) -> "FundamentalGraph":
-        """Return a copy with the potential replaced (by ordinal or by label)."""
+        """A copy with the potential replaced (by ordinal or by label), sharing every potential-free fact."""
         if isinstance(values, Mapping):
             pot = list(self.potential)
             for lab, v in values.items():
@@ -253,8 +256,9 @@ class FundamentalGraph:
             if len(values) != self.num_vertices:
                 raise GraphFormatError("potential must list one value per vertex")
             pot = [_as_potential(v, lab) for v, lab in zip(values, self.labels)]
-        graph = FundamentalGraph(self.dim, self.labels, tuple(pot), self.edges)
-        object.__setattr__(graph, "_facts", self._facts)
+        graph = object.__new__(FundamentalGraph)
+        graph.__dict__.update(self.__dict__, potential=tuple(pot))
+        graph._check_potential()
         return graph
 
 
@@ -285,10 +289,7 @@ def build_graph(
         oriented += [e, e.reversed()]
     graph = FundamentalGraph(dim, labels, tuple(pot), tuple(oriented))
     if not index_lattice_check(graph):
-        raise GraphFormatError(
-            "cycle indices do not generate Z^%d; not a rank-%d periodic graph"
-            % (dim, dim)
-        )
+        raise GraphFormatError(f"cycle indices do not generate Z^{dim}; not a rank-{dim} periodic graph")
     return graph
 
 

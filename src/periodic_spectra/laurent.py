@@ -1,17 +1,20 @@
 """Sparse finite Fourier series in d variables, and square matrices of them.
 
-A polynomial is a map from integer frequency vectors m in Z^d to complex
-coefficients; evaluation substitutes exp(i<m, k>).  Coefficient arithmetic is
-plain complex floating point while the frequency bookkeeping is exact integer
-arithmetic.  Products prune coefficients below ``PRUNE_TOL`` so floating-point
-dust cannot inflate the support; that pruning is the only inexact step in the
-symbolic layer.
+A polynomial maps integer frequency vectors m in Z^d to complex coefficients;
+evaluation substitutes exp(i<m, k>).  Coefficient arithmetic is plain complex
+floating point, the frequency bookkeeping exact integer arithmetic, and
+products prune coefficients below ``PRUNE_TOL``, the only inexact step.  A
+matrix is one sorted term table that no other module reads: every fact of its
+coefficients is computed here, once per matrix, and its entries as
+polynomials are a read-only view for the ring operations.
 """
 
 from __future__ import annotations
 
 import cmath
+from functools import cached_property
 from operator import neg
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -23,24 +26,21 @@ PRUNE_TOL = 1e-14
 
 
 class LaurentPoly:
-    """Finite Fourier series: {m: c} represents sum_m c * exp(i<m, k>)."""
+    """Finite Fourier series: {m: c} represents sum_m c * exp(i<m, k>); ``coeffs`` is read-only."""
 
     __slots__ = ("dim", "coeffs")
 
     def __init__(self, dim: int, coeffs: Mapping[IndexVector, complex] | None = None):
         self.dim = int(dim)
-        self.coeffs: dict[IndexVector, complex] = {}
+        terms: dict[IndexVector, complex] = {}
         for m, c in (coeffs or {}).items():
             key = tuple(map(int, m))
             if len(key) != self.dim:
                 raise ValueError(f"frequency {key} has length {len(key)}, expected {self.dim}")
             c = complex(c)
             if c != 0:
-                self.coeffs[key] = c
-
-    @classmethod
-    def zero(cls, dim: int) -> "LaurentPoly":
-        return cls(dim)
+                terms[key] = c
+        self.coeffs = MappingProxyType(terms)
 
     @classmethod
     def constant(cls, dim: int, value: complex) -> "LaurentPoly":
@@ -50,7 +50,7 @@ class LaurentPoly:
 
     def __add__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
-        out = dict(self.coeffs)
+        out = self.coeffs.copy()
         for m, c in other.coeffs.items():
             s = out.get(m, 0) + c
             if s == 0:
@@ -75,9 +75,6 @@ class LaurentPoly:
                 key = tuple(a + b for a, b in zip(m1, m2))
                 out[key] = out.get(key, 0) + c1 * c2
         return LaurentPoly(self.dim, out).prune()
-
-    __rmul__ = __mul__
-    __radd__ = __add__
 
     def _coerce(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
@@ -113,76 +110,69 @@ class LaurentPoly:
 
 
 class LaurentMatrix:
-    """Square matrix of LaurentPoly entries; the symbolic form of fiber operators."""
+    """Square matrix of finite Fourier series, the symbolic form of fiber operators.
 
-    __slots__ = ("dim", "size", "entries")
+    Built from ``terms``, which maps ``(i, j, m)``, m a tuple of ``dim`` ints, to the coefficient
+    of ``exp(i<m, k>)`` in entry (i, j).  ``table``, the term table, keeps the nonzero ones,
+    read-only and sorted: entry by entry in row-major order, each entry by frequency.  The Hermitian
+    verdict, ``hermitian_defect``, is taken at construction, every other fact at its first use.
+    """
 
-    def __init__(self, dim: int, entries: list[list[LaurentPoly]]):
-        self.dim = int(dim)
-        self.size = len(entries)
-        for row in entries:
-            if len(row) != self.size:
-                raise ValueError("matrix must be square")
-            for p in row:
-                if p.dim != self.dim:
-                    raise ValueError("dimension mismatch")
-        self.entries = entries
+    def __init__(self, dim: int, size: int, terms: Mapping[tuple[int, int, IndexVector], complex]):
+        self.dim, self.size = int(dim), int(size)
+        self.table = MappingProxyType({key: complex(c) for key, c in sorted(terms.items()) if c != 0})
+        self.hermitian_defect = _hermitian_defect(self.table)
 
-    @classmethod
-    def zeros(cls, dim: int, size: int) -> "LaurentMatrix":
-        return cls(dim, [[LaurentPoly.zero(dim) for _ in range(size)] for _ in range(size)])
+    @cached_property
+    def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
+        """Entry (i, j) as a LaurentPoly, read-only; the ring operations work on these."""
+        polys: list[list[dict]] = [[{} for _ in range(self.size)] for _ in range(self.size)]
+        for (i, j, m), c in self.table.items():
+            polys[i][j][m] = c
+        return tuple(tuple(LaurentPoly(self.dim, p) for p in row) for row in polys)
 
-    @classmethod
-    def identity(cls, dim: int, size: int) -> "LaurentMatrix":
-        mat = cls.zeros(dim, size)
-        for i in range(size):
-            mat.entries[i][i] = LaurentPoly.constant(dim, 1.0)
-        return mat
+    # -- ring operations ---------------------------------------------------
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
         if other.size != self.size or other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        out = LaurentMatrix.zeros(self.dim, self.size)
-        for i in range(self.size):
+        terms, zero = {}, LaurentPoly(self.dim)
+        for i, row in enumerate(self.entries):
             for j in range(self.size):
-                acc = LaurentPoly.zero(self.dim)
-                for l in range(self.size):
-                    left = self.entries[i][l]
-                    if left.coeffs:
-                        acc = acc + left * other.entries[l][j]
-                out.entries[i][j] = acc.prune()
-        return out
+                entry = sum((left * other.entries[l][j] for l, left in enumerate(row) if left.coeffs), zero)
+                terms.update(((i, j, m), c) for m, c in entry.prune().coeffs.items())
+        return LaurentMatrix(self.dim, self.size, terms)
 
     def power(self, n: int) -> "LaurentMatrix":
         if n < 0:
             raise ValueError("only nonnegative powers are defined")
-        result = LaurentMatrix.identity(self.dim, self.size)
+        result = LaurentMatrix(self.dim, self.size, {(i, i, (0,) * self.dim): 1.0 for i in range(self.size)})
         for _ in range(n):
             result = result @ self
         return result
 
     def trace(self) -> LaurentPoly:
-        acc = LaurentPoly.zero(self.dim)
-        for i in range(self.size):
-            acc = acc + self.entries[i][i]
-        return acc
+        return sum((self.entries[i][i] for i in range(self.size)), LaurentPoly(self.dim))
+
+    @cached_property
+    def _phase_plan(self) -> tuple[np.ndarray, tuple]:
+        """The sorted distinct frequencies as float rows, and ``((i, j), [(row of m, c), ...])`` per entry."""
+        distinct = sorted({m for _, _, m in self.table})
+        column = {m: s for s, m in enumerate(distinct)}
+        plan: dict[tuple[int, int], list[tuple[int, complex]]] = {}
+        for (i, j, m), c in self.table.items():
+            plan.setdefault((i, j), []).append((column[m], c))
+        return np.array(distinct, dtype=float).reshape(len(distinct), self.dim), tuple(plan.items())
 
     def eval_grid(self, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Stack of fiber matrices, shape (npts, size, size).
+        """Stack of fiber matrices, shape (npts, size, size); written into ``out``, zeroed first, if given.
 
-        With ``out``, a complex array of that shape, the stack is written
-        into it (zeroed first) and ``out`` is returned, so a caller can
-        evaluate many chunks into one stack.
-
-        ``exp(i<m, k>)`` is computed once for each distinct frequency m of the
-        whole matrix, one contiguous row of the phase table per frequency.
-        ``<m, k>`` is summed term by term in axis order, and each entry sums
-        ``c * exp(i<m, k>)`` term by term in sorted-frequency order.  No BLAS
-        call is made, so the bits of every entry at a point depend neither on
-        the other points of the call nor on the BLAS kernel, for any frequency
-        range.
+        ``exp(i<m, k>)`` is computed once per distinct frequency m of the matrix, one contiguous row
+        of the phase table each, with ``<m, k>`` summed in axis order; each entry sums
+        ``c * exp(i<m, k>)`` in table order.  No BLAS call is made, so the bits of an entry at a
+        point depend neither on the other points nor on the BLAS kernel, for any frequency range.
         """
         points = np.asarray(points, dtype=float)
         shape = (points.shape[0], self.size, self.size)
@@ -192,46 +182,72 @@ class LaurentMatrix:
             raise ValueError(f"out must be a complex array of shape {shape}")
         else:
             out.fill(0)
-        terms = [
-            (i, j, sorted(p.coeffs.items()))
-            for i, row in enumerate(self.entries)
-            for j, p in enumerate(row)
-            if p.coeffs
-        ]
-        freqs = sorted({m for _, _, items in terms for m, _ in items})
-        column = {m: c for c, m in enumerate(freqs)}
-        table = np.array(freqs, dtype=float).reshape(len(freqs), self.dim)
+        table, plan = self._phase_plan
         angles = table[:, 0, None] * points[:, 0]
         for s in range(1, self.dim):
             angles += table[:, s, None] * points[:, s]
         phases = np.exp(1j * angles)
-        for i, j, items in terms:
-            (m, c), *rest = items
-            acc = c * phases[column[m]]
-            for m, c in rest:
-                acc += c * phases[column[m]]
+        for (i, j), terms in plan:
+            (row, c), *rest = terms
+            acc = c * phases[row]
+            for row, c in rest:
+                acc += c * phases[row]
             out[:, i, j] = acc
         return out
 
-    def hermitian_defect(self) -> str | None:
-        """The first term that keeps some M(k) from being Hermitian, or None.  By uniqueness of
-        Fourier series, every M(k) is Hermitian exactly when every coefficient is finite (NaN and
-        inf fail) and ``c_ij(m) == conj c_ji(-m)``; each pair i <= j is walked once."""
-        for i, row in enumerate(self.entries):
-            for j in range(i, self.size):
-                upper, lower, matched = row[j].coeffs, self.entries[j][i].coeffs, 0
-                for m, c in upper.items():
-                    mirror = lower.get(key := tuple(map(neg, m)))
-                    matched += mirror is not None
-                    if not (cmath.isfinite(c) and c == (mirror or 0j).conjugate()):
-                        return f"entry ({i}, {j}) has {c} at {m} but entry ({j}, {i}) has {mirror or 0j} at {key}"
-                if matched < len(lower):  # some term of (j, i) has no mirror
-                    for m, c in lower.items():
-                        if c != 0 and (key := tuple(map(neg, m))) not in upper:
-                            return f"entry ({j}, {i}) has {c} at {m} but entry ({i}, {j}) has 0j at {key}"
-        return None
+    @cached_property
+    def real(self) -> bool:
+        """Every coefficient is real, so M(-k) = conj M(k)."""
+        return all(c.imag == 0 for c in self.table.values())
 
+    @cached_property
+    def integral(self) -> bool:
+        """Every coefficient is a real integer."""
+        return self.real and all(c.real.is_integer() for c in self.table.values())
+
+    @cached_property
     def frequency_radius(self) -> tuple[int, ...]:
-        """R_s, the largest ``|m_s|`` over the terms of the entries, for each axis s."""
-        terms = [m for row in self.entries for poly in row for m in poly.coeffs]
-        return tuple(max((abs(m[s]) for m in terms), default=0) for s in range(self.dim))
+        """R_s, the largest ``|m_s|`` over the terms, for each axis s."""
+        return tuple(max((abs(m[s]) for _, _, m in self.table), default=0) for s in range(self.dim))
+
+    @cached_property
+    def rho(self) -> float:
+        """The largest row sum of ``|c|`` over the terms, which bounds ``||M(k)||_2`` at every k."""
+        sums = [0.0] * self.size
+        for (i, _, _), c in self.table.items():
+            sums[i] += abs(c)
+        return max(sums)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Per entry, shape (3, size, size): ``sum_m |c| * ||m||_1``, ``sum_m |c|``, and a bound on the
+        rounding :meth:`eval_grid` adds at |k_s| < 2*pi (phase over ``dim`` axes, ``exp``, product
+        with c, running sum), ``eps * sum_m |c| * (pi * (dim + 1) * ||m||_1 + terms + 2)``."""
+        entry = [i * self.size + j for i, j, _ in self.table]
+        count = np.bincount(entry, minlength=self.size**2)[entry]
+        mass = np.abs(list(self.table.values()))
+        norm = np.array([sum(map(abs, m)) for *_, m in self.table], dtype=float)
+        noise = np.finfo(float).eps * mass * (np.pi * (self.dim + 1) * norm + count + 2)
+        sums = [np.bincount(entry, weights=w, minlength=self.size**2) for w in (mass * norm, mass, noise)]
+        return np.reshape(sums, (3, self.size, self.size))
+
+    @cached_property
+    def dyadic_terms(self) -> tuple[int, tuple[tuple[int, int, IndexVector, int], ...]]:
+        """``(2**e, ((i, j, m, a), ...))`` with ``Re c == a * 2**-e`` for every term, e the smallest such."""
+        ratios = [(i, j, m, c.real.as_integer_ratio()) for (i, j, m), c in self.table.items()]
+        scale = max((den for *_, (_, den) in ratios), default=1)
+        return scale, tuple((i, j, m, num * (scale // den)) for i, j, m, (num, den) in ratios)
+
+
+def _hermitian_defect(terms: Mapping[tuple[int, int, IndexVector], complex]) -> str | None:
+    """The first term that keeps some M(k) from being Hermitian, or None.  By uniqueness of
+    Fourier series, every M(k) is Hermitian exactly when every coefficient is finite (NaN and
+    inf fail) and ``c_ij(m) == conj c_ji(-m)``.  Pairs i <= j are taken in row-major order: the
+    terms of (i, j) by frequency, then those of (j, i) that have no mirror."""
+    bad = []
+    for (i, j, m), c in terms.items():
+        mirror = terms.get(key := (j, i, tuple(map(neg, m))), 0j)
+        if not (cmath.isfinite(c) and c == mirror.conjugate()) and (i <= j or key not in terms):
+            message = f"entry ({i}, {j}) has {c} at {m} but entry ({j}, {i}) has {mirror} at {key[2]}"
+            bad.append(((min(i, j), max(i, j), i > j, m), message))
+    return min(bad)[1] if bad else None

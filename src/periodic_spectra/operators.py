@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 import os
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import GraphFormatError, HermiticityError
 from .graphs import FundamentalGraph
-from .laurent import LaurentMatrix, LaurentPoly
+from .laurent import LaurentMatrix
 
 #: Operator kind -> the trace kind whose closed walks stand for it; the laplacian's
 #: are the Schrodinger walks at V = 0.  Walk sums are defined for trace kinds only.
@@ -63,8 +64,8 @@ def symbolic_operator(
     (x, y), divided by sqrt(deg_x deg_y) for the normalized kinds, with sign
     -1 for the Laplacians and +1 otherwise.  Then each vertex adds one
     diagonal constant: 0, deg_x (laplacian), V_x - deg_x (schrodinger) or 1
-    (normalized_laplacian); each entry is summed in that order, then built
-    once.  ``normalize_potential`` applies only to the Schrodinger kind and
+    (normalized_laplacian); each term is summed in that order, straight into
+    the matrix's term table.  ``normalize_potential`` applies only to the Schrodinger kind and
     shifts the potential so that min(V - deg) = 0 (a bandwidth-neutral energy
     shift used by the combinatorial engines).
     """
@@ -81,15 +82,13 @@ def symbolic_operator(
         diagonal = shifted_loop_weights(graph, normalize=normalize_potential)
     else:
         diagonal = (float(kind == "normalized_laplacian"),) * nv
-    sums: list[list[dict]] = [[{} for _ in range(nv)] for _ in range(nv)]
+    sums: defaultdict[tuple[int, int, tuple[int, ...]], float] = defaultdict(int)
     for e in graph.edges:
-        weight = sign / math.sqrt(deg[e.tail] * deg[e.head]) if normalized else sign
-        terms = sums[e.tail][e.head]
-        terms[e.index] = terms.get(e.index, 0) + weight
+        sums[e.tail, e.head, e.index] += sign / math.sqrt(deg[e.tail] * deg[e.head]) if normalized else sign
     for x, value in enumerate(diagonal):
         if value:
-            sums[x][x][(0,) * dim] = sums[x][x].get((0,) * dim, 0) + value
-    return LaurentMatrix(dim, [[LaurentPoly(dim, terms) for terms in row] for row in sums])
+            sums[x, x, (0,) * dim] += value
+    return LaurentMatrix(dim, nv, sums)
 
 
 def worker_count(workers: int | None = None) -> int:
@@ -125,7 +124,8 @@ def fiber_eigenvalues_grid(
 
     ``matrix`` must be Hermitian coefficient by coefficient, else
     :class:`HermiticityError` names its first bad term before any point is
-    solved (:meth:`LaurentMatrix.hermitian_defect`).  The grid is streamed in
+    solved (``LaurentMatrix.hermitian_defect``, taken once, when the matrix
+    is built).  The grid is streamed in
     chunks of :func:`chunk_points` points, about ``CHUNK_BYTES`` of complex
     fiber matrices each, each evaluated and solved while it is still in
     cache; only its eigenvalues are kept.  Memory is therefore the (npts,
@@ -135,8 +135,8 @@ def fiber_eigenvalues_grid(
     on the worker count, and neither do the results.  Each worker evaluates
     all its chunks into one stack of fibers, allocated before the pool starts.
     """
-    if (defect := matrix.hermitian_defect()) is not None:
-        raise HermiticityError(f"fiber operator is not Hermitian: {defect}")
+    if matrix.hermitian_defect is not None:
+        raise HermiticityError(f"fiber operator is not Hermitian: {matrix.hermitian_defect}")
     points = np.asarray(points, dtype=float)
     out = np.empty((points.shape[0], matrix.size))
     step = chunk_points(matrix.size)

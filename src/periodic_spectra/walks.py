@@ -202,7 +202,7 @@ def walk_matrix(graph: FundamentalGraph, kind: str) -> LaurentMatrix:
 
 
 def trace_scales(matrix: LaurentMatrix, n_max: int) -> np.ndarray:
-    """``nu * rho^n`` for n = 1..n_max, rho the largest absolute row sum of M.
+    """``nu * rho^n`` for n = 1..n_max, rho the largest absolute row sum of M (``LaurentMatrix.rho``).
 
     rho bounds the norm of every fiber M(k), so ``nu * rho^n`` bounds
     ``|Tr M(k)^n|`` at every k, and also the sum of the absolute
@@ -210,7 +210,7 @@ def trace_scales(matrix: LaurentMatrix, n_max: int) -> np.ndarray:
     are judged relative to it.  Raises ``ValueError`` at the first n whose
     scale leaves the float range, before any engine overflows.
     """
-    rho = max(sum(abs(c) for p in row for c in p.coeffs.values()) for row in matrix.entries)
+    rho = matrix.rho
     scales, scale = [], float(matrix.size)
     for n in range(1, n_max + 1):
         scale *= rho
@@ -226,7 +226,7 @@ def walk_classes(graph: FundamentalGraph, kind: str, n_max: int) -> tuple[tuple[
     With ``T_n(k) = Tr M(k)^n``, ``B_n2 = T_n(0) - T_n(pi,..,pi)`` and
     ``B_n1 = T_n(0) - T_n0``, where the zero-index sum ``T_n0`` is the mean of
     ``T_n`` over a grid of ``n_max * R_s + 1`` points on each axis s (R_s the
-    largest ``|m_s|`` over the terms of M, ``LaurentMatrix.frequency_radius``),
+    largest ``|m_s|``; like ``rho`` and integrality, a fact of M's term table),
     exact because it resolves every frequency of ``T_n`` on that axis.  M has
     real coefficients, so ``T_n(-k) = T_n(k)``: of each mirror pair of grid
     points (:func:`bands.mirrors`) the first is solved and counted twice, or
@@ -241,16 +241,14 @@ def walk_classes(graph: FundamentalGraph, kind: str, n_max: int) -> tuple[tuple[
     raised to the n-th power and summed over the spectrum.  The
     engine takes ``ENGINE_ERROR_FACTOR`` times that as its bound, against at
     most 3.5 times seen on the built-ins and random test graphs.  When every
-    step weight is an integer and the bound is below 1/2, values are rounded
-    to the exact integers.  Otherwise values within the bound are set to 0.0:
-    walk weights are nonnegative, so this keeps every empty class at exactly
-    zero and never raises a value.
+    step weight is an integer (``LaurentMatrix.integral``) and the bound is
+    below 1/2, values are rounded to the exact integers.  Otherwise values
+    within the bound are set to 0.0: walk weights are nonnegative, so this
+    keeps every empty class at exactly zero and never raises a value.
     """
     matrix = walk_matrix(graph, kind)
-    coeffs = [c for row in matrix.entries for p in row for c in p.coeffs.values()]
-    integral = all(c.imag == 0.0 and c.real == round(c.real) for c in coeffs)
     scales = trace_scales(matrix, n_max)
-    shape = tuple(n_max * r + 1 for r in matrix.frequency_radius())
+    shape = tuple(n_max * r + 1 for r in matrix.frequency_radius)
     # T_n(k) = T_n(-k): one point of each pair {m, -m mod shape}, weighted by the pair's size.
     mirror = mirrors(shape)
     kept = np.flatnonzero(np.arange(mirror.size) <= mirror)
@@ -264,7 +262,7 @@ def walk_classes(graph: FundamentalGraph, kind: str, n_max: int) -> tuple[tuple[
     n = np.arange(1, n_max + 1)
     errs = ENGINE_ERROR_FACTOR * n * matrix.size * np.finfo(float).eps * scales
     return tuple(
-        (_snap(zero - avg, err, integral), _snap(zero - pi, err, integral))
+        (_snap(zero - avg, err, matrix.integral), _snap(zero - pi, err, matrix.integral))
         for zero, avg, pi, err in zip(t_zero, mean, t_pi, errs)
     )
 

@@ -26,11 +26,16 @@ points a sweep solves.
 and compare Laurent polynomials.
 ``eval_entries_termwise`` evaluates a symbolic matrix one entry and one term
 at a time, the reference for the bits of ``LaurentMatrix.eval_grid``.
+``dict_operator`` assembles a fiber operator as one ``{m: c}`` dict per entry,
+in edge order, and ``dict_facts`` reads the facts of such entries by dict
+walks: the references for ``LaurentMatrix``'s term table and its facts.
 ``row_cache_csv`` formats a dispersion dump through a cache of row texts, the
 reference for the bytes of ``bands.dispersion_csv_blocks``.
 """
 
+import cmath
 import itertools
+from operator import neg
 
 import numpy as np
 import pytest
@@ -152,6 +157,85 @@ def eval_entries_termwise(matrix, points):
             if acc is not None:
                 stack[:, i, j] = acc
     return stack
+
+
+def dict_operator(graph, kind, normalize_potential=False):
+    """The fiber operator's entries as LaurentPolys, each a dict filled edge by edge, then the diagonal.
+
+    Each ``{m: c}`` keeps the order in which its frequencies first appear; exact zeros are dropped.
+    """
+    nv, deg = graph.num_vertices, graph.degrees
+    normalized = kind in ("normalized_laplacian", "transition")
+    sign = -1.0 if kind in ("laplacian", "normalized_laplacian") else 1.0
+    if kind == "laplacian":
+        diagonal = deg
+    elif kind == "schrodinger":
+        diagonal = ps.operators.shifted_loop_weights(graph, normalize=normalize_potential)
+    else:
+        diagonal = (float(kind == "normalized_laplacian"),) * nv
+    sums = [[{} for _ in range(nv)] for _ in range(nv)]
+    for e in graph.edges:
+        weight = sign / np.sqrt(deg[e.tail] * deg[e.head]) if normalized else sign
+        sums[e.tail][e.head][e.index] = sums[e.tail][e.head].get(e.index, 0) + float(weight)
+    for x, value in enumerate(diagonal):
+        if value:
+            sums[x][x][(0,) * graph.dim] = sums[x][x].get((0,) * graph.dim, 0) + value
+    return [[ps.LaurentPoly(graph.dim, terms) for terms in row] for row in sums]
+
+
+def dict_hermitian_defect(entries):
+    """The first term that keeps the matrix of ``entries`` from being Hermitian, or None, walking each
+    pair i <= j in row-major order: the terms of (i, j) in dict order, then those of (j, i) with no mirror."""
+    for i, row in enumerate(entries):
+        for j in range(i, len(entries)):
+            upper, lower, matched = row[j].coeffs, entries[j][i].coeffs, 0
+            for m, c in upper.items():
+                mirror = lower.get(key := tuple(map(neg, m)))
+                matched += mirror is not None
+                if not (cmath.isfinite(c) and c == (mirror or 0j).conjugate()):
+                    return f"entry ({i}, {j}) has {c} at {m} but entry ({j}, {i}) has {mirror or 0j} at {key}"
+            if matched < len(lower):
+                for m, c in lower.items():
+                    if (key := tuple(map(neg, m))) not in upper:
+                        return f"entry ({j}, {i}) has {c} at {m} but entry ({i}, {j}) has 0j at {key}"
+    return None
+
+
+def dict_facts(entries, dim):
+    """The facts that ``LaurentMatrix`` keeps, read off ``entries`` by dict walks.
+
+    ``terms`` is the sorted ``(i, j, m, c)``; ``L`` and ``margin`` are those of
+    ``bands._operator_bounds``, and ``dyadic`` is ``(2**e, terms with a)`` for real coefficients.
+    """
+    size = len(entries)
+    terms = sorted((i, j, m, c) for i, row in enumerate(entries) for j, p in enumerate(row) for m, c in p.coeffs.items())
+    coeffs = [c for *_, c in terms]
+    slope, norm, noise = np.zeros((3, size, size))
+    eps = np.finfo(float).eps
+    for i, row in enumerate(entries):
+        for j, poly in enumerate(row):
+            slope[i, j] = sum(abs(c) * sum(map(abs, m)) for m, c in poly.coeffs.items())
+            norm[i, j] = sum(map(abs, poly.coeffs.values()))
+            noise[i, j] = eps * sum(
+                abs(c) * (np.pi * (dim + 1) * sum(map(abs, m)) + len(poly.coeffs) + 2) for m, c in poly.coeffs.items()
+            )
+    lip, rho_sym, noise = (float(np.maximum(w, w.T).sum(axis=1).max()) for w in (slope, norm, noise))
+    real = not any(c.imag != 0 for c in coeffs)
+    facts = {
+        "terms": terms,
+        "hermitian_defect": dict_hermitian_defect(entries),
+        "real": real,
+        "integral": all(c.imag == 0.0 and c.real == round(c.real) for c in coeffs),
+        "frequency_radius": tuple(max((abs(m[s]) for *_, m, _ in terms), default=0) for s in range(dim)),
+        "rho": max(sum(abs(c) for p in row for c in p.coeffs.values()) for row in entries),
+        "L": lip,
+        "margin": 1e-12 * (1.0 + rho_sym) + 2.0 * noise,
+    }
+    if real:
+        ratios = [(i, j, m, c.real.as_integer_ratio()) for i, j, m, c in terms]
+        scale = max((den for *_, (_, den) in ratios), default=1)
+        facts["dyadic"] = (scale, tuple((i, j, m, num * (scale // den)) for i, j, m, (num, den) in ratios))
+    return facts
 
 
 def box_min_bridges(graph, radius):
@@ -344,7 +428,7 @@ def full_box_walk_classes(graph, kind, n_max):
     matrix = ps.walks.walk_matrix(graph, kind)
     coeffs = [c for row in matrix.entries for p in row for c in p.coeffs.values()]
     integral = all(c.imag == 0.0 and c.real == round(c.real) for c in coeffs)
-    axes = [2.0 * np.pi * np.arange(n_max * r + 1) / (n_max * r + 1) for r in matrix.frequency_radius()]
+    axes = [2.0 * np.pi * np.arange(n_max * r + 1) / (n_max * r + 1) for r in matrix.frequency_radius]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, graph.dim)
     special = np.array([[0.0] * graph.dim, [np.pi] * graph.dim])
     traces = ps.walks._power_traces(matrix, np.vstack([special, grid]), n_max)

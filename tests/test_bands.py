@@ -17,6 +17,7 @@ from conftest import (
     assert_tables_identical,
     certified_levels,
     full_band_table,
+    loopless_graph,
     random_graph,
     regular_graph,
     row_cache_csv,
@@ -360,6 +361,22 @@ def test_skip_path_keeps_tables_bit_for_bit(monkeypatch, graph, n):
             assert_tables_identical(got, full_band_table(graph, kind, grid, power))
 
 
+@pytest.mark.parametrize("kind", ["adjacency", "schrodinger"])
+@pytest.mark.parametrize("n", [64, 400])
+def test_loopless_pruned_sweep_is_the_full_sweep(monkeypatch, kind, n):
+    # No loop fixes a large part of L: at grid 64 the sweep solves the whole half, at grid 400
+    # it skips points (about 55-65% of the half is solved), and its table is the full sweep's.
+    graph, grid = loopless_graph(0, 8, 2), ps.KGrid(2, n)
+    solved = spy_solved_rows(monkeypatch, grid)
+    solved.append([])
+    assert_pruned_table_is_the_full_sweep(graph, kind, grid)
+    assert len(set(solved[0])) == len(solved[0])
+    if n == 64:
+        assert sorted(solved[0]) == list(range(len(grid.half[0])))
+    else:
+        assert len(solved[0]) < 0.75 * len(grid.half[0])
+
+
 def test_certified_flat_band_is_skipped_past(monkeypatch, kagome):
     # The flat band 6 no longer stops the pruning: 6511 of the 80002 points are solved.
     grid = ps.KGrid(2, 400)
@@ -554,8 +571,8 @@ def test_bareiss_rank_matches_rational_elimination():
 
 
 def _defect_matrix(diagonal, upper, lower):
-    entries = [[ps.LaurentPoly(1, diagonal), ps.LaurentPoly(1, upper)], [ps.LaurentPoly(1, lower), ps.LaurentPoly(1, diagonal)]]
-    return ps.LaurentMatrix(1, entries)
+    entries = {(0, 0): diagonal, (0, 1): upper, (1, 0): lower, (1, 1): diagonal}
+    return ps.LaurentMatrix(1, 2, {(i, j, m): c for (i, j), terms in entries.items() for m, c in terms.items()})
 
 
 @pytest.mark.parametrize(
@@ -624,7 +641,7 @@ def test_wide_index_operator_is_pruned(monkeypatch, kind):
 @pytest.mark.parametrize("sweep", [ps.band_structure, ps.dispersion])
 def test_complex_coefficients_are_not_mirrored(monkeypatch, sweep):
     # -2 sin k: Hermitian, but its eigenvalue at -k is minus the one at k.
-    matrix = ps.LaurentMatrix(1, [[ps.LaurentPoly(1, {(1,): 1j, (-1,): -1j})]])
+    matrix = ps.LaurentMatrix(1, 1, {(0, 0, (1,)): 1j, (0, 0, (-1,)): -1j})
     assert ps.fiber_eigenvalues_grid(matrix, ps.KGrid(1, 8).points).shape == (8, 1)
     monkeypatch.setattr(ps.bands, "symbolic_operator", lambda *args, **kwargs: matrix)
     with pytest.raises(EngineMismatchError, match="complex coefficients"):

@@ -758,6 +758,25 @@ def test_with_potential(fig4):
     assert g2.potential == (1.0, 2.0, 3.0, 4.0)
 
 
+def test_with_potential_checks_only_the_new_potential(monkeypatch, kagome):
+    calls = []
+    original = ps.graphs._as_index
+    monkeypatch.setattr(ps.graphs, "_as_index", lambda *args: calls.append(args) or original(*args))
+    kagome._chords  # the source's tree and chords, built before the copy
+    moved = kagome.with_potential([1.0, -2.0, 0.5])
+    assert calls == []
+    fresh = ps.FundamentalGraph(kagome.dim, kagome.labels, (1.0, -2.0, 0.5), kagome.edges)
+    assert calls and moved == fresh and moved.potential == fresh.potential
+    for name in ("degrees", "out_edges", "_tree", "_chords", "_facts"):
+        assert getattr(moved, name) is getattr(kagome, name)
+        assert getattr(moved, name) == getattr(fresh, name)
+    with pytest.raises(GraphFormatError, match="potential values must be finite"):
+        kagome.with_potential([float("inf"), 0.0, 0.0])
+    with pytest.raises(GraphFormatError, match="differ by a finite float"):
+        kagome.with_potential([1e308, -1e308, 0.0])
+    assert kagome.potential == (0.0, 0.0, 0.0)
+
+
 def test_index_components_up_to_int32_are_accepted():
     top = ps.graphs.MAX_INDEX_COMPONENT
     graph = ps.build_graph(1, ["a", "b"], [("a", "b", (top,)), ("b", "a", (top,)), ("a", "a", (1,))])

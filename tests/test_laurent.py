@@ -1,4 +1,6 @@
-"""Laurent-series engine: arithmetic, evaluation, traces, symmetry."""
+"""Laurent-series engine: arithmetic, evaluation, traces, symmetry, and the term table."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +10,22 @@ from hypothesis import strategies as st
 import periodic_spectra as ps
 from periodic_spectra.laurent import PRUNE_TOL, LaurentMatrix, LaurentPoly
 
-from conftest import hermiticity_defect, is_real_on_torus, max_abs_frequency, max_diff, numeric_fiber, support
+from conftest import (
+    BUILTIN_NAMES,
+    dict_facts,
+    dict_hermitian_defect,
+    dict_operator,
+    eval_entries_termwise,
+    hermiticity_defect,
+    is_real_on_torus,
+    loopless_graph,
+    max_abs_frequency,
+    max_diff,
+    numeric_fiber,
+    random_graph,
+    regular_graph,
+    support,
+)
 
 
 def test_eval_constant():
@@ -44,7 +61,7 @@ def test_z_lattice_square_expansion():
 
 def test_identity_multiplication(kagome):
     a = ps.symbolic_operator(kagome, "adjacency")
-    eye = LaurentMatrix.identity(a.dim, a.size)
+    eye = a.power(0)
     prod = a @ eye
     for i in range(a.size):
         for j in range(a.size):
@@ -62,7 +79,7 @@ def test_matrix_product_matches_pointwise_product(kagome):
 
 
 def test_trace_of_identity():
-    eye = LaurentMatrix.identity(2, 3)
+    eye = LaurentMatrix(2, 3, {(i, i, (0, 0)): 1.0 for i in range(3)})
     tr = eye.trace()
     assert tr.coeff((0, 0)) == pytest.approx(3.0)
     assert len(tr.coeffs) == 1
@@ -160,3 +177,83 @@ def test_grid_average_equals_zero_coefficient(kagome):
     avg = tr.eval_grid(grid.points).mean()
     assert avg.real == pytest.approx(tr.coeff((0, 0)).real, abs=1e-10)
     assert abs(avg.imag) < 1e-10
+
+
+WIDE_EDGES = [("a", "b", (0, 0, 0)), ("a", "b", (100, 1, 0)), ("a", "b", (101, 1, 0)), ("a", "a", (0, 0, 1))]
+# Graphs whose term tables are held to the dict walks: built-ins, random, loopless, regular and wide-index.
+TABLE_GRAPHS = (
+    [pytest.param(ps.builtin_graph(name), id=name) for name in BUILTIN_NAMES]
+    + [pytest.param(random_graph(seed), id=f"random_s{seed}") for seed in range(6)]
+    + [pytest.param(loopless_graph(seed, nu, dim), id=f"loopless_s{seed}_{nu}_{dim}") for seed, nu, dim in ((0, 8, 2), (1, 5, 1))]
+    + [pytest.param(regular_graph(0, 6, 3), id="regular_6_3")]
+    + [pytest.param(ps.build_graph(3, ["a", "b"], WIDE_EDGES), id="wide_index")]
+)
+
+
+@pytest.mark.parametrize("graph", TABLE_GRAPHS)
+def test_term_table_and_its_facts_equal_the_dict_walks(graph):
+    for kind in ps.OPERATOR_KINDS:
+        for normalize in (False, True):
+            matrix = ps.symbolic_operator(graph, kind, normalize)
+            facts = dict_facts(dict_operator(graph, kind, normalize), graph.dim)
+            terms = [(i, j, m, c) for (i, j, m), c in matrix.table.items()]
+            assert terms == facts["terms"]
+            assert [repr(c) for *_, c in terms] == [repr(c) for *_, c in facts["terms"]]
+            assert matrix.hermitian_defect is facts["hermitian_defect"] is None
+            assert (matrix.real, matrix.integral) == (facts["real"], facts["integral"])
+            assert matrix.frequency_radius == facts["frequency_radius"]
+            assert matrix.dyadic_terms == facts["dyadic"]
+            # Sums of the same terms in another order: equal up to rounding.
+            assert matrix.rho == pytest.approx(facts["rho"], rel=1e-13)
+            lip, margin = ps.bands._operator_bounds(matrix)
+            assert (lip, margin) == pytest.approx((facts["L"], facts["margin"]), rel=1e-13)
+
+
+@pytest.mark.parametrize("graph", TABLE_GRAPHS)
+def test_eval_grid_is_the_termwise_sum_bit_for_bit(graph):
+    points = np.random.default_rng(5).uniform(-2 * np.pi, 2 * np.pi, (23, graph.dim))
+    for kind in ps.OPERATOR_KINDS:
+        matrix = ps.symbolic_operator(graph, kind)
+        stack = matrix.eval_grid(points)
+        assert stack.tobytes() == eval_entries_termwise(matrix, points).tobytes()
+        # The same bits as the dict entries, each summed term by term in sorted order.
+        entries = SimpleNamespace(entries=dict_operator(graph, kind), size=graph.num_vertices)
+        assert stack.tobytes() == eval_entries_termwise(entries, points).tobytes()
+
+
+COEFFICIENTS = [1.0, -1.0, 0.5, 2.0, 3.0, 1j, -1j, 1 - 2j, float("nan"), float("inf"), complex("nan+nanj")]
+
+
+def test_hermitian_verdict_and_facts_equal_the_dict_walks_on_random_tables():
+    # Random terms, most of them with their mirror, so that both verdicts and every kind of
+    # defect occur, in every order of pairs, on matrices of size 1 to 3.
+    rng = np.random.default_rng(51)
+    verdicts = set()
+    for _ in range(4000):
+        size, terms = int(rng.integers(1, 4)), {}
+        for _ in range(int(rng.integers(0, 9))):
+            i, j, m = int(rng.integers(size)), int(rng.integers(size)), (int(rng.integers(-2, 3)),)
+            terms[i, j, m] = c = COEFFICIENTS[rng.integers(len(COEFFICIENTS))]
+            if rng.random() < 0.75:
+                terms[j, i, (-m[0],)] = complex(c).conjugate()
+        matrix = LaurentMatrix(1, size, terms)
+        entries = [
+            [LaurentPoly(1, {m: c for (a, b, m), c in sorted(terms.items()) if (a, b) == (i, j)}) for j in range(size)]
+            for i in range(size)
+        ]
+        assert matrix.hermitian_defect == dict_hermitian_defect(entries)
+        verdicts.add(matrix.hermitian_defect is None)
+        if all(np.isfinite(complex(c)) for c in terms.values()):
+            facts = dict_facts(entries, 1)
+            assert (matrix.real, matrix.integral) == (facts["real"], facts["integral"])
+            assert matrix.frequency_radius == facts["frequency_radius"]
+            assert matrix.rho == pytest.approx(facts["rho"], rel=1e-13)
+    assert verdicts == {True, False}
+
+
+def test_entries_view_is_the_table(kagome):
+    matrix = ps.symbolic_operator(kagome, "schrodinger")
+    assert matrix.entries is matrix.entries
+    view = {(i, j, m): c for i, row in enumerate(matrix.entries) for j, p in enumerate(row) for m, c in p.coeffs.items()}
+    assert list(view.items()) == list(matrix.table.items())
+    assert LaurentMatrix(matrix.dim, matrix.size, view).table == matrix.table

@@ -46,8 +46,8 @@ def test_symbolic_matches_direct_assembly(name, kind):
     for _ in range(4):
         k = RNG.uniform(0, 2 * np.pi, g.dim)
         assert np.abs(sym.eval_grid([k])[0] - numeric_fiber(g, kind, k)).max() < 1e-12
-    # The same polys, bit for bit and in key order, as a sum of one LaurentPoly per term:
-    # the edges in order, then each vertex's nonzero diagonal constant.
+    # The same polys, bit for bit and in sorted-frequency order, as a sum of one LaurentPoly
+    # per term: the edges in order, then each vertex's nonzero diagonal constant.
     deg, normalized = g.degrees, kind in ("normalized_laplacian", "transition")
     sign = -1.0 if kind in ("laplacian", "normalized_laplacian") else 1.0
     diagonal = {
@@ -55,7 +55,7 @@ def test_symbolic_matches_direct_assembly(name, kind):
         "schrodinger": [v - d for v, d in zip(g.potential, deg)],
         "normalized_laplacian": [1.0] * g.num_vertices,
     }.get(kind, [0.0] * g.num_vertices)
-    terms = ps.LaurentMatrix.zeros(g.dim, g.num_vertices).entries
+    terms = [[ps.LaurentPoly(g.dim) for _ in range(g.num_vertices)] for _ in range(g.num_vertices)]
     for e in g.edges:
         weight = sign / np.sqrt(deg[e.tail] * deg[e.head]) if normalized else sign
         terms[e.tail][e.head] = terms[e.tail][e.head] + ps.LaurentPoly(g.dim, {e.index: weight})
@@ -64,7 +64,7 @@ def test_symbolic_matches_direct_assembly(name, kind):
             terms[x][x] = terms[x][x] + ps.LaurentPoly.constant(g.dim, value)
     for got, want in zip(sym.entries, terms):
         assert [repr(p) for p in got] == [repr(p) for p in want]
-        assert [list(p.coeffs.items()) for p in got] == [list(p.coeffs.items()) for p in want]
+        assert [list(p.coeffs.items()) for p in got] == [sorted(p.coeffs.items()) for p in want]
 
 
 def test_fiber_real_symmetric_at_zero(kagome):
@@ -78,9 +78,14 @@ def test_fiber_hermitian_at_pi(kagome):
     assert np.abs(mat - mat.conj().T).max() < 1e-12
 
 
+def polys(dim, entries):
+    """A LaurentMatrix from nested lists of ``{m: c}`` dicts, one per entry."""
+    terms = {(i, j, m): c for i, row in enumerate(entries) for j, entry in enumerate(row) for m, c in entry.items()}
+    return ps.LaurentMatrix(dim, len(entries), terms)
+
+
 def test_evaluate_fiber_rejects_nonhermitian():
-    bad = ps.LaurentMatrix.zeros(1, 2)
-    bad.entries[0][1] = ps.LaurentPoly(1, {(1,): 1.0})
+    bad = polys(1, [[{}, {(1,): 1.0}], [{}, {}]])
     with pytest.raises(HermiticityError):
         evaluate_fiber(bad, [0.3])
     with pytest.raises(HermiticityError):
@@ -89,9 +94,7 @@ def test_evaluate_fiber_rejects_nonhermitian():
 
 def test_nan_coefficient_fails_hermiticity_check():
     # NaN compares false against any tolerance; the check must not let it through.
-    bad = ps.LaurentMatrix.zeros(1, 2)
-    bad.entries[0][1] = ps.LaurentPoly(1, {(1,): float("nan")})
-    bad.entries[1][0] = ps.LaurentPoly(1, {(-1,): float("nan")})
+    bad = polys(1, [[{}, {(1,): float("nan")}], [{(-1,): float("nan")}, {}]])
     with pytest.raises(HermiticityError, match="nan"):
         ps.fiber_eigenvalues_grid(bad, [[0.3], [0.0]])
 
@@ -99,21 +102,51 @@ def test_nan_coefficient_fails_hermiticity_check():
 @pytest.mark.parametrize("i, j", [(0, 1), (1, 0)])
 def test_term_without_a_mirror_fails_hermiticity_check(i, j):
     # One exp(ik) term in either triangle, beside a Hermitian pair of constants.
-    bad = ps.LaurentMatrix.zeros(1, 2)
-    bad.entries[0][1] = ps.LaurentPoly(1, {(0,): 1.0})
-    bad.entries[1][0] = ps.LaurentPoly(1, {(0,): 1.0})
-    bad.entries[i][j] = ps.LaurentPoly(1, {(0,): 1.0, (1,): 1.0})
-    assert bad.hermitian_defect() == f"entry ({i}, {j}) has (1+0j) at (1,) but entry ({j}, {i}) has 0j at (-1,)"
+    entries = [[{}, {(0,): 1.0}], [{(0,): 1.0}, {}]]
+    entries[i][j] = {(0,): 1.0, (1,): 1.0}
+    bad = polys(1, entries)
+    assert bad.hermitian_defect == f"entry ({i}, {j}) has (1+0j) at (1,) but entry ({j}, {i}) has 0j at (-1,)"
     with pytest.raises(HermiticityError):
         ps.fiber_eigenvalues_grid(bad, [[0.3]])
 
 
 def test_inf_coefficient_fails_hermiticity_check():
     # inf equals its own conjugate, but no fiber that holds it is a finite Hermitian matrix.
-    bad = ps.symbolic_operator(ps.builtin_graph("kagome"), "adjacency")
-    bad.entries[2][1].coeffs[(0, 0)] = bad.entries[1][2].coeffs[(0, 0)] = float("inf") + 0j
+    entries = [[dict(p.coeffs) for p in row] for row in ps.symbolic_operator(ps.builtin_graph("kagome"), "adjacency").entries]
+    entries[2][1][(0, 0)] = entries[1][2][(0, 0)] = float("inf") + 0j
+    bad = polys(2, entries)
     with pytest.raises(HermiticityError, match=r"entry \(1, 2\) has \(inf\+0j\) at \(0, 0\)"):
         ps.fiber_eigenvalues_grid(bad, [[0.3, 0.0]])
+
+
+def test_a_built_matrix_cannot_be_edited(kagome):
+    matrix = ps.symbolic_operator(kagome, "adjacency")
+    with pytest.raises(TypeError):
+        matrix.entries[0][1] = ps.LaurentPoly(2, {(1, 0): 1.0})
+    with pytest.raises(TypeError):
+        matrix.entries[2][1].coeffs[(0, 0)] = float("inf")
+    with pytest.raises(TypeError):
+        matrix.table[0, 1, (1, 0)] = 1.0
+    assert matrix.hermitian_defect is None
+
+
+@pytest.mark.parametrize("graph", [ps.builtin_graph("kagome"), ps.builtin_graph("fig4_chain").with_potential([0.3, -1.2, 0.5, 2.0])])
+def test_brackets_and_sweeps_build_no_polynomial_and_check_each_operator_once(monkeypatch, graph):
+    polys, checks, solved = [], [], []
+    poly_init, check = ps.LaurentPoly.__init__, ps.laurent._hermitian_defect
+    monkeypatch.setattr(ps.LaurentPoly, "__init__", lambda self, *args: polys.append(args) or poly_init(self, *args))
+    monkeypatch.setattr(ps.laurent, "_hermitian_defect", lambda table: checks.append(table) or check(table))
+    for module in (ps.bands, ps.walks):
+        original = module.fiber_eigenvalues_grid
+        monkeypatch.setattr(module, "fiber_eigenvalues_grid", lambda m, p, f=original, **kw: solved.append(m) or f(m, p, **kw))
+    for kind in ps.OPERATOR_KINDS:
+        checks.clear(), solved.clear()
+        ps.bounds_for_kind(graph, kind, n_max=4)
+        assert len(checks) == len(solved) == 1
+        checks.clear(), solved.clear()
+        ps.band_structure(graph, kind, ps.KGrid(graph.dim, 40))
+        assert len(checks) == len({id(m) for m in solved}) == 1 < len(solved)
+    assert polys == []
 
 
 def test_eigenvalues_diagonal():
@@ -404,9 +437,8 @@ def test_streamed_sweep_with_more_workers_than_cores(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_nonhermitian_operator_raises_before_any_solve(monkeypatch, workers):
-    bad = ps.LaurentMatrix.zeros(1, 2)
     # M01 = 1 - exp(ik) with M10 = 0: Hermitian at k = 0 only, the first chunks' points.
-    bad.entries[0][1] = ps.LaurentPoly(1, {(0,): 1.0, (1,): -1.0})
+    bad = polys(1, [[{}, {(0,): 1.0, (1,): -1.0}], [{}, {}]])
     step = ps.operators.chunk_points(2)
     points = np.zeros((5 * step + 3, 1))
     points[-1] = 0.3
@@ -417,7 +449,7 @@ def test_nonhermitian_operator_raises_before_any_solve(monkeypatch, workers):
         within(60, ps.fiber_eigenvalues_grid, bad, points, workers=workers)
     assert calls == []
     # The spy sees every point of a Hermitian operator.
-    ps.fiber_eigenvalues_grid(ps.LaurentMatrix.identity(1, 2), points, workers=workers)
+    ps.fiber_eigenvalues_grid(bad.power(0), points, workers=workers)
     assert sum(calls) == len(points)
 
 

@@ -318,7 +318,7 @@ def test_walk_classes_half_box_equals_full_box(monkeypatch, name, graph, n_max):
         return original(matrix, points, **kwargs)
 
     for kind in ps.walks.TRACE_KINDS:
-        shape = [n_max * r + 1 for r in ps.walks.walk_matrix(graph, kind).frequency_radius()]
+        shape = [n_max * r + 1 for r in ps.walks.walk_matrix(graph, kind).frequency_radius]
         box, own_mirrors = np.prod(shape), np.prod([2 - n % 2 for n in shape])
         with monkeypatch.context() as patch:
             patch.setattr(ps.walks, "fiber_eigenvalues_grid", spy)
