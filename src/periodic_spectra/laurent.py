@@ -5,15 +5,16 @@ evaluation substitutes exp(i<m, k>).  Coefficient arithmetic is plain complex
 floating point, the frequency bookkeeping exact integer arithmetic, and
 products prune coefficients below ``PRUNE_TOL``, the only inexact step.  A
 matrix is one sorted term table that no other module reads: every fact of its
-coefficients is computed here, once per matrix, and its entries as
-polynomials are a read-only view for the ring operations.
+coefficients is computed here, once per matrix, and its products and trace
+work on the table itself.  A polynomial is what a trace returns: a read-only
+series to query and evaluate.
 """
 
 from __future__ import annotations
 
 import cmath
 from functools import cached_property
-from operator import neg
+from operator import add, neg
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -42,52 +43,6 @@ class LaurentPoly:
                 terms[key] = c
         self.coeffs = MappingProxyType(terms)
 
-    @classmethod
-    def constant(cls, dim: int, value: complex) -> "LaurentPoly":
-        return cls(dim, {(0,) * dim: value})
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        out = self.coeffs.copy()
-        for m, c in other.coeffs.items():
-            s = out.get(m, 0) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return LaurentPoly(self.dim, out)
-
-    def __sub__(self, other) -> "LaurentPoly":
-        return self + (-self._coerce(other))
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.dim, {m: -c for m, c in self.coeffs.items()})
-
-    def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, float, complex)):
-            return LaurentPoly(self.dim, {m: c * other for m, c in self.coeffs.items()})
-        other = self._coerce(other)
-        out: dict[IndexVector, complex] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                key = tuple(a + b for a, b in zip(m1, m2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return LaurentPoly(self.dim, out).prune()
-
-    def _coerce(self, other) -> "LaurentPoly":
-        if isinstance(other, LaurentPoly):
-            if other.dim != self.dim:
-                raise ValueError("dimension mismatch")
-            return other
-        return LaurentPoly.constant(self.dim, other)
-
-    def prune(self) -> "LaurentPoly":
-        return LaurentPoly(self.dim, {m: c for m, c in self.coeffs.items() if abs(c) >= PRUNE_TOL})
-
-    # -- queries -----------------------------------------------------------
-
     def coeff(self, m: Iterable[int]) -> complex:
         key = tuple(int(v) for v in m)
         if len(key) != self.dim:
@@ -114,35 +69,50 @@ class LaurentMatrix:
 
     Built from ``terms``, which maps ``(i, j, m)``, m a tuple of ``dim`` ints, to the coefficient
     of ``exp(i<m, k>)`` in entry (i, j).  ``table``, the term table, keeps the nonzero ones,
-    read-only and sorted: entry by entry in row-major order, each entry by frequency.  The Hermitian
-    verdict, ``hermitian_defect``, is taken at construction, every other fact at its first use.
+    read-only and sorted: entry by entry in row-major order, each entry by frequency.  Every fact,
+    the Hermitian verdict ``hermitian_defect`` among them, is computed at its first use.
     """
 
     def __init__(self, dim: int, size: int, terms: Mapping[tuple[int, int, IndexVector], complex]):
         self.dim, self.size = int(dim), int(size)
         self.table = MappingProxyType({key: complex(c) for key, c in sorted(terms.items()) if c != 0})
-        self.hermitian_defect = _hermitian_defect(self.table)
 
     @cached_property
-    def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
-        """Entry (i, j) as a LaurentPoly, read-only; the ring operations work on these."""
-        polys: list[list[dict]] = [[{} for _ in range(self.size)] for _ in range(self.size)]
-        for (i, j, m), c in self.table.items():
-            polys[i][j][m] = c
-        return tuple(tuple(LaurentPoly(self.dim, p) for p in row) for row in polys)
+    def hermitian_defect(self) -> str | None:
+        """The first term that keeps some M(k) from being Hermitian, or None (see :func:`_hermitian_defect`)."""
+        return _hermitian_defect(self.table)
 
-    # -- ring operations ---------------------------------------------------
+    @cached_property
+    def _rows(self) -> tuple[tuple[tuple[int, tuple[tuple[IndexVector, complex], ...]], ...], ...]:
+        """Per row i, ``(j, ((m, c), ...))`` for each nonzero entry (i, j), in table order."""
+        rows: list[dict[int, list]] = [{} for _ in range(self.size)]
+        for (i, j, m), c in self.table.items():
+            rows[i].setdefault(j, []).append((m, c))
+        return tuple(tuple((j, tuple(terms)) for j, terms in row.items()) for row in rows)
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        """Entry (i, j) adds the pruned products of (i, l) and (l, j) over ascending l, then is pruned.
+
+        A product sums ``c1 * c2`` in table order; every sum starts from 0, and a running total
+        that becomes exactly 0 loses its term: the bits of multiplying the entries as polynomials.
+        """
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
         if other.size != self.size or other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        terms, zero = {}, LaurentPoly(self.dim)
-        for i, row in enumerate(self.entries):
-            for j in range(self.size):
-                entry = sum((left * other.entries[l][j] for l, left in enumerate(row) if left.coeffs), zero)
-                terms.update(((i, j, m), c) for m, c in entry.prune().coeffs.items())
+        terms, right = {}, other._rows
+        for i, row in enumerate(self._rows):
+            totals: dict[int, dict[IndexVector, complex]] = {}
+            for l, left in row:
+                for j, entry in right[l]:
+                    product: dict[IndexVector, complex] = {}
+                    for m1, c1 in left:
+                        for m2, c2 in entry:
+                            key = tuple(map(add, m1, m2))
+                            product[key] = product.get(key, 0) + c1 * c2
+                    _accumulate(totals.setdefault(j, {}), _pruned(product))
+            for j, total in totals.items():
+                terms.update(((i, j, m), c) for m, c in _pruned(total))
         return LaurentMatrix(self.dim, self.size, terms)
 
     def power(self, n: int) -> "LaurentMatrix":
@@ -154,7 +124,9 @@ class LaurentMatrix:
         return result
 
     def trace(self) -> LaurentPoly:
-        return sum((self.entries[i][i] for i in range(self.size)), LaurentPoly(self.dim))
+        total: dict[IndexVector, complex] = {}
+        _accumulate(total, ((m, c) for (i, j, m), c in self.table.items() if i == j))
+        return LaurentPoly(self.dim, total)
 
     @cached_property
     def _phase_plan(self) -> tuple[np.ndarray, tuple]:
@@ -251,3 +223,18 @@ def _hermitian_defect(terms: Mapping[tuple[int, int, IndexVector], complex]) -> 
             message = f"entry ({i}, {j}) has {c} at {m} but entry ({j}, {i}) has {mirror} at {key[2]}"
             bad.append(((min(i, j), max(i, j), i > j, m), message))
     return min(bad)[1] if bad else None
+
+
+def _pruned(terms: Mapping[IndexVector, complex]) -> Iterable[tuple[IndexVector, complex]]:
+    """The terms with ``|c| >= PRUNE_TOL``, in order: dust, exact zeros and NaN go."""
+    return ((m, c) for m, c in terms.items() if abs(c) >= PRUNE_TOL)
+
+
+def _accumulate(total: dict[IndexVector, complex], terms: Iterable[tuple[IndexVector, complex]]) -> None:
+    """Add ``terms`` into the running sums ``total``, each from 0; a sum that is exactly 0 is dropped."""
+    for m, c in terms:
+        s = total.get(m, 0) + c
+        if s == 0:
+            total.pop(m, None)
+        else:
+            total[m] = s

@@ -124,8 +124,8 @@ def fiber_eigenvalues_grid(
 
     ``matrix`` must be Hermitian coefficient by coefficient, else
     :class:`HermiticityError` names its first bad term before any point is
-    solved (``LaurentMatrix.hermitian_defect``, taken once, when the matrix
-    is built).  The grid is streamed in
+    solved (``LaurentMatrix.hermitian_defect``, taken once per operator, at
+    its first use).  The grid is streamed in
     chunks of :func:`chunk_points` points, about ``CHUNK_BYTES`` of complex
     fiber matrices each, each evaluated and solved while it is still in
     cache; only its eigenvalues are kept.  Memory is therefore the (npts,

@@ -22,8 +22,14 @@ tables bit for bit, and ``assert_pruned_table_is_the_full_sweep`` holds
 points a sweep solves.
 ``evaluate_fiber``, ``eigenvalues``, ``hermiticity_defect`` and
 ``is_real_on_torus`` evaluate and check single fibers and symbolic entries;
+``entry_polys`` views a symbolic matrix as one Laurent polynomial per entry,
+built from its term table;
 ``support``, ``conj_reflect``, ``max_abs_frequency`` and ``max_diff`` read
-and compare Laurent polynomials.
+and compare Laurent polynomials, and ``poly_add``, ``poly_neg``, ``poly_mul``
+and ``prune`` are the polynomial ring's operations on them.
+``ring_product``, ``ring_power`` and ``ring_trace`` multiply, power and trace
+symbolic matrices entry by entry through those operations, the reference for
+the bits of ``LaurentMatrix.__matmul__``, ``power`` and ``trace``.
 ``eval_entries_termwise`` evaluates a symbolic matrix one entry and one term
 at a time, the reference for the bits of ``LaurentMatrix.eval_grid``.
 ``dict_operator`` assembles a fiber operator as one ``{m: c}`` dict per entry,
@@ -42,6 +48,7 @@ import pytest
 
 import periodic_spectra as ps
 from periodic_spectra.errors import HermiticityError
+from periodic_spectra.laurent import PRUNE_TOL
 
 # Largest entry-wise Hermiticity defect that the dense oracle below accepts.
 HERMITICITY_TOL = 1e-12
@@ -102,6 +109,81 @@ def evaluate_fiber(matrix, k, herm_tol=HERMITICITY_TOL):
     return _hermitian(matrix.eval_grid([k])[0], herm_tol)
 
 
+def entry_polys(matrix):
+    """Entry (i, j) of ``matrix`` as a LaurentPoly, its terms in table order (by frequency)."""
+    polys = [[{} for _ in range(matrix.size)] for _ in range(matrix.size)]
+    for (i, j, m), c in matrix.table.items():
+        polys[i][j][m] = c
+    return [[ps.LaurentPoly(matrix.dim, p) for p in row] for row in polys]
+
+
+def poly_add(a, b):
+    """``a + b`` in the polynomial ring: each coefficient of ``b`` is added, in order, to a running
+    sum that starts from 0, and a sum that is exactly 0 drops its term."""
+    out = dict(a.coeffs)
+    for m, c in b.coeffs.items():
+        s = out.get(m, 0) + c
+        if s == 0:
+            out.pop(m, None)
+        else:
+            out[m] = s
+    return ps.LaurentPoly(a.dim, out)
+
+
+def poly_neg(a):
+    return ps.LaurentPoly(a.dim, {m: -c for m, c in a.coeffs.items()})
+
+
+def prune(a):
+    """``a`` without its terms of ``|c| < PRUNE_TOL``; NaN goes too."""
+    return ps.LaurentPoly(a.dim, {m: c for m, c in a.coeffs.items() if abs(c) >= PRUNE_TOL})
+
+
+def poly_mul(a, b):
+    """``a * b`` in the polynomial ring: ``c1 * c2`` summed from 0 over the terms of ``a``, then of
+    ``b``, in order; the product is pruned."""
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    out = {}
+    for m1, c1 in a.coeffs.items():
+        for m2, c2 in b.coeffs.items():
+            key = tuple(x + y for x, y in zip(m1, m2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return prune(ps.LaurentPoly(a.dim, out))
+
+
+def ring_product(a, b):
+    """``a @ b`` through the polynomial ring: entry (i, j) adds, from the zero polynomial, the products
+    of entry (i, l) and entry (l, j) over the l whose (i, l) is nonzero, in ascending l, then is pruned."""
+    if a.size != b.size or a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    left, right, terms = entry_polys(a), entry_polys(b), {}
+    for i, row in enumerate(left):
+        for j in range(a.size):
+            entry = ps.LaurentPoly(a.dim)
+            for l, poly in enumerate(row):
+                if poly.coeffs:
+                    entry = poly_add(entry, poly_mul(poly, right[l][j]))
+            terms.update(((i, j, m), c) for m, c in prune(entry).coeffs.items())
+    return ps.LaurentMatrix(a.dim, a.size, terms)
+
+
+def ring_power(matrix, n):
+    """``matrix.power(n)`` through :func:`ring_product`, from the identity."""
+    result = ps.LaurentMatrix(matrix.dim, matrix.size, {(i, i, (0,) * matrix.dim): 1.0 for i in range(matrix.size)})
+    for _ in range(n):
+        result = ring_product(result, matrix)
+    return result
+
+
+def ring_trace(matrix):
+    """``matrix.trace()`` as the ring adds its diagonal entries, in order, to the zero polynomial."""
+    total = ps.LaurentPoly(matrix.dim)
+    for i, row in enumerate(entry_polys(matrix)):
+        total = poly_add(total, row[i])
+    return total
+
+
 def support(poly):
     """Frequencies of the polynomial's terms, sorted."""
     return sorted(poly.coeffs)
@@ -125,8 +207,9 @@ def max_diff(a, b):
 
 def hermiticity_defect(matrix):
     """Largest coefficient deviation from entry(j,i) == conj-reflect(entry(i,j))."""
+    entries = entry_polys(matrix)
     return max(
-        max_diff(matrix.entries[j][i], conj_reflect(matrix.entries[i][j]))
+        max_diff(entries[j][i], conj_reflect(entries[i][j]))
         for i in range(matrix.size)
         for j in range(i, matrix.size)
     )
@@ -137,15 +220,15 @@ def is_real_on_torus(poly, tol=1e-12):
     return max_diff(poly, conj_reflect(poly)) <= tol
 
 
-def eval_entries_termwise(matrix, points):
-    """Stack of ``matrix`` at ``points``, each entry summed on its own, term by term.
+def eval_entries_termwise(entries, points):
+    """Stack of the matrix of LaurentPoly ``entries`` at ``points``, each entry summed on its own, term by term.
 
     Per term, ``<m, k>`` is summed in axis order and ``c * exp(i<m, k>)`` is
     added in sorted-frequency order, with plain numpy and no ``@``.
     """
     points = np.asarray(points, dtype=float)
-    stack = np.zeros((len(points), matrix.size, matrix.size), dtype=complex)
-    for i, row in enumerate(matrix.entries):
+    stack = np.zeros((len(points), len(entries), len(entries)), dtype=complex)
+    for i, row in enumerate(entries):
         for j, poly in enumerate(row):
             acc = None
             for m, c in sorted(poly.coeffs.items()):
@@ -426,7 +509,7 @@ def full_box_walk_classes(graph, kind, n_max):
     bound as the engine.  Returns the classes and the bound of each n.
     """
     matrix = ps.walks.walk_matrix(graph, kind)
-    coeffs = [c for row in matrix.entries for p in row for c in p.coeffs.values()]
+    coeffs = list(matrix.table.values())
     integral = all(c.imag == 0.0 and c.real == round(c.real) for c in coeffs)
     axes = [2.0 * np.pi * np.arange(n_max * r + 1) / (n_max * r + 1) for r in matrix.frequency_radius]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, graph.dim)

@@ -7,7 +7,9 @@ verb in every format, every operator kind, three graphs (kagome, fig4_chain
 and ``golden/loop_potential.json``, a graph file with a loop and a nonzero
 potential) at small ``--grid``/``--n-max``, the defaults, ``--help`` and the
 usage and input errors.  Longer walks run ``cycles`` and ``traces`` to
-``--n-max 8`` and ``verify`` to its witness at n = 40 on ``z_cycle(40)``.
+``--n-max 8`` and ``verify`` to its witness at n = 40 on ``z_cycle(40)``; ``traces`` also runs
+on two sparse quotients with more than four vertices, ``z_cycle(12)`` and the
+ring graph below.
 Two band sweeps are large enough that the torus sweep solves them in several
 chunks: kagome at ``--grid 160`` and a dispersion dump of a 96-vertex ring
 (see :func:`ring_graph_text`).  A 2-vertex graph with the edge index 193
@@ -97,6 +99,9 @@ def case_args() -> list[list[str]]:
             )
         ),
         ["verify", "--builtin", "z_cycle(40)"],
+        # the symbolic power on sparse quotients with nu > 4
+        ["traces", "--builtin", "z_cycle(12)", "--operator", "transition", "--format", "json"],
+        ["traces", "--graph", "{ring}", "--operator", "schrodinger", "--n-max", "4", "--format", "json"],
         # usage errors (exit 2) and input errors (exit 1)
         ["info"],
         ["info", "--builtin", "kagome", "--graph", "{graph}"],

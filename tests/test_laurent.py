@@ -1,6 +1,6 @@
 """Laurent-series engine: arithmetic, evaluation, traces, symmetry, and the term table."""
 
-from types import SimpleNamespace
+import struct
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from conftest import (
     dict_facts,
     dict_hermitian_defect,
     dict_operator,
+    entry_polys,
     eval_entries_termwise,
     hermiticity_defect,
     is_real_on_torus,
@@ -24,12 +25,15 @@ from conftest import (
     numeric_fiber,
     random_graph,
     regular_graph,
+    ring_power,
+    ring_product,
+    ring_trace,
     support,
 )
 
 
 def test_eval_constant():
-    p = LaurentPoly.constant(1, 5.0)
+    p = LaurentPoly(1, {(0,): 5.0})
     for k in (0.0, 1.3, -2.0):
         assert p.eval_grid([[k]])[0] == pytest.approx(5.0)
 
@@ -45,14 +49,14 @@ def test_dimension_mismatch():
     with pytest.raises(ValueError):
         p.coeff((1,))
     with pytest.raises(ValueError):
-        p + LaurentPoly(1, {(1,): 1.0})
+        LaurentMatrix(2, 1, {(0, 0, (1, 0)): 1.0}) @ LaurentMatrix(1, 1, {(0, 0, (1,)): 1.0})
 
 
 def test_z_lattice_square_expansion():
     # (z + 1/z)^2 = z^2 + 2 + z^-2
     sym = ps.symbolic_operator(ps.builtin_graph("zd(1)"), "adjacency")
     squared = sym.power(2)
-    diag = squared.entries[0][0]
+    diag = entry_polys(squared)[0][0]
     assert diag.coeff((0,)) == pytest.approx(2.0)
     assert diag.coeff((2,)) == pytest.approx(1.0)
     assert diag.coeff((-2,)) == pytest.approx(1.0)
@@ -62,10 +66,10 @@ def test_z_lattice_square_expansion():
 def test_identity_multiplication(kagome):
     a = ps.symbolic_operator(kagome, "adjacency")
     eye = a.power(0)
-    prod = a @ eye
+    prod, want = entry_polys(a @ eye), entry_polys(a)
     for i in range(a.size):
         for j in range(a.size):
-            assert max_diff(prod.entries[i][j], a.entries[i][j]) == 0.0
+            assert max_diff(prod[i][j], want[i][j]) == 0.0
 
 
 def test_matrix_product_matches_pointwise_product(kagome):
@@ -83,6 +87,14 @@ def test_trace_of_identity():
     tr = eye.trace()
     assert tr.coeff((0, 0)) == pytest.approx(3.0)
     assert len(tr.coeffs) == 1
+
+
+def test_trace_sums_the_diagonal_from_zero():
+    # (0,) cancels in entry (1, 1) and comes back in entry (2, 2): it restarts from 0, after (1,).
+    terms = {(0, 0, (0,)): 1.0, (0, 0, (1,)): 2.0, (1, 1, (0,)): -1.0, (2, 2, (0,)): complex(3.0, -0.0)}
+    tr = LaurentMatrix(1, 3, terms).trace()
+    assert list(tr.coeffs) == [(1,), (0,)]
+    assert repr(tr.coeff((0,)).imag) == "0.0"
 
 
 def test_kagome_trace_square_coefficients(kagome):
@@ -119,7 +131,7 @@ def test_trace_eval_matches_numeric_trace(kagome):
 
 
 def test_coeff_of_constant_away_from_zero():
-    p = LaurentPoly.constant(2, 4.0)
+    p = LaurentPoly(2, {(0, 0): 4.0})
     assert p.coeff((1, 0)) == 0
     assert p.coeff((0, 0)) == pytest.approx(4.0)
 
@@ -137,10 +149,10 @@ def test_hermitian_power_traces_are_real_on_torus(builtin):
 
 
 def test_prune_drops_dust():
-    p = LaurentPoly(1, {(0,): 1.0, (3,): 1e-16})
-    assert support(p.prune()) == [(0,)]
-    q = LaurentPoly(1, {(0,): 1.0, (1,): 1e-16})
-    prod = q * q
+    p = LaurentMatrix(1, 1, {(0, 0, (0,)): 1.0, (0, 0, (3,)): 1e-16})
+    assert support((p @ p.power(0)).trace()) == [(0,)]
+    q = LaurentMatrix(1, 1, {(0, 0, (0,)): 1.0, (0, 0, (1,)): 1e-16})
+    prod = (q @ q).trace()
     assert (1,) not in prod.coeffs  # 2e-16 cross term pruned
     assert PRUNE_TOL == 1e-14
 
@@ -215,10 +227,9 @@ def test_eval_grid_is_the_termwise_sum_bit_for_bit(graph):
     for kind in ps.OPERATOR_KINDS:
         matrix = ps.symbolic_operator(graph, kind)
         stack = matrix.eval_grid(points)
-        assert stack.tobytes() == eval_entries_termwise(matrix, points).tobytes()
+        assert stack.tobytes() == eval_entries_termwise(entry_polys(matrix), points).tobytes()
         # The same bits as the dict entries, each summed term by term in sorted order.
-        entries = SimpleNamespace(entries=dict_operator(graph, kind), size=graph.num_vertices)
-        assert stack.tobytes() == eval_entries_termwise(entries, points).tobytes()
+        assert stack.tobytes() == eval_entries_termwise(dict_operator(graph, kind), points).tobytes()
 
 
 COEFFICIENTS = [1.0, -1.0, 0.5, 2.0, 3.0, 1j, -1j, 1 - 2j, float("nan"), float("inf"), complex("nan+nanj")]
@@ -251,9 +262,72 @@ def test_hermitian_verdict_and_facts_equal_the_dict_walks_on_random_tables():
     assert verdicts == {True, False}
 
 
-def test_entries_view_is_the_table(kagome):
+def test_rows_group_the_table(kagome):
     matrix = ps.symbolic_operator(kagome, "schrodinger")
-    assert matrix.entries is matrix.entries
-    view = {(i, j, m): c for i, row in enumerate(matrix.entries) for j, p in enumerate(row) for m, c in p.coeffs.items()}
-    assert list(view.items()) == list(matrix.table.items())
-    assert LaurentMatrix(matrix.dim, matrix.size, view).table == matrix.table
+    assert matrix._rows is matrix._rows
+    grouped = [(i, j, m, c) for i, row in enumerate(matrix._rows) for j, terms in row for m, c in terms]
+    assert grouped == [(i, j, m, c) for (i, j, m), c in matrix.table.items()]
+    assert all(terms for row in matrix._rows for _, terms in row)
+    columns = [sorted({j for a, j, _ in matrix.table if a == i}) for i in range(matrix.size)]
+    assert [[j for j, _ in row] for row in matrix._rows] == columns
+
+
+def packed(coeffs):
+    """``(key, bytes of the real and imaginary parts)`` per coefficient, in order, so that -0.0 and NaN count."""
+    return [(key, struct.pack("<dd", c.real, c.imag)) for key, c in coeffs.items()]
+
+
+def assert_products_are_the_ring_products(matrix, other, n_max):
+    assert packed(matrix.trace().coeffs) == packed(ring_trace(matrix).coeffs)
+    assert packed((matrix @ other).table) == packed(ring_product(matrix, other).table)
+    for n in range(n_max + 1):
+        power, want = matrix.power(n), ring_power(matrix, n)
+        assert packed(power.table) == packed(want.table), n
+        assert packed(power.trace().coeffs) == packed(ring_trace(want).coeffs), n
+
+
+@pytest.mark.parametrize("graph", TABLE_GRAPHS)
+def test_power_and_trace_are_the_ring_products_bit_for_bit(graph):
+    for kind in ps.OPERATOR_KINDS:
+        for normalize in (False, True):
+            matrix = ps.symbolic_operator(graph, kind, normalize)
+            assert_products_are_the_ring_products(matrix, ps.symbolic_operator(graph, "adjacency"), 4)
+
+
+# Dust below PRUNE_TOL, signed zeros, complex values and non-finite values; pairs of them cancel exactly.
+PRODUCT_COEFFICIENTS = [
+    1.0, -1.0, 0.5, -0.5, 1 / 3, 0.1, 1e-15, -1e-15, 3e-8, 0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0),
+    1j, -1j, 1 - 2j, 2 + 1e-15j, float("nan"), float("inf"), -float("inf"), complex(float("inf"), float("nan")),
+]
+
+
+def random_product_table(rng, dim, size):
+    terms = {}
+    for _ in range(int(rng.integers(0, 10))):
+        key = (int(rng.integers(size)), int(rng.integers(size)), tuple(int(v) for v in rng.integers(-2, 3, dim)))
+        terms[key] = PRODUCT_COEFFICIENTS[rng.integers(len(PRODUCT_COEFFICIENTS))]
+    return terms
+
+
+def test_products_are_the_ring_products_on_random_tables():
+    rng = np.random.default_rng(54)
+    for _ in range(1500):
+        dim, size = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+        terms, other = random_product_table(rng, dim, size), random_product_table(rng, dim, size)
+        if rng.random() < 0.5:  # negated terms, so that more sums of products cancel exactly
+            other.update({key: -c for key, c in terms.items() if rng.random() < 0.5})
+        assert_products_are_the_ring_products(LaurentMatrix(dim, size, terms), LaurentMatrix(dim, size, other), 3)
+
+
+def test_products_build_no_polynomial_and_take_no_hermitian_verdict(monkeypatch, kagome):
+    polys, checks = [], []
+    poly_init, check = LaurentPoly.__init__, ps.laurent._hermitian_defect
+    monkeypatch.setattr(LaurentPoly, "__init__", lambda self, *args: polys.append(args) or poly_init(self, *args))
+    monkeypatch.setattr(ps.laurent, "_hermitian_defect", lambda table: checks.append(table) or check(table))
+    matrix = ps.symbolic_operator(kagome, "schrodinger")
+    power = (matrix @ matrix).power(0) @ matrix.power(3)
+    assert (polys, checks) == ([], [])
+    assert power.trace().coeff((0, 0)) == ring_trace(ring_power(matrix, 3)).coeff((0, 0))
+    assert len(checks) == 0
+    assert matrix.hermitian_defect is matrix.hermitian_defect is None
+    assert len(checks) == 1

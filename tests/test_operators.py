@@ -14,10 +14,13 @@ from periodic_spectra.errors import GraphFormatError, HermiticityError
 from conftest import (
     BUILTIN_NAMES,
     eigenvalues,
+    entry_polys,
     eval_entries_termwise,
     evaluate_fiber,
     max_diff,
     numeric_fiber,
+    poly_add,
+    poly_neg,
     random_graph,
     schrodinger_shift,
 )
@@ -28,7 +31,7 @@ RNG = np.random.default_rng(2024)
 def test_z_lattice_schrodinger_entries():
     g = ps.builtin_graph("zd(1)")
     ham = ps.symbolic_operator(g, "schrodinger")
-    entry = ham.entries[0][0]
+    entry = entry_polys(ham)[0][0]
     assert entry.coeff((1,)) == pytest.approx(1.0)
     assert entry.coeff((-1,)) == pytest.approx(1.0)
     assert entry.coeff((0,)) == pytest.approx(-2.0)
@@ -46,7 +49,7 @@ def test_symbolic_matches_direct_assembly(name, kind):
     for _ in range(4):
         k = RNG.uniform(0, 2 * np.pi, g.dim)
         assert np.abs(sym.eval_grid([k])[0] - numeric_fiber(g, kind, k)).max() < 1e-12
-    # The same polys, bit for bit and in sorted-frequency order, as a sum of one LaurentPoly
+    # The same polys, bit for bit and in sorted-frequency order, as a ring sum of one LaurentPoly
     # per term: the edges in order, then each vertex's nonzero diagonal constant.
     deg, normalized = g.degrees, kind in ("normalized_laplacian", "transition")
     sign = -1.0 if kind in ("laplacian", "normalized_laplacian") else 1.0
@@ -58,11 +61,11 @@ def test_symbolic_matches_direct_assembly(name, kind):
     terms = [[ps.LaurentPoly(g.dim) for _ in range(g.num_vertices)] for _ in range(g.num_vertices)]
     for e in g.edges:
         weight = sign / np.sqrt(deg[e.tail] * deg[e.head]) if normalized else sign
-        terms[e.tail][e.head] = terms[e.tail][e.head] + ps.LaurentPoly(g.dim, {e.index: weight})
+        terms[e.tail][e.head] = poly_add(terms[e.tail][e.head], ps.LaurentPoly(g.dim, {e.index: weight}))
     for x, value in enumerate(diagonal):
         if value:
-            terms[x][x] = terms[x][x] + ps.LaurentPoly.constant(g.dim, value)
-    for got, want in zip(sym.entries, terms):
+            terms[x][x] = poly_add(terms[x][x], ps.LaurentPoly(g.dim, {(0,) * g.dim: value}))
+    for got, want in zip(entry_polys(sym), terms):
         assert [repr(p) for p in got] == [repr(p) for p in want]
         assert [list(p.coeffs.items()) for p in got] == [sorted(p.coeffs.items()) for p in want]
 
@@ -112,7 +115,7 @@ def test_term_without_a_mirror_fails_hermiticity_check(i, j):
 
 def test_inf_coefficient_fails_hermiticity_check():
     # inf equals its own conjugate, but no fiber that holds it is a finite Hermitian matrix.
-    entries = [[dict(p.coeffs) for p in row] for row in ps.symbolic_operator(ps.builtin_graph("kagome"), "adjacency").entries]
+    entries = [[dict(p.coeffs) for p in row] for row in entry_polys(ps.symbolic_operator(ps.builtin_graph("kagome"), "adjacency"))]
     entries[2][1][(0, 0)] = entries[1][2][(0, 0)] = float("inf") + 0j
     bad = polys(2, entries)
     with pytest.raises(HermiticityError, match=r"entry \(1, 2\) has \(inf\+0j\) at \(0, 0\)"):
@@ -122,9 +125,9 @@ def test_inf_coefficient_fails_hermiticity_check():
 def test_a_built_matrix_cannot_be_edited(kagome):
     matrix = ps.symbolic_operator(kagome, "adjacency")
     with pytest.raises(TypeError):
-        matrix.entries[0][1] = ps.LaurentPoly(2, {(1, 0): 1.0})
+        matrix._rows[0] = ((1, (((1, 0), 1.0),)),)
     with pytest.raises(TypeError):
-        matrix.entries[2][1].coeffs[(0, 0)] = float("inf")
+        matrix.power(2).trace().coeffs[(0, 0)] = float("inf")
     with pytest.raises(TypeError):
         matrix.table[0, 1, (1, 0)] = 1.0
     assert matrix.hermitian_defect is None
@@ -242,7 +245,7 @@ def test_top_band_peaks_at_zero_quasimomentum(builtin):
 def test_transition_entries_mix_degrees(fig4):
     trans = ps.symbolic_operator(fig4, "transition")
     x1, x2 = fig4.ordinal("x1"), fig4.ordinal("x2")
-    assert trans.entries[x1][x2].coeff((0,)) == pytest.approx(1 / np.sqrt(6))
+    assert entry_polys(trans)[x1][x2].coeff((0,)) == pytest.approx(1 / np.sqrt(6))
 
 
 def test_normalized_kind_rejects_isolated_vertex():
@@ -265,14 +268,14 @@ def test_schrodinger_equals_minus_laplacian_plus_potential(fig4):
     for g in _operator_identity_inputs(fig4):
         lap = ps.symbolic_operator(g, "laplacian")
         for normalize in (False, True):
-            ham = ps.symbolic_operator(g, "schrodinger", normalize_potential=normalize)
+            ham = entry_polys(ps.symbolic_operator(g, "schrodinger", normalize_potential=normalize))
             shift = schrodinger_shift(g) if normalize else 0.0
             for i in range(g.num_vertices):
                 for j in range(g.num_vertices):
-                    expect = -lap.entries[i][j]
+                    expect = poly_neg(entry_polys(lap)[i][j])
                     if i == j:
-                        expect = expect + ps.LaurentPoly.constant(g.dim, g.potential[i] - shift)
-                    assert max_diff(ham.entries[i][j], expect) <= 1e-12
+                        expect = poly_add(expect, ps.LaurentPoly(g.dim, {(0,) * g.dim: g.potential[i] - shift}))
+                    assert max_diff(ham[i][j], expect) <= 1e-12
         ham = ps.symbolic_operator(g, "schrodinger")
         for _ in range(3):
             k = RNG.uniform(0, 2 * np.pi, g.dim)
@@ -282,12 +285,12 @@ def test_schrodinger_equals_minus_laplacian_plus_potential(fig4):
 
 def test_normalized_laplacian_equals_identity_minus_transition(fig4):
     for g in _operator_identity_inputs(fig4):
-        nor = ps.symbolic_operator(g, "normalized_laplacian")
-        trans = ps.symbolic_operator(g, "transition")
+        nor = entry_polys(ps.symbolic_operator(g, "normalized_laplacian"))
+        trans = entry_polys(ps.symbolic_operator(g, "transition"))
         for i in range(g.num_vertices):
             for j in range(g.num_vertices):
-                expect = ps.LaurentPoly.constant(g.dim, float(i == j)) - trans.entries[i][j]
-                assert max_diff(nor.entries[i][j], expect) <= 1e-12
+                expect = poly_add(ps.LaurentPoly(g.dim, {(0,) * g.dim: float(i == j)}), poly_neg(trans[i][j]))
+                assert max_diff(nor[i][j], expect) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ps.OPERATOR_KINDS)
@@ -362,7 +365,7 @@ def test_streamed_sweep_is_bitwise_entrywise(graph, kind, grid_n, workers):
     assert len(points) > step and len(points) % step
     lam = ps.fiber_eigenvalues_grid(matrix, points, workers=workers)
     assert lam.shape == (len(points), matrix.size)
-    assert lam.tobytes() == np.linalg.eigvalsh(eval_entries_termwise(matrix, points)).tobytes()
+    assert lam.tobytes() == np.linalg.eigvalsh(eval_entries_termwise(entry_polys(matrix), points)).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -378,7 +381,7 @@ def test_eval_grid_is_split_invariant(graph, kind):
     matrix = ps.symbolic_operator(graph, kind)
     points = np.random.default_rng(11).uniform(0, 2 * np.pi, (97, graph.dim))
     stack = matrix.eval_grid(points)
-    assert stack.tobytes() == eval_entries_termwise(matrix, points).tobytes()
+    assert stack.tobytes() == eval_entries_termwise(entry_polys(matrix), points).tobytes()
     assert stack.tobytes() == np.concatenate([matrix.eval_grid(k[None]) for k in points]).tobytes()
     assert stack.tobytes() == matrix.eval_grid(points[::-1])[::-1].tobytes()
     for k, fiber in zip(points, stack):

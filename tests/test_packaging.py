@@ -8,8 +8,8 @@ of ``pyproject.toml``.  An undeclared import and a declared dependency that
 nothing imports both fail.
 
 The coefficients are stored in the term table of ``LaurentMatrix``; the other
-modules read its facts.  An attribute read of ``.table``, ``.entries`` or
-``.coeffs`` outside ``laurent.py`` fails, except in
+modules read its facts.  An attribute read of ``.table`` or ``.coeffs``
+outside ``laurent.py`` fails, except in
 ``walks.coefficient_residual``, which compares a trace series with walk sums.
 """
 
@@ -49,7 +49,7 @@ def test_runtime_imports_are_the_declared_dependencies():
 
 
 
-TABLE_ATTRIBUTES = {"table", "entries", "coeffs"}
+TABLE_ATTRIBUTES = {"table", "coeffs"}
 # Functions outside laurent.py allowed to read those attributes: module -> function names.
 TABLE_READERS = {"walks.py": {"coefficient_residual"}}
 
