@@ -8,7 +8,9 @@ constants, and a refinement that scans walk lengths n and keeps the best
 term, with the walk classes read off one eigen-solve of the walk matrix
 (:func:`walks.walk_classes`).  Upper bounds multiply the fewest bridges over
 all gauges, which the spanning-tree search of :func:`graphs.minimize_bridges`
-finds exactly (rank <= minimum <= Betti number).  The search and the
+finds exactly (rank <= min_bridges <= min(bridges, betti)), so the
+Schrodinger and adjacency upper bound is 4 * min_bridges.
+:func:`bounds_for_kind` assembles every bracket.  The search and the
 bipartiteness test do not depend on the kind or the potential: each graph
 keeps their results (:attr:`graphs.FundamentalGraph.fewest_bridges`,
 :attr:`graphs.FundamentalGraph.bipartition`), so the brackets of every kind
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import (
@@ -44,7 +46,7 @@ class StructuralConstants:
     2*kappa_plus - kappa_minus.  ``bridge_ratio`` sums, over vertices, the
     number of nonzero-index oriented edges leaving the vertex divided by its
     degree.  ``min_bridges`` is the fewest bridges over all gauges, found
-    exactly by the spanning-tree search; rank <= min_bridges <= bridges.
+    exactly by the spanning-tree search; rank <= min_bridges <= min(bridges, betti).
     """
 
     dim: int
@@ -78,8 +80,9 @@ class BoundsReport:
 
     ``lower_closed_form`` and ``lower_refined`` are individually valid;
     neither dominates the other in general, so ``lower`` takes their max.
-    ``upper_closed_form`` is the plain theorem-level bound; ``upper`` may be
-    sharper (for normalized kinds it also tries twice the bridge ratio).
+    ``upper_closed_form`` is the plain theorem-level bound, 4 * min_bridges
+    (divided by kappa_minus for normalized kinds); ``upper`` equals it, except
+    that normalized kinds also try twice the bridge ratio.
     ``measure_lower`` divides the best lower bound by the number of bands,
     bounding the Lebesgue measure of the spectrum from below.
     """
@@ -144,25 +147,35 @@ def _closed_form_lower(sc: StructuralConstants, base: float, exponent: int) -> f
     return _over_power(4.0 * sc.dim if sc.bipartite else 2.0 * sc.d_star, base, exponent)  # bipartite: 4*rank
 
 
-def _best_term(terms: list[BoundTerm]) -> tuple[float, int | None]:
-    best, best_n = 0.0, None
-    for term in terms:
-        if term.value > best:
-            best, best_n = term.value, term.n
-    return best, best_n
+def bounds_for_kind(graph: FundamentalGraph, kind: str, n_max: int | None = None) -> BoundsReport:
+    """Bracket for operator ``kind``, from the walks that stand for it (lengths n <= n_max, default nu).
 
-
-def _terms(graph: FundamentalGraph, kind: str, n_max: int | None, step: float) -> list[BoundTerm]:
-    """Refined-bound terms max(B_n1, B_n2) / (n * step^(n-1)) for n <= n_max."""
-    n_max = graph.num_vertices if n_max is None else n_max
-    return [
+    Laplacian bounds are Schrodinger bounds at V = 0; the transition operator
+    shares the normalized-Laplacian bracket.  The trace kind sets the closed
+    form's base and exponent, the refined terms' step, and the upper bound.
+    """
+    work, trace_kind = walk_setting(graph, kind)
+    n_max = work.num_vertices if n_max is None else n_max
+    if n_max < 1:
+        raise ValueError("walk length must be positive")
+    sc = structural_constants(work)
+    if trace_kind == "transition":
+        base, exponent, step = sc.kappa_plus, sc.num_vertices, 1.0
+        upper_closed = 4.0 * sc.min_bridges / sc.kappa_minus
+        upper = min(2.0 * sc.bridge_ratio, upper_closed)
+    else:
+        base = step = sc.kappa_plus if trace_kind == "adjacency" else sc.v_star  # an int stays exact
+        exponent = sc.num_vertices - 1
+        upper = upper_closed = 4.0 * sc.min_bridges
+    lower_closed = _closed_form_lower(sc, base, exponent)
+    terms = tuple(
         BoundTerm(n, b1, b2, _over_power(max(b1, b2), step, n - 1, n))
-        for n, (b1, b2) in enumerate(walk_classes(graph, kind, n_max), 1)
-    ]
-
-
-def _report(kind, sc, lower_closed, terms, upper, upper_closed) -> BoundsReport:
-    refined, refined_n = _best_term(terms)
+        for n, (b1, b2) in enumerate(walk_classes(work, trace_kind, n_max), 1)
+    )
+    refined, refined_n = 0.0, None
+    for term in terms:
+        if term.value > refined:
+            refined, refined_n = term.value, term.n
     lower = max(lower_closed, refined)
     return BoundsReport(
         kind=kind,
@@ -174,51 +187,23 @@ def _report(kind, sc, lower_closed, terms, upper, upper_closed) -> BoundsReport:
         upper=upper,
         upper_closed_form=upper_closed,
         measure_lower=lower / sc.num_vertices,
-        terms=tuple(terms),
+        terms=terms,
     )
 
 
 def schrodinger_bounds(graph: FundamentalGraph, n_max: int | None = None) -> BoundsReport:
     """Bracket for the Schrodinger total bandwidth (laplacian when V = 0)."""
-    sc = structural_constants(graph)
-    lower_closed = _closed_form_lower(sc, sc.v_star, sc.num_vertices - 1)
-    terms = _terms(graph, "schrodinger", n_max, sc.v_star)
-    upper = 4.0 * min(sc.bridges, sc.min_bridges, sc.betti)
-    return _report("schrodinger", sc, lower_closed, terms, upper, upper)
+    return bounds_for_kind(graph, "schrodinger", n_max)
 
 
 def normalized_bounds(graph: FundamentalGraph, n_max: int | None = None) -> BoundsReport:
     """Bracket for the normalized-Laplacian (equivalently transition) bandwidth."""
-    sc = structural_constants(graph)
-    lower_closed = _closed_form_lower(sc, sc.kappa_plus, sc.num_vertices)
-    terms = _terms(graph, "transition", n_max, 1.0)
-    upper_closed = 4.0 * sc.min_bridges / sc.kappa_minus
-    upper = min(2.0 * sc.bridge_ratio, upper_closed)
-    return _report("normalized_laplacian", sc, lower_closed, terms, upper, upper_closed)
+    return bounds_for_kind(graph, "normalized_laplacian", n_max)
 
 
 def adjacency_bounds(graph: FundamentalGraph, n_max: int | None = None) -> BoundsReport:
     """Bracket for the adjacency total bandwidth from pure walk counts."""
-    sc = structural_constants(graph)
-    lower_closed = _closed_form_lower(sc, sc.kappa_plus, sc.num_vertices - 1)
-    terms = _terms(graph, "adjacency", n_max, sc.kappa_plus)
-    upper = 4.0 * min(sc.bridges, sc.min_bridges, sc.betti)
-    return _report("adjacency", sc, lower_closed, terms, upper, upper)
-
-
-def bounds_for_kind(
-    graph: FundamentalGraph,
-    kind: str,
-    n_max: int | None = None,
-) -> BoundsReport:
-    """Bracket for operator ``kind``, from the walks that stand for it.
-
-    Laplacian bounds are Schrodinger bounds at V = 0; the transition operator
-    shares the normalized-Laplacian bracket.  The report carries ``kind``.
-    """
-    work, trace_kind = walk_setting(graph, kind)
-    brackets = {"adjacency": adjacency_bounds, "schrodinger": schrodinger_bounds, "transition": normalized_bounds}
-    return replace(brackets[trace_kind](work, n_max), kind=kind)
+    return bounds_for_kind(graph, "adjacency", n_max)
 
 
 # -- lattice / witness report -------------------------------------------------

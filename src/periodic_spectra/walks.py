@@ -254,11 +254,10 @@ def walk_classes(graph: FundamentalGraph, kind: str, n_max: int) -> tuple[tuple[
     kept = np.flatnonzero(np.arange(mirror.size) <= mirror)
     weights = np.where(mirror[kept] == kept, 1.0, 2.0)
     box = 2.0 * np.pi * np.stack(np.unravel_index(kept, shape), axis=1) / shape
-    special = np.array([[0.0] * graph.dim, [np.pi] * graph.dim])
-    # T_n at every point, one row per n; columns: k = 0, k = pi*(1,..,1), the half box.
-    traces = _power_traces(matrix, np.vstack([special, box]), n_max)
+    # T_n at every point, one row per n; columns: k = pi*(1,..,1), then the half box, whose first point is k = 0.
+    traces = _power_traces(matrix, np.vstack([np.full((1, graph.dim), np.pi), box]), n_max)
     # einsum rather than a BLAS product, whose first call adds about 1 MB of work buffers to peak memory.
-    t_zero, t_pi, mean = traces[:, 0], traces[:, 1], np.einsum("nk,k->n", traces[:, 2:], weights) / mirror.size
+    t_pi, t_zero, mean = traces[:, 0], traces[:, 1], np.einsum("nk,k->n", traces[:, 1:], weights) / mirror.size
     n = np.arange(1, n_max + 1)
     errs = ENGINE_ERROR_FACTOR * n * matrix.size * np.finfo(float).eps * scales
     return tuple(

@@ -9,7 +9,8 @@ potential) at small ``--grid``/``--n-max``, the defaults, ``--help`` and the
 usage and input errors.  Longer walks run ``cycles`` and ``traces`` to
 ``--n-max 8`` and ``verify`` to its witness at n = 40 on ``z_cycle(40)``; ``traces`` also runs
 on two sparse quotients with more than four vertices, ``z_cycle(12)`` and the
-ring graph below.
+ring graph below, and ``bounds`` runs at its default ``--n-max`` on
+``z_cycle(12)``.
 Two band sweeps are large enough that the torus sweep solves them in several
 chunks: kagome at ``--grid 160`` and a dispersion dump of a 96-vertex ring
 (see :func:`ring_graph_text`).  A 2-vertex graph with the edge index 193
@@ -102,6 +103,11 @@ def case_args() -> list[list[str]]:
         # the symbolic power on sparse quotients with nu > 4
         ["traces", "--builtin", "z_cycle(12)", "--operator", "transition", "--format", "json"],
         ["traces", "--graph", "{ring}", "--operator", "schrodinger", "--n-max", "4", "--format", "json"],
+        # brackets at the default n-max on a sparse quotient with nu > 4: terms up to n = 12
+        *(
+            ["bounds", "--builtin", "z_cycle(12)", "--operator", kind, "--format", "json"]
+            for kind in ("adjacency", "schrodinger", "normalized_laplacian")
+        ),
         # usage errors (exit 2) and input errors (exit 1)
         ["info"],
         ["info", "--builtin", "kagome", "--graph", "{graph}"],

@@ -8,7 +8,7 @@ import pytest
 
 import periodic_spectra as ps
 
-from conftest import BIPARTITE_BUILTINS, BUILTIN_NAMES, random_graph
+from conftest import BIPARTITE_BUILTINS, BUILTIN_NAMES, loopless_graph, random_graph
 
 RNG = np.random.default_rng(404)
 
@@ -137,6 +137,33 @@ def test_bounds_for_kind_dispatch(kagome):
         assert report.lower <= report.upper
     with pytest.raises(ValueError):
         ps.bounds_for_kind(kagome, "resolvent")
+    # the named brackets are bounds_for_kind at their kind
+    for bracket, kind in (
+        (ps.schrodinger_bounds, "schrodinger"),
+        (ps.normalized_bounds, "normalized_laplacian"),
+        (ps.adjacency_bounds, "adjacency"),
+    ):
+        assert bracket(kagome, 2) == ps.bounds_for_kind(kagome, kind, n_max=2)
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_brackets_refuse_walk_lengths_below_one(kagome, n_max):
+    for kind in ps.OPERATOR_KINDS:
+        with pytest.raises(ValueError, match="walk length must be positive"):
+            ps.bounds_for_kind(kagome, kind, n_max)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [*(random_graph(seed) for seed in range(12)), *(loopless_graph(0, nu, 2) for nu in (4, 6))],
+)
+def test_upper_is_four_times_the_fewest_bridges(graph):
+    # The fewest bridges never exceed the given gauge's, nor the chords of a spanning tree.
+    sc = ps.structural_constants(graph)
+    assert sc.dim <= sc.min_bridges <= min(sc.bridges, sc.betti)
+    for kind in ("adjacency", "schrodinger", "laplacian"):
+        report = ps.bounds_for_kind(graph, kind, n_max=2)
+        assert report.upper == report.upper_closed_form == 4.0 * sc.min_bridges
 
 
 @pytest.mark.parametrize("graph", [ps.builtin_graph("kagome"), random_graph(3)], ids=["zero-potential", "potential"])

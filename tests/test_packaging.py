@@ -1,5 +1,6 @@
 """Packaging: the library imports exactly the runtime dependencies it declares,
-and only ``laurent.py`` reads the coefficients of a symbolic operator.
+only ``laurent.py`` reads the coefficients of a symbolic operator, and one
+function builds the bracket report.
 
 Every import statement in ``src/periodic_spectra/*.py``, function-local ones
 included, is reduced to its top-level name; the standard library and the
@@ -11,6 +12,10 @@ The coefficients are stored in the term table of ``LaurentMatrix``; the other
 modules read its facts.  An attribute read of ``.table`` or ``.coeffs``
 outside ``laurent.py`` fails, except in
 ``walks.coefficient_residual``, which compares a trace series with walk sums.
+
+Every bracket is assembled by ``bounds.bounds_for_kind``: a call of
+``BoundsReport(`` in any other function, or an import of
+``dataclasses.replace`` to rebuild a report, fails.
 """
 
 import ast
@@ -54,20 +59,26 @@ TABLE_ATTRIBUTES = {"table", "coeffs"}
 TABLE_READERS = {"walks.py": {"coefficient_residual"}}
 
 
-def table_reads(path):
-    """``(function, attribute, line)`` of every read of a table attribute in the file at ``path``."""
-    reads = []
+def nodes_by_function(path):
+    """``(function, node)`` for every syntax node of the file at ``path``; the outermost enclosing function, or None."""
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name if function is None else function
-        if isinstance(node, ast.Attribute) and node.attr in TABLE_ATTRIBUTES:
-            reads.append((function, node.attr, node.lineno))
+        yield function, node
         for child in ast.iter_child_nodes(node):
-            visit(child, function)
+            yield from visit(child, function)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), None)
-    return reads
+    return visit(ast.parse(path.read_text(encoding="utf-8")), None)
+
+
+def table_reads(path):
+    """``(function, attribute, line)`` of every read of a table attribute in the file at ``path``."""
+    return [
+        (function, node.attr, node.lineno)
+        for function, node in nodes_by_function(path)
+        if isinstance(node, ast.Attribute) and node.attr in TABLE_ATTRIBUTES
+    ]
 
 
 def test_only_laurent_reads_the_coefficients():
@@ -82,3 +93,15 @@ def test_only_laurent_reads_the_coefficients():
     # The guard sees what it looks for: the exception's read and laurent's own.
     assert ("coefficient_residual", "coeffs") in {read[:2] for read in table_reads(PACKAGE / "walks.py")}
     assert {attr for _, attr, _ in table_reads(PACKAGE / "laurent.py")} == TABLE_ATTRIBUTES
+
+
+def test_one_function_builds_the_bracket_report():
+    report_sites, replace_imports = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for function, node in nodes_by_function(path):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "BoundsReport":
+                report_sites.add((path.name, function))
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                replace_imports += [(path.name, a.name) for a in node.names if a.name == "replace"]
+    assert report_sites == {("bounds.py", "bounds_for_kind")}
+    assert replace_imports == []

@@ -323,8 +323,8 @@ def test_walk_classes_half_box_equals_full_box(monkeypatch, name, graph, n_max):
         with monkeypatch.context() as patch:
             patch.setattr(ps.walks, "fiber_eigenvalues_grid", spy)
             half = ps.walk_classes(graph, kind, n_max)
-        # k = 0, k = pi, and one point of each mirror pair of the box
-        assert solved.pop() == 2 + (box + own_mirrors) // 2
+        # k = pi, and one point of each mirror pair of the box, k = 0 among them
+        assert solved.pop() == 1 + (box + own_mirrors) // 2
         full, errs = full_box_walk_classes(graph, kind, n_max)
         for got, want, err in zip(half, full, errs):
             assert got[1] == want[1]
