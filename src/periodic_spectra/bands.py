@@ -57,12 +57,22 @@ def default_flat_tol(value: float) -> float:
     return 1e-8 * (1.0 + abs(value))
 
 
-def mirrors(shape: tuple[int, ...]) -> np.ndarray:
-    """Flat index of the mirror ``-m mod shape`` of every point m of a row-major index box."""
+def half_box(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Time-reversal pairing of a row-major index box: ``(coordinates kept, partner row of every point)``.
+
+    Of each pair {m, -m mod shape} the first in box order is kept; ``coords``
+    holds their integer coordinates, shape (nkept, dim), in box order from
+    m = 0.  ``partner[i]`` is the row, among the kept points, of box point i
+    or of its mirror, so ``np.bincount(partner)`` is each kept point's pair size.
+    """
     first = np.zeros(1, dtype=np.intp)
     for n in shape:
         first = (first[:, None] * n + -np.arange(n) % n).ravel()
-    return first
+    rows = np.arange(first.size)
+    kept = np.minimum(first, rows, out=first) == rows
+    del rows  # a full-box array, freed before the coordinates are built
+    coords = np.stack(np.unravel_index(np.flatnonzero(kept), shape), axis=1)
+    return coords, (np.cumsum(kept) - 1)[first]
 
 
 @dataclass(frozen=True)
@@ -93,21 +103,8 @@ class KGrid:
 
     @cached_property
     def half(self) -> tuple[np.ndarray, np.ndarray]:
-        """Time-reversal pairing: ``(coordinates to solve, partner row of every grid point)``.
-
-        The grid is closed under m -> -m mod n.  Of each pair {m, -m mod n} the
-        first in grid order is solved, so (n^d + 2^d)/2 points remain; ``coords``
-        holds their integer grid coordinates m, shape (npts_half, dim), in grid
-        order and starting with k = 0.  ``partner[i]`` is the row, among the
-        solved points, of grid point i or of its mirror.
-        """
-        n, dim = self.points_per_dim, self.dim
-        first = mirrors((n,) * dim)
-        rows = np.arange(n**dim)
-        solved = np.minimum(first, rows, out=first) == rows
-        del rows  # a full-grid array, freed before the coordinates are built
-        coords = np.stack(np.unravel_index(np.flatnonzero(solved), (n,) * dim), axis=1)
-        return coords, (np.cumsum(solved) - 1)[first]
+        """:func:`half_box` of the grid: the (n^d + 2^d)/2 points to solve from k = 0, and each point's partner row."""
+        return half_box((self.points_per_dim,) * self.dim)
 
     def angles(self, coords: np.ndarray) -> np.ndarray:
         """Quasimomenta ``2*pi*m/n`` of the grid coordinates m, shape (npts, dim), C-contiguous."""
@@ -209,15 +206,12 @@ def _residual(columns: np.ndarray, value: float) -> float:
     return float(np.abs(columns - value).min(axis=0).max())
 
 
-def _flat_candidates(lam: np.ndarray) -> tuple[tuple[float, float], ...]:
-    values = _candidate_values(lam[0])
-    residual = np.zeros(len(values))
-    # Transposed blocks of REDUCE_BYTES, so each nearest-eigenvalue search runs along contiguous rows.
-    step = max(1, REDUCE_BYTES // (8 * lam.shape[1]))
-    for start in range(0, len(lam), step):
-        block = lam[start : start + step].T.copy()
-        np.maximum(residual, [_residual(block, value) for value in values], out=residual)
-    return tuple(zip(values, residual.tolist()))
+def _fold(block: np.ndarray, lo: np.ndarray, hi: np.ndarray, values: list, residual: np.ndarray, which) -> None:
+    """Fold solved points, one column each, into the band extremes ``lo`` and ``hi`` and, as
+    ``np.maximum`` does (a NaN from an overflowed power stays), the residuals of candidates ``which``."""
+    np.minimum(lo, block.min(axis=1), out=lo)
+    np.maximum(hi, block.max(axis=1), out=hi)
+    residual[which] = np.maximum(residual[which], [_residual(block, values[i]) for i in which])
 
 
 def _flat_level(matrix: LaurentMatrix, value: float) -> tuple[float, int]:
@@ -287,7 +281,13 @@ def _table(kind: str, grid: KGrid, lows: np.ndarray, highs: np.ndarray, candidat
 
 
 def table_from_eigenvalues(kind: str, grid: KGrid, lam: np.ndarray) -> BandTable:
-    return _table(kind, grid, lam.min(axis=0), lam.max(axis=0), _flat_candidates(lam))
+    values = _candidate_values(lam[0])
+    lo, hi, residual = lam[0].copy(), lam[0].copy(), np.zeros(len(values))
+    # Transposed blocks of REDUCE_BYTES, so each nearest-eigenvalue search runs along contiguous rows.
+    step = max(1, REDUCE_BYTES // (8 * lam.shape[1]))
+    for start in range(0, len(lam), step):
+        _fold(lam[start : start + step].T.copy(), lo, hi, values, residual, range(len(values)))
+    return _table(kind, grid, lo, hi, tuple(zip(values, residual.tolist())))
 
 
 def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None) -> BandTable:
@@ -318,11 +318,11 @@ def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None
     """
     grid = grid or KGrid(graph.dim)
     matrix = _fiber_operator(graph, kind, grid)
-    coords, partner = grid.half
+    coords = grid.half[0]
 
-    def solve(index: np.ndarray) -> np.ndarray:
+    def solve(points: np.ndarray) -> np.ndarray:
         # One column per point, so the reductions below run along contiguous rows.
-        return fiber_eigenvalues_grid(matrix, grid.angles(coords[index])).T.copy()
+        return fiber_eigenvalues_grid(matrix, grid.angles(points)).T.copy()
 
     lip, margin = _operator_bounds(matrix)
     n, npts = grid.points_per_dim, len(coords)
@@ -337,9 +337,9 @@ def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None
     s = 2 ** max(1, 4 - grid.dim)
     while n % s:
         s //= 2
-    # Rows of the half on the coarse lattice, in grid order.
-    coarse = np.flatnonzero((coords % s == 0).all(axis=1))
-    top = solve(coarse)
+    # The half's points on the coarse lattice, in grid order, and the column of each coarse point's pair.
+    coarse, pair = half_box((n // s,) * grid.dim)
+    top = solve(coarse * s)
     lo, hi = top.min(axis=1), top.max(axis=1)
     values = _candidate_values(top[:, 0])
     residual = np.array([_residual(top, value) for value in values])
@@ -355,10 +355,9 @@ def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None
 
     def unsure(c: np.ndarray) -> np.ndarray:
         """Whether each point at grid coordinates ``c`` could pass a running extreme."""
-        near = (c + s // 2) // s * s
-        reach = slope * np.abs(c - near).max(axis=1) + margin
-        column = np.searchsorted(coarse, partner[np.ravel_multi_index(tuple((near % n).T), (n,) * grid.dim)])
-        row = top.take(column, axis=1)
+        near = (c + s // 2) // s  # coarse coordinates of the nearest coarse point
+        reach = slope * np.abs(c - near * s).max(axis=1) + margin
+        row = top.take(pair[np.ravel_multi_index(tuple(near.T), (n // s,) * grid.dim, mode="wrap")], axis=1)
         inside = (row - reach >= lo[:, None]) & (row + reach <= hi[:, None])
         counted = np.ones(row.shape[1], dtype=bool)
         for v, mu in levels:
@@ -381,11 +380,7 @@ def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None
         part = start + np.flatnonzero(off)
         part = part if rest else part[unsure(c[off])]
         if len(part):
-            block = solve(part)
-            np.minimum(lo, block.min(axis=1), out=lo)
-            np.maximum(hi, block.max(axis=1), out=hi)
-            for i in loose:
-                residual[i] = max(residual[i], _residual(block, values[i]))
+            _fold(solve(coords[part]), lo, hi, values, residual, loose)
     candidates = tuple(
         (certified[i][0], 0.0) if i in certified else (value, float(residual[i])) for i, value in enumerate(values)
     )

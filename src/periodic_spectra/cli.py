@@ -137,7 +137,7 @@ def _verb(*options):
     """Register ``fn(graph, **options) -> _Output`` as a verb of ``main``.
 
     The verb gains a graph source (``--builtin``/``--graph``), ``--format``
-    and ``--out``; input errors exit 1 and consistency failures exit 2.
+    and ``--out``; input errors and failed allocations exit 1, consistency failures exit 2.
     """
 
     def register(fn):
@@ -155,7 +155,7 @@ def _verb(*options):
                     _fail(2, output.failure)
             except (EngineMismatchError, HermiticityError) as exc:
                 _fail(2, exc)
-            except (PeriodicGraphError, OSError, ValueError) as exc:
+            except (PeriodicGraphError, OSError, ValueError, MemoryError) as exc:
                 _fail(1, exc)
 
         for option in reversed((*_COMMON_OPTIONS, *options)):

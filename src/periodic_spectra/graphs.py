@@ -27,17 +27,13 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import GraphFormatError, SearchCapExceeded
 
 IndexVector = tuple[int, ...]
-
-#: names accepted by :func:`builtin_graph`; ``zd(d)`` and ``z_cycle(nu)``
-#: take an integer parameter.
-BUILTIN_NAMES = ("zd(d)", "z_cycle(nu)", "hexagonal", "kagome", "fig4_chain", "square_diag")
 
 # Cap on the work of minimize_bridges, in edge scans (see there); 30-40 s of
 # search on a 2-CPU x86-64 machine.
@@ -514,7 +510,7 @@ def minimize_bridges(
     # Partial forest: component label and shift per vertex; its edges have index 0.
     comp = list(range(nv))
     shift = [zero] * nv
-    # Edges this branch leaves out of the tree and keeps as bridges (see "skip").
+    # Edges this branch leaves out of the tree and keeps as bridges.
     forced = [False] * len(plain)
 
     def connectable(start: int) -> bool:
@@ -534,31 +530,39 @@ def minimize_bridges(
                 pieces -= 1
         return pieces == 1
 
-    # Depth-first search over (edge position, forest edges so far), kept on an
-    # explicit stack so the depth is not bounded by Python's recursion limit.
-    # Entries: ("visit", i, joined), ("restore", saved), ("skip", i, joined),
-    # ("unforce", i); a join pushes its restore and the branch without the edge
-    # below the branch with it.
-    stack: list[tuple] = [("visit", 0, 0)] if best_count > floor else []
+    def grow(i: int, joined: int) -> Iterator[tuple[int, int]]:
+        """The child branches ``(i + 1, forest edges)`` of the branch at edge i, in search order."""
+        tail, head, _ = plain[i]
+        if comp[tail] == comp[head]:
+            yield i + 1, joined
+            return
+        # Join head's component to tail's so that edge i gets index 0.
+        off = _offset(plain[i], shift)
+        saved = [(v, comp[v], shift[v]) for v in range(nv) if comp[v] == comp[head]]
+        for v, _, vec in saved:
+            comp[v] = comp[tail]
+            shift[v] = tuple(a + b for a, b in zip(vec, off))
+        yield i + 1, joined + 1
+        for v, c, vec in saved:
+            comp[v], shift[v] = c, vec
+        # A tree without edge i that gives it index 0 has the gauge of a tree
+        # with it (swap it for a cycle edge outside the forest), so the branch
+        # without it need only reach gauges where it is a bridge.
+        if connectable(i + 1):
+            forced[i] = True
+            yield i + 1, joined
+            forced[i] = False
+
+    # Depth-first search: one loop drives a stack of branch generators, so the
+    # depth is not bounded by Python's recursion limit.
+    stack: list[Iterator[tuple[int, int]]] = [iter([(0, 0)])] if best_count > floor else []
     scans = 0
     while stack:
-        step = stack.pop()
-        if step[0] == "restore":
-            for v, c, vec in step[1]:
-                comp[v], shift[v] = c, vec
+        branch = next(stack[-1], None)
+        if branch is None:
+            stack.pop()
             continue
-        if step[0] == "unforce":
-            forced[step[1]] = False
-            continue
-        _, i, joined = step
-        if step[0] == "skip":
-            # A tree without edge i that gives it index 0 has the gauge of a
-            # tree with it (swap it for a cycle edge outside the forest), so
-            # the branch without it need only reach gauges where it is a bridge.
-            if connectable(i + 1):
-                forced[i] = True
-                stack += [("unforce", i), ("visit", i + 1, joined)]
-            continue
+        i, joined = branch
         scans += len(plain)
         if scans > cap:
             raise SearchCapExceeded(f"gauge search passed its cap of {cap} edge scans")
@@ -570,18 +574,7 @@ def minimize_bridges(
             if best_count == floor:
                 break
             continue
-        tail, head, _ = plain[i]
-        if comp[tail] == comp[head]:
-            stack.append(("visit", i + 1, joined))
-            continue
-        # Join head's component to tail's so that edge i gets index 0.
-        off = _offset(plain[i], shift)
-        moved = [v for v in range(nv) if comp[v] == comp[head]]
-        stack += [("skip", i, joined), ("restore", [(v, comp[v], shift[v]) for v in moved])]
-        for v in moved:
-            comp[v] = comp[tail]
-            shift[v] = tuple(a + b for a, b in zip(shift[v], off))
-        stack.append(("visit", i + 1, joined + 1))
+        stack.append(grow(i, joined))
     return Gauge(best_shifts), loop_bridges + best_count
 
 

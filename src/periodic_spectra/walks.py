@@ -41,7 +41,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .bands import mirrors
+from .bands import half_box
 from .errors import EngineMismatchError, GraphFormatError
 from .graphs import FundamentalGraph, IndexVector
 from .laurent import LaurentMatrix, LaurentPoly
@@ -229,7 +229,7 @@ def walk_classes(graph: FundamentalGraph, kind: str, n_max: int) -> tuple[tuple[
     largest ``|m_s|``; like ``rho`` and integrality, a fact of M's term table),
     exact because it resolves every frequency of ``T_n`` on that axis.  M has
     real coefficients, so ``T_n(-k) = T_n(k)``: of each mirror pair of grid
-    points (:func:`bands.mirrors`) the first is solved and counted twice, or
+    points (:func:`bands.half_box`) the first is solved and counted twice, or
     once when it is its own mirror.  The values equal :func:`classify` of the
     exact walk sums.  The sweep streams the points in chunks (see
     :func:`fiber_eigenvalues_grid`), so memory is the points, the
@@ -246,18 +246,19 @@ def walk_classes(graph: FundamentalGraph, kind: str, n_max: int) -> tuple[tuple[
     within the bound are set to 0.0: walk weights are nonnegative, so this
     keeps every empty class at exactly zero and never raises a value.
     """
+    if n_max < 1:
+        raise ValueError("walk length must be positive")
     matrix = walk_matrix(graph, kind)
     scales = trace_scales(matrix, n_max)
     shape = tuple(n_max * r + 1 for r in matrix.frequency_radius)
     # T_n(k) = T_n(-k): one point of each pair {m, -m mod shape}, weighted by the pair's size.
-    mirror = mirrors(shape)
-    kept = np.flatnonzero(np.arange(mirror.size) <= mirror)
-    weights = np.where(mirror[kept] == kept, 1.0, 2.0)
-    box = 2.0 * np.pi * np.stack(np.unravel_index(kept, shape), axis=1) / shape
+    coords, partner = half_box(shape)
+    weights = np.bincount(partner)
+    box = 2.0 * np.pi * coords / shape
     # T_n at every point, one row per n; columns: k = pi*(1,..,1), then the half box, whose first point is k = 0.
     traces = _power_traces(matrix, np.vstack([np.full((1, graph.dim), np.pi), box]), n_max)
     # einsum rather than a BLAS product, whose first call adds about 1 MB of work buffers to peak memory.
-    t_pi, t_zero, mean = traces[:, 0], traces[:, 1], np.einsum("nk,k->n", traces[:, 1:], weights) / mirror.size
+    t_pi, t_zero, mean = traces[:, 0], traces[:, 1], np.einsum("nk,k->n", traces[:, 1:], weights) / partner.size
     n = np.arange(1, n_max + 1)
     errs = ENGINE_ERROR_FACTOR * n * matrix.size * np.finfo(float).eps * scales
     return tuple(

@@ -14,7 +14,10 @@ walk sums, the comparison the ``traces`` verb makes.
 whole index box, the reference for ``walk_classes``' half box.
 ``unchecked_graph`` builds quotients the parsers reject (sublattice indices);
 ``random_graph`` builds seeded random connected quotients, ``regular_graph``
-seeded regular ones and ``loopless_graph`` seeded loopless ones.  ``full_band_table`` is the unpruned sweep, the
+seeded regular ones and ``loopless_graph`` seeded loopless ones.  ``supercell``
+builds the N-fold cover of a quotient, the same periodic graph over the
+coarser lattice (N Z)^d, and ``SUPERCELLS`` names the covers the tests use.
+``full_band_table`` is the unpruned sweep, the
 reference for every band table; ``assert_tables_identical`` compares two
 tables bit for bit, and ``assert_pruned_table_is_the_full_sweep`` holds
 ``band_structure`` to the unpruned sweep with its certified flat levels
@@ -65,6 +68,12 @@ BUILTIN_NAMES = [
 ]
 
 BIPARTITE_BUILTINS = ["hexagonal", "zd(1)", "zd(2)", "z_cycle(4)"]
+
+# (built-in name, N) of the covers built by supercell: N = 2 of every built-in, and N = 3 of those
+# whose gauge search finishes in about a second (kagome, square_diag and zd(3) x 3 pass the default cap).
+SUPERCELLS = [(name, 2) for name in BUILTIN_NAMES] + [
+    (name, 3) for name in ("hexagonal", "fig4_chain", "zd(1)", "zd(2)", "z_cycle(4)")
+]
 
 
 def numeric_fiber(graph, kind, k, potential_shift=0.0):
@@ -602,6 +611,25 @@ def loopless_graph(seed: int, nu: int, dim: int) -> ps.FundamentalGraph:
             return ps.build_graph(dim, labels, edges, potential)
         except ps.GraphFormatError:
             continue
+
+
+def supercell(graph, n):
+    """The n-fold cover of ``graph``: the same periodic graph, its fundamental domain n^d cells.
+
+    Vertex (x, r), r in (Z/n)^d, stands for x in cell r + n Z^d.  Each edge x -> y of
+    index m becomes, for every r, the edge (x, r) -> (y, (r + m) mod n) of index
+    floor((r + m) / n) per axis; every vertex keeps its potential.
+    """
+    cells = list(itertools.product(range(n), repeat=graph.dim))
+    labels = [f"{label}@{''.join(map(str, r))}" for label in graph.labels for r in cells]
+    edges = []
+    for e in graph.unoriented():
+        for r in cells:
+            to = [a + m for a, m in zip(r, e.index)]
+            head = graph.labels[e.head] + "@" + "".join(str(a % n) for a in to)
+            edges.append((f"{graph.labels[e.tail]}@{''.join(map(str, r))}", head, tuple(a // n for a in to)))
+    potential = {label: v for label, v in zip(labels, np.repeat(graph.potential, len(cells)).tolist())}
+    return ps.build_graph(graph.dim, labels, edges, potential)
 
 
 def full_band_table(graph, kind, grid, power=1, levels=()):

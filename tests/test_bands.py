@@ -246,6 +246,24 @@ def test_kgrid_half_keeps_one_point_of_each_pair(dim, n):
     assert partner.tolist() == [kept.index(i) for i in first]
 
 
+@pytest.mark.parametrize("shape", [(1,), (2,), (5,), (4, 3), (3, 3, 2), (5, 1, 4)])
+def test_half_box_pairs_odd_and_mixed_shapes(shape):
+    # Walk-class boxes (n_max * R_s + 1 per axis) and coarse lattices (n // s) are often odd.
+    kept, partner = ps.bands.half_box(shape)
+    box = list(itertools.product(*map(range, shape)))
+    mirror = [tuple(-v % n for v, n in zip(m, shape)) for m in box]
+    row = {m: i for i, m in enumerate(box)}
+    kept = [tuple(m) for m in kept.tolist()]
+    assert kept[0] == (0,) * len(shape)
+    assert partner.shape == (len(box),)
+    for i, m in enumerate(box):
+        assert kept[partner[i]] in (m, mirror[i])
+    # each kept point is the first of its pair in box order
+    assert kept == [m for i, m in enumerate(box) if i <= row[mirror[i]]]
+    size = np.bincount(partner)
+    assert size.tolist() == [1 if mirror[row[m]] == m else 2 for m in kept]
+
+
 PAIRING_CASES = [
     pytest.param(random_graph(seed, dim=dim), n, id=f"random_d{dim}_s{seed}_n{n}")
     for dim, sizes in ((1, (2, 8, 30)), (2, (4, 10)), (3, (2, 6)))

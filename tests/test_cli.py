@@ -315,6 +315,25 @@ def test_engine_mismatch_exits_2(runner, monkeypatch):
     assert "error:" in result.output
 
 
+@pytest.mark.parametrize(
+    "engine, args",
+    [
+        ("band_structure", ["bands", "--builtin", "kagome", "--grid", "20000"]),
+        ("bounds_for_kind", ["bounds", "--builtin", "kagome", "--operator", "adjacency"]),
+    ],
+)
+def test_memory_error_is_one_line_exit_1(runner, monkeypatch, engine, args):
+    # numpy's _ArrayMemoryError is a MemoryError; raised here without allocating anything.
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 5.96 GiB for an array with shape (200010002, 4) and data type float64")
+
+    monkeypatch.setattr(ps.bands if engine == "band_structure" else ps.bounds, engine, exhausted)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: Unable to allocate") and result.stderr.count("\n") == 1
+
+
 def test_bands_table_json_and_csv(runner):
     args = ["bands", "--builtin", "kagome", "--operator", "laplacian", "--grid", "16"]
     doc = json.loads(invoke(runner, *args, "--format", "json").output)

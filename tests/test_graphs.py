@@ -18,11 +18,13 @@ from periodic_spectra.errors import GraphFormatError, SearchCapExceeded
 
 from conftest import (
     BUILTIN_NAMES,
+    SUPERCELLS,
     box_min_bridges,
     exhaustive_tree_search,
     loopless_graph,
     random_graph,
     regular_graph,
+    supercell,
     unchecked_graph,
 )
 
@@ -433,6 +435,16 @@ def test_minimize_bridges_is_the_exhaustive_search_random(seed):
 @pytest.mark.parametrize("seed, nu, dim", [(0, 4, 1), (1, 5, 2), (2, 6, 3), (3, 7, 2), (4, 8, 1), (5, 8, 2), (6, 10, 1)])
 def test_minimize_bridges_is_the_exhaustive_search_loopless(seed, nu, dim):
     _assert_search_is_exhaustive(loopless_graph(seed, nu, dim))
+
+
+@pytest.mark.parametrize("name, n", SUPERCELLS, ids=[f"{name}x{n}" for name, n in SUPERCELLS])
+def test_supercell_search_and_bipartiteness(name, n):
+    # The cover is the same periodic graph over a coarser lattice: the same bipartiteness verdict,
+    # and on kagome, square_diag, hexagonal and zd(2) covers a gauge search that really searches.
+    g = ps.builtin_graph(name)
+    cover = supercell(g, n)
+    assert ps.is_bipartite(cover)[0] == ps.is_bipartite(g)[0]
+    _assert_search_is_exhaustive(cover)
 
 
 def test_bridge_floor_takes_the_larger_bound(kagome):

@@ -12,12 +12,14 @@ from periodic_spectra.errors import EngineMismatchError
 from periodic_spectra.walks import WalkClassCounts
 
 from conftest import (
+    SUPERCELLS,
     assert_walk_classes_match,
     enumerate_walk_sums,
     full_box_walk_classes,
     loopless_graph,
     max_abs_frequency,
     max_diff,
+    supercell,
     unchecked_graph,
 )
 
@@ -331,13 +333,29 @@ def test_walk_classes_half_box_equals_full_box(monkeypatch, name, graph, n_max):
             assert abs(got[0] - want[0]) <= err, (name, kind)
 
 
+@pytest.mark.parametrize("name, n", SUPERCELLS, ids=[f"{name}x{n}" for name, n in SUPERCELLS])
+def test_supercell_walk_sums(name, n):
+    # A closed walk of the cover at index m is a closed walk of the quotient at index n * m,
+    # lifted from each of the cover's n^d copies of its base vertex.
+    g = ps.builtin_graph(name)
+    cover = supercell(g, n)
+    series = zip(ps.walks.walk_series(g, "adjacency", 4), ps.walks.walk_series(cover, "adjacency", 4))
+    for length, (small, big) in enumerate(series, 1):
+        want = {
+            tuple(v // n for v in m): n**g.dim * s for m, s in small.by_index.items() if all(v % n == 0 for v in m)
+        }
+        assert big.by_index == want, length
+
+
 def test_walk_setting_keeps_a_zero_potential_graph(fig4):
     assert ps.walks.walk_setting(fig4, "laplacian") == (fig4, "schrodinger")
     assert ps.walks.walk_setting(fig4, "laplacian")[0] is fig4
 
 
 def test_walk_classes_kinds(kagome):
-    assert ps.walk_classes(kagome, "adjacency", 0) == ()
+    for n_max in (0, -1):
+        with pytest.raises(ValueError, match="walk length must be positive"):
+            ps.walk_classes(kagome, "adjacency", n_max)
     with pytest.raises(ValueError):
         ps.walk_classes(kagome, "laplacian", 2)
 
