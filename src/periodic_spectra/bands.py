@@ -388,11 +388,18 @@ def band_structure(graph: FundamentalGraph, kind: str, grid: KGrid | None = None
 
 
 def power_band_structure(graph: FundamentalGraph, kind: str, n: int, grid: KGrid | None = None) -> BandTable:
-    """Band table of the n-th power: solve the whole half, raise to n, re-sort."""
+    """Band table of the n-th power: solve the whole half, raise to n, re-sort.
+
+    Raises ``ValueError`` when a power leaves the float range.
+    """
     if n < 1:
         raise ValueError("power must be positive")
     grid = grid or KGrid(graph.dim)
-    return table_from_eigenvalues(kind, grid, np.sort(solve_half(graph, kind, grid) ** n, axis=1))
+    with np.errstate(over="ignore"):
+        powers = solve_half(graph, kind, grid) ** n
+    if not np.isfinite(powers).all():
+        raise ValueError(f"eigenvalue powers n={n} leave the float range")
+    return table_from_eigenvalues(kind, grid, np.sort(powers, axis=1))
 
 
 def total_bandwidth(table: BandTable) -> float:

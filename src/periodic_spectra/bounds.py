@@ -19,7 +19,6 @@ share them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,11 +26,12 @@ from fractions import Fraction
 from .graphs import (
     CycleRecord,
     FundamentalGraph,
+    IndexVector,
     _generates_lattice,
     betti_number,
-    bridge_count,
     cycle_basis,
     index_lattice_check,
+    shifted_loop_weights,
 )
 from .walks import classify, walk_classes, walk_series, walk_setting
 
@@ -107,9 +107,9 @@ def _d_star(dim: int) -> int:
 def structural_constants(graph: FundamentalGraph) -> StructuralConstants:
     deg = graph.degrees
     kappa_minus, kappa_plus = min(deg), max(deg)
-    shifted = [graph.potential[x] - deg[x] for x in range(graph.num_vertices)]
-    v_plus = max(shifted) - min(shifted)
+    v_plus = max(shifted_loop_weights(graph, normalize=True))
     _, min_bridges = graph.fewest_bridges
+    # Nonzero-index oriented edges by tail; both orientations of each bridge are counted.
     per_vertex_bridges = [0] * graph.num_vertices
     for e in graph.edges:
         if any(e.index):
@@ -125,7 +125,7 @@ def structural_constants(graph: FundamentalGraph) -> StructuralConstants:
         v_star=float(kappa_plus + v_plus),
         d_star=_d_star(graph.dim),
         betti=betti_number(graph),
-        bridges=bridge_count(graph),
+        bridges=sum(per_vertex_bridges) // 2,
         min_bridges=min_bridges,
         bridge_ratio=float(bridge_ratio),
         bipartite=graph.bipartition[0],
@@ -231,19 +231,37 @@ class IndexLatticeReport:
     bipartite_witness_n: int | None
 
 
+def _unimodular_subset(vectors: list[IndexVector], dim: int) -> tuple[int, ...] | None:
+    """Positions of the first ``dim`` vectors, in ``itertools.combinations`` order, whose matrix is unimodular.
+
+    Depth first in that order, by exact span tests (:func:`graphs._generates_lattice`):
+    a prefix of k vectors is extended only while the rows of its dim x k matrix
+    generate Z^k, since every part of a unimodular basis spans a primitive
+    sublattice.  So the first subset is that of the plain scan over all
+    subsets, but the worst case (many primitive vectors, no unimodular
+    subset) stays exponential in ``dim``.
+    """
+
+    def extend(prefix: tuple[int, ...]) -> tuple[int, ...] | None:
+        if len(prefix) == dim:
+            return prefix
+        for j in range(prefix[-1] + 1 if prefix else 0, len(vectors) + len(prefix) - dim + 1):
+            chosen = (*prefix, j)
+            if _generates_lattice(zip(*(vectors[i] for i in chosen)), len(chosen)) and (found := extend(chosen)):
+                return found
+        return None
+
+    return extend(())
+
+
 def verify_index_lattice(graph: FundamentalGraph) -> IndexLatticeReport:
     """Fill an :class:`IndexLatticeReport`; :func:`index_lattice_check` gives
-    ``lattice_ok``, and exact span tests (:func:`graphs._generates_lattice`)
-    of the cycle basis's subsets give ``basis_subset``."""
+    ``lattice_ok``, and :func:`_unimodular_subset` of the cycle basis's indices
+    gives ``basis_subset``."""
     lattice_ok = index_lattice_check(graph)
-    cycles, _ = cycle_basis(graph)
-    indices = [c.index for c in cycles]
-    basis_subset = None
-    if lattice_ok:
-        for combo in itertools.combinations(range(len(cycles)), graph.dim):
-            if _generates_lattice([indices[j] for j in combo], graph.dim):
-                basis_subset = tuple(cycles[j] for j in combo)
-                break
+    cycles = cycle_basis(graph)
+    found = _unimodular_subset([c.index for c in cycles], graph.dim) if lattice_ok else None
+    basis_subset = None if found is None else tuple(cycles[j] for j in found)
 
     witness_n = witness_odd = bip_witness = None
     bipartite = graph.bipartition[0]

@@ -39,9 +39,8 @@ IndexVector = tuple[int, ...]
 # search on a 2-CPU x86-64 machine.
 DEFAULT_SEARCH_CAP = 20_000_000
 
-# Largest |m_s| of an edge index component.  Tree potentials and cycle indices
-# are Python ints; a fundamental cycle index sums at most nu components, which
-# stays exact in the int64 matrix of :func:`cycle_basis`.
+# Largest |m_s| of an edge index component accepted as input.  Tree potentials
+# and cycle indices are Python ints, exact at any size.
 MAX_INDEX_COMPONENT = 2**31 - 1
 
 
@@ -95,11 +94,10 @@ class CycleRecord:
 
     edges: tuple[OrientedEdge, ...]
     index: IndexVector
-    length: int
 
     def __post_init__(self):
-        if self.length != len(self.edges) or self.length == 0:
-            raise ValueError("cycle length does not match its edge list")
+        if not self.edges:
+            raise ValueError("a cycle needs at least one edge")
         for a, b in zip(self.edges, self.edges[1:]):
             if a.head != b.tail:
                 raise ValueError("cycle edges do not chain head-to-tail")
@@ -107,6 +105,10 @@ class CycleRecord:
             raise ValueError("cycle does not return to its initial vertex")
         if tuple(map(sum, zip(*(e.index for e in self.edges)))) != self.index:
             raise ValueError("cycle index does not equal the sum of edge indices")
+
+    @property
+    def length(self) -> int:
+        return len(self.edges)
 
 
 @dataclass(frozen=True)
@@ -152,8 +154,7 @@ class FundamentalGraph:
     def _check_potential(self) -> None:
         if not all(math.isfinite(v) for v in self.potential):
             raise GraphFormatError("potential values must be finite")
-        shifted = [v - d for v, d in zip(self.potential, self.degrees)]
-        if not math.isfinite(max(shifted) - min(shifted)):
+        if not math.isfinite(max(shifted_loop_weights(self, normalize=True))):
             raise GraphFormatError("potential values minus degrees (V - deg) must differ by a finite float")
 
     # -- basic shape -------------------------------------------------------
@@ -370,6 +371,21 @@ def betti_number(graph: FundamentalGraph) -> int:
     return graph.num_edges - graph.num_vertices + 1
 
 
+def shifted_loop_weights(graph: FundamentalGraph, normalize: bool = False) -> tuple[float, ...]:
+    """Per-vertex weights v_x = V_x - deg_x, optionally shifted so min v_x = 0.
+
+    The shift subtracts a constant from the potential; band positions move but
+    every bandwidth is unchanged, and the shifted weights are nonnegative.
+    Their max is the spread max(V - deg) - min(V - deg), bit for bit, since
+    x -> fl(x - low) is monotone.
+    """
+    raw = [v - d for v, d in zip(graph.potential, graph.degrees)]
+    if normalize:
+        low = min(raw)
+        raw = [v - low for v in raw]
+    return tuple(raw)
+
+
 def bridge_count(graph: FundamentalGraph) -> int:
     """Number of unoriented edges with nonzero index, in the current gauge."""
     return sum(1 for e in graph.unoriented() if any(e.index))
@@ -395,10 +411,6 @@ class Gauge:
             tuple(int(s) - int(b) for s, b in zip(vec, base)) for vec in self.shifts
         )
         object.__setattr__(self, "shifts", norm)
-
-    @classmethod
-    def zero(cls, graph: FundamentalGraph) -> "Gauge":
-        return cls(((0,) * graph.dim,) * graph.num_vertices)
 
 
 def gauge_transform(graph: FundamentalGraph, gauge: Gauge) -> FundamentalGraph:
@@ -618,8 +630,8 @@ def is_bipartite(graph: FundamentalGraph):
 # -- cycle space -------------------------------------------------------------
 
 
-def cycle_basis(graph: FundamentalGraph) -> tuple[list[CycleRecord], np.ndarray]:
-    """Fundamental cycles of the graph's BFS spanning tree, plus their dim x beta index matrix.
+def cycle_basis(graph: FundamentalGraph) -> list[CycleRecord]:
+    """Fundamental cycles of the graph's BFS spanning tree.
 
     One cycle per non-tree unoriented edge, in stored order: the edge, then
     the tree path from its head back to its tail.  Each is proper (no
@@ -642,11 +654,8 @@ def cycle_basis(graph: FundamentalGraph) -> tuple[list[CycleRecord], np.ndarray]
             rise.pop()
             fall.pop()
         edges = (e, *(f.reversed() for f in rise), *reversed(fall))
-        cycles.append(CycleRecord(edges, index, len(edges)))
-    matrix = np.zeros((graph.dim, len(cycles)), dtype=np.int64)
-    for j, c in enumerate(cycles):
-        matrix[:, j] = c.index
-    return cycles, matrix
+        cycles.append(CycleRecord(edges, index))
+    return cycles
 
 
 def _generates_lattice(columns: Iterable[Sequence[int]], dim: int) -> bool:
@@ -703,18 +712,12 @@ def index_lattice_check(graph: FundamentalGraph) -> bool:
 # -- builtin lattices --------------------------------------------------------
 
 
-def _hexagonal() -> FundamentalGraph:
+# name -> (rank, vertices, edges) of the plain built-in lattices.
+BUILTIN_LATTICES = {
     # Two-vertex quotient of the honeycomb; one in-cell edge and two crossing ones.
-    return build_graph(
-        2,
-        ["v1", "v2"],
-        [("v1", "v2", (0, 0)), ("v1", "v2", (1, 0)), ("v1", "v2", (0, 1))],
-    )
-
-
-def _kagome() -> FundamentalGraph:
+    "hexagonal": (2, ["v1", "v2"], [("v1", "v2", (0, 0)), ("v1", "v2", (1, 0)), ("v1", "v2", (0, 1))]),
     # Corner-sharing triangles; 4-regular on three vertices.
-    return build_graph(
+    "kagome": (
         2,
         ["x1", "x2", "x3"],
         [
@@ -725,12 +728,9 @@ def _kagome() -> FundamentalGraph:
             ("x3", "x2", (1, -1)),
             ("x1", "x3", (-1, 0)),
         ],
-    )
-
-
-def _fig4_chain() -> FundamentalGraph:
+    ),
     # Chain of diamonds along Z: two degree-3 hubs, two degree-2 rim vertices.
-    return build_graph(
+    "fig4_chain": (
         1,
         ["x1", "x2", "x3", "x4"],
         [
@@ -740,12 +740,9 @@ def _fig4_chain() -> FundamentalGraph:
             ("x4", "x3", (0,)),
             ("x3", "x1", (0,)),
         ],
-    )
-
-
-def _square_diag() -> FundamentalGraph:
+    ),
     # Squares rotated 45 degrees, joined by one horizontal and one vertical bridge.
-    return build_graph(
+    "square_diag": (
         2,
         ["x1", "x2", "x3", "x4"],
         [
@@ -756,7 +753,8 @@ def _square_diag() -> FundamentalGraph:
             ("x3", "x1", (1, 0)),
             ("x4", "x2", (0, 1)),
         ],
-    )
+    ),
+}
 
 
 def _zd(d: int) -> FundamentalGraph:
@@ -780,19 +778,13 @@ _PARAMETRIC = re.compile(r"^(zd|z_cycle)\((\d+)\)$")
 def builtin_graph(name: str) -> FundamentalGraph:
     """Return one of the built-in lattices by name.
 
-    Plain names: ``hexagonal``, ``kagome``, ``fig4_chain``, ``square_diag``.
-    Parametric: ``zd(d)`` (single vertex, d loops) and ``z_cycle(nu)``
-    (nu-periodic quotient of the integer line).
+    Plain names: the keys of :data:`BUILTIN_LATTICES`.  Parametric: ``zd(d)``
+    (single vertex, d loops) and ``z_cycle(nu)`` (nu-periodic quotient of the
+    integer line).
     """
     key = name.strip().lower()
-    plain = {
-        "hexagonal": _hexagonal,
-        "kagome": _kagome,
-        "fig4_chain": _fig4_chain,
-        "square_diag": _square_diag,
-    }
-    if key in plain:
-        return plain[key]()
+    if key in BUILTIN_LATTICES:
+        return build_graph(*BUILTIN_LATTICES[key])
     match = _PARAMETRIC.match(key)
     if match:
         kind, arg = match.group(1), int(match.group(2))

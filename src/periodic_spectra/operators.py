@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import GraphFormatError, HermiticityError
-from .graphs import FundamentalGraph
+from .graphs import FundamentalGraph, shifted_loop_weights
 from .laurent import LaurentMatrix
 
 #: Operator kind -> the trace kind whose closed walks stand for it; the laplacian's
@@ -38,19 +38,6 @@ TRACE_KINDS = tuple(dict.fromkeys(OPERATOR_KINDS.values()))
 
 # Bytes of complex fiber matrices that a sweep evaluates and solves at once.
 CHUNK_BYTES = 1 << 20
-
-
-def shifted_loop_weights(graph: FundamentalGraph, normalize: bool = False) -> tuple[float, ...]:
-    """Per-vertex weights v_x = V_x - deg_x, optionally shifted so min v_x = 0.
-
-    The shift subtracts a constant from the potential; band positions move but
-    every bandwidth is unchanged, and the shifted weights are nonnegative.
-    """
-    raw = [graph.potential[x] - graph.degrees[x] for x in range(graph.num_vertices)]
-    if normalize:
-        low = min(raw)
-        raw = [v - low for v in raw]
-    return tuple(raw)
 
 
 def symbolic_operator(

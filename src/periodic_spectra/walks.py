@@ -43,9 +43,9 @@ import numpy as np
 
 from .bands import half_box
 from .errors import EngineMismatchError, GraphFormatError
-from .graphs import FundamentalGraph, IndexVector
+from .graphs import FundamentalGraph, IndexVector, shifted_loop_weights
 from .laurent import LaurentMatrix, LaurentPoly
-from .operators import OPERATOR_KINDS, TRACE_KINDS, fiber_eigenvalues_grid, shifted_loop_weights, symbolic_operator
+from .operators import OPERATOR_KINDS, TRACE_KINDS, fiber_eigenvalues_grid, symbolic_operator
 
 INTEGER_TOL = 1e-6
 

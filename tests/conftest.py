@@ -17,6 +17,9 @@ whole index box, the reference for ``walk_classes``' half box.
 seeded regular ones and ``loopless_graph`` seeded loopless ones.  ``supercell``
 builds the N-fold cover of a quotient, the same periodic graph over the
 coarser lattice (N Z)^d, and ``SUPERCELLS`` names the covers the tests use.
+``cycle_index_matrix`` stacks the cycle basis's indices into a dim x beta matrix,
+and ``scan_unimodular_subset`` tests every subset of vectors for a unimodular
+one, the reference for ``verify``'s depth-first search.
 ``full_band_table`` is the unpruned sweep, the
 reference for every band table; ``assert_tables_identical`` compares two
 tables bit for bit, and ``assert_pruned_table_is_the_full_sweep`` holds
@@ -611,6 +614,20 @@ def loopless_graph(seed: int, nu: int, dim: int) -> ps.FundamentalGraph:
             return ps.build_graph(dim, labels, edges, potential)
         except ps.GraphFormatError:
             continue
+
+
+def scan_unimodular_subset(vectors, dim):
+    """Positions of the first ``dim`` vectors, in ``itertools.combinations`` order, that generate
+    Z^dim, found by testing every subset: the reference for ``bounds._unimodular_subset``."""
+    for combo in itertools.combinations(range(len(vectors)), dim):
+        if ps.graphs._generates_lattice([vectors[j] for j in combo], dim):
+            return combo
+    return None
+
+
+def cycle_index_matrix(graph):
+    """The dim x beta integer matrix whose columns are the indices of ``ps.cycle_basis(graph)``."""
+    return np.array([c.index for c in ps.cycle_basis(graph)], dtype=np.int64).reshape(-1, graph.dim).T
 
 
 def supercell(graph, n):

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from periodic_spectra.errors import EngineMismatchError, HermiticityError
 from conftest import (
     BUILTIN_NAMES,
     HERMITICITY_TOL,
+    SUPERCELLS,
     assert_pruned_table_is_the_full_sweep,
     assert_tables_identical,
     certified_levels,
@@ -22,6 +24,7 @@ from conftest import (
     regular_graph,
     row_cache_csv,
     spy_solved_rows,
+    supercell,
 )
 
 RNG = np.random.default_rng(99)
@@ -300,6 +303,32 @@ def test_power_band_structure_matches_direct_sweep(kagome):
     expected = ps.bands.table_from_eigenvalues("schrodinger", grid, np.sort(direct**3, axis=1))
     for got, want in zip(table.bands, expected.bands, strict=True):
         assert got.lo == pytest.approx(want.lo, abs=1e-11) and got.hi == pytest.approx(want.hi, abs=1e-11)
+
+
+@pytest.mark.parametrize("kind", ps.OPERATOR_KINDS)
+@pytest.mark.parametrize("name, n", SUPERCELLS, ids=[f"{name}x{n}" for name, n in SUPERCELLS])
+def test_supercell_eigenvalues_are_the_quotients_on_a_finer_grid(name, n, kind):
+    # The cover's fiber at K holds the quotient's eigenvalues at every k with n * k = K mod 2 pi,
+    # so the cover's grid 4 holds the quotient's grid 4n as a multiset.  Band hulls are not
+    # compared: the cover's sorted bands hull other subsets of the same points.
+    g = ps.builtin_graph(name)
+    g = g.with_potential([0.25 * x for x in range(g.num_vertices)])
+    cover = supercell(g, n)
+    _, big = ps.dispersion(cover, kind, ps.KGrid(g.dim, 4))
+    _, small = ps.dispersion(g, kind, ps.KGrid(g.dim, 4 * n))
+    margin = ps.bands._operator_bounds(ps.symbolic_operator(cover, kind))[1]
+    assert np.abs(np.sort(big, axis=None) - np.sort(small, axis=None)).max() <= margin
+
+
+def test_power_band_structure_refuses_powers_past_the_float_range(kagome):
+    # kagome's adjacency spectrum reaches 4: 4**1001 overflows, 4**500 = 2**1000 does not.
+    grid = ps.KGrid(2, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"eigenvalue powers n=1001 leave the float range"):
+            ps.power_band_structure(kagome, "adjacency", 1001, grid)
+        table = ps.power_band_structure(kagome, "adjacency", 500, grid)
+    assert all(np.isfinite([b.lo, b.hi]).all() for b in table.bands)
 
 
 @pytest.mark.parametrize("dim, n", [(2, 10), (3, 4)])

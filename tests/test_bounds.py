@@ -1,6 +1,8 @@
 """Closed-form brackets, structural constants, and lattice witnesses."""
 
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,15 @@ import pytest
 
 import periodic_spectra as ps
 
-from conftest import BIPARTITE_BUILTINS, BUILTIN_NAMES, loopless_graph, random_graph
+from conftest import (
+    BIPARTITE_BUILTINS,
+    BUILTIN_NAMES,
+    SUPERCELLS,
+    loopless_graph,
+    random_graph,
+    scan_unimodular_subset,
+    supercell,
+)
 
 RNG = np.random.default_rng(404)
 
@@ -226,6 +236,55 @@ def test_basis_subset_is_unimodular_when_found(name):
     assert abs(round(np.linalg.det(matrix))) == 1
     for c in report.basis_subset:
         assert c.length <= g.num_vertices
+
+
+def _basis_subset_graphs():
+    names = BUILTIN_NAMES + ["zd(3)", "zd(4)", "z_cycle(11)"]
+    graphs = [pytest.param(ps.builtin_graph(name), id=name) for name in names]
+    graphs += [pytest.param(random_graph(seed), id=f"random{seed}") for seed in range(12)]
+    loopless = [(0, 6, 2), (1, 8, 2), (2, 6, 3), (3, 8, 1), (4, 8, 3)]
+    graphs += [pytest.param(loopless_graph(*args), id=f"loopless{args}") for args in loopless]
+    graphs += [pytest.param(supercell(ps.builtin_graph(name), n), id=f"{name}x{n}") for name, n in SUPERCELLS]
+    return graphs
+
+
+@pytest.mark.parametrize("graph", _basis_subset_graphs())
+def test_basis_subset_is_the_scans_first_subset(graph):
+    cycles = ps.cycle_basis(graph)
+    want = scan_unimodular_subset([c.index for c in cycles], graph.dim)
+    got = ps.verify_index_lattice(graph).basis_subset
+    assert got == (None if want is None else tuple(cycles[j] for j in want))
+
+
+def test_unimodular_subset_is_the_scans_on_random_vector_sets():
+    rng = np.random.default_rng(28)
+    found = 0
+    for _ in range(3000):
+        dim, count = int(rng.integers(1, 5)), int(rng.integers(0, 9))
+        vectors = [tuple(int(v) for v in rng.integers(-3, 4, dim)) for _ in range(count)]
+        want = scan_unimodular_subset(vectors, dim)
+        assert ps.bounds._unimodular_subset(vectors, dim) == want, (vectors, dim)
+        found += want is not None
+    assert 500 < found < 2500
+
+
+@pytest.mark.parametrize("dim, count", [(3, 160), (6, 30)])
+def test_verify_is_fast_without_a_unimodular_subset(dim, count):
+    # Loops 2e_s and 3e_s generate Z^dim, and so does any set holding them.  Add vectors 2u, 3u
+    # and (1, 2a, 2b, ...): any dim of them have an even determinant if one is 2u or two are of
+    # the third form, else one is 3u and 3 divides it.  So no subset is unimodular, and the
+    # plain scan over all C(count, dim) subsets takes seconds.
+    units = [tuple(f * (j == s) for j in range(dim)) for s in range(dim) for f in (2, 3)]
+    odd = [(1, *(2 * a for a in tail)) for tail in itertools.islice(itertools.product(range(-1, 2), repeat=dim - 1), 4)]
+    steps = itertools.product(range(-2, 3), repeat=dim)
+    scaled = [tuple(f * v for v in u) for u in steps if any(u) for f in (2, 3)]
+    vectors = list(dict.fromkeys(units + odd + scaled))[:count]
+    assert len(vectors) == count
+    graph = ps.build_graph(dim, ["o"], [("o", "o", v) for v in vectors])
+    start = time.perf_counter()
+    report = ps.verify_index_lattice(graph)
+    assert time.perf_counter() - start < 0.1
+    assert report.lattice_ok and report.basis_subset is None
 
 
 def test_measure_lower_scaled_by_bands(fig4):

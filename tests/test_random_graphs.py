@@ -16,6 +16,7 @@ from conftest import (
     assert_trace_matches_walks,
     assert_walk_classes_match,
     box_min_bridges,
+    cycle_index_matrix,
     loopless_graph,
     max_diff,
     numeric_fiber,
@@ -33,8 +34,7 @@ LOOPLESS = [(0, 4, 1), (1, 6, 2), (2, 5, 3), (3, 8, 2), (4, 10, 1)]
 def test_random_graph_is_valid(seed):
     g = random_graph(seed)
     assert ps.index_lattice_check(g)
-    cycles, _ = ps.cycle_basis(g)
-    assert len(cycles) == ps.betti_number(g)
+    assert len(ps.cycle_basis(g)) == ps.betti_number(g)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -80,9 +80,7 @@ def test_random_graph_gauge_invariance(seed):
     shifts = [tuple(int(v) for v in rng.integers(-2, 3, g.dim)) for _ in g.labels]
     shifts[0] = (0,) * g.dim
     moved = ps.gauge_transform(g, ps.Gauge(tuple(shifts)))
-    _, base_matrix = ps.cycle_basis(g)
-    _, moved_matrix = ps.cycle_basis(moved)
-    assert np.array_equal(base_matrix, moved_matrix)
+    assert np.array_equal(cycle_index_matrix(g), cycle_index_matrix(moved))
     assert max_diff(ps.trace_series(moved, "adjacency", 3), ps.trace_series(g, "adjacency", 3)) < 1e-9
 
 
@@ -105,7 +103,7 @@ def test_loopless_graph_gauge_invariance(seed, nu, dim):
     rng = np.random.default_rng(seed)
     shifts = [tuple(int(v) for v in rng.integers(-2, 3, dim)) for _ in g.labels]
     moved = ps.gauge_transform(g, ps.Gauge(tuple(shifts)))
-    assert np.array_equal(ps.cycle_basis(g)[1], ps.cycle_basis(moved)[1])
+    assert np.array_equal(cycle_index_matrix(g), cycle_index_matrix(moved))
     assert max_diff(ps.trace_series(moved, "adjacency", 3), ps.trace_series(g, "adjacency", 3)) < 1e-9
     assert ps.minimize_bridges(moved)[1] == ps.minimize_bridges(g)[1]
     for kind in ("laplacian", "normalized_laplacian"):

@@ -333,18 +333,26 @@ def test_walk_classes_half_box_equals_full_box(monkeypatch, name, graph, n_max):
             assert abs(got[0] - want[0]) <= err, (name, kind)
 
 
+@pytest.mark.parametrize("kind", ps.walks.TRACE_KINDS)
 @pytest.mark.parametrize("name, n", SUPERCELLS, ids=[f"{name}x{n}" for name, n in SUPERCELLS])
-def test_supercell_walk_sums(name, n):
+def test_supercell_walk_sums(name, n, kind):
     # A closed walk of the cover at index m is a closed walk of the quotient at index n * m,
-    # lifted from each of the cover's n^d copies of its base vertex.
+    # lifted from each of the cover's n^d copies of its base vertex, with the same weight.
+    # A potential that differs by vertex makes the Schrodinger self-steps differ too.
     g = ps.builtin_graph(name)
+    g = g.with_potential([0.25 * x for x in range(g.num_vertices)])
     cover = supercell(g, n)
-    series = zip(ps.walks.walk_series(g, "adjacency", 4), ps.walks.walk_series(cover, "adjacency", 4))
+    series = zip(ps.walks.walk_series(g, kind, 4), ps.walks.walk_series(cover, kind, 4))
     for length, (small, big) in enumerate(series, 1):
         want = {
             tuple(v // n for v in m): n**g.dim * s for m, s in small.by_index.items() if all(v % n == 0 for v in m)
         }
-        assert big.by_index == want, length
+        if kind == "adjacency":
+            assert big.by_index == want, length
+            continue
+        assert big.by_index.keys() == want.keys(), length
+        for m, s in want.items():
+            assert abs(big.by_index[m] - s) <= 1e-12 * abs(s), (length, m)
 
 
 def test_walk_setting_keeps_a_zero_potential_graph(fig4):
